@@ -42,8 +42,7 @@ pub struct ServeOptions {
     /// Pending-write shedding threshold (0 = never shed).
     pub max_pending: u64,
     /// Worker threads executing admission work off the reactor
-    /// (0 = one per core, capped at 8). With more than one worker the
-    /// optimistic disjoint-neighborhood admission path is enabled.
+    /// (0 = one per core, capped at 8).
     pub workers: usize,
     /// Replication listen address: serve as a leader shipping WAL
     /// frames to followers from here. Requires `--wal-dir`.
@@ -143,7 +142,7 @@ fn build_service(
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let (state, wal, report) = recover(&raw.mesh, dir, opts.fsync)
         .map_err(|e| format!("recovery from {} failed: {e}", dir.display()))?;
-    let recovered = !state.handles.is_empty() || state.seq > 0;
+    let recovered = !state.handles().is_empty() || state.seq > 0;
     let service = AdmissionService::with_durability(
         raw.mesh.clone(),
         state,
@@ -229,9 +228,6 @@ pub fn run_serve(raw: &RawSpecFile, opts: &ServeOptions) -> Result<(), String> {
         startup = format!("{startup}; {count} admission shard(s)");
     }
     service.set_max_pending(opts.max_pending);
-    // Multiple workers can overlap in dispatch; let disjoint admits
-    // validate concurrently instead of queueing on the write lock.
-    service.set_optimistic(opts.workers > 1);
     let service = Arc::new(service);
     let mut shipper = None;
     if let Some(repl_addr) = &opts.repl_addr {
@@ -338,7 +334,7 @@ pub fn run_bench_serve(
     min_throughput: Option<f64>,
 ) -> Result<String, String> {
     let (outcome, json, extra) = if sweep {
-        let dir = std::env::temp_dir().join(format!("rtwc-bench-sweep-{}", std::process::id()));
+        let dir = rtwc_server::scratch_dir("bench-sweep");
         std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
         let s = run_wal_sweep(cfg, &dir).map_err(|e| format!("bench failed: {e}"))?;
         let _ = std::fs::remove_dir_all(&dir);
@@ -421,10 +417,7 @@ pub fn run_bench_repl_command(
 ) -> Result<String, String> {
     let (dir, scratch) = match dir {
         Some(d) => (d, false),
-        None => (
-            std::env::temp_dir().join(format!("rtwc-bench-repl-{}", std::process::id())),
-            true,
-        ),
+        None => (rtwc_server::scratch_dir("bench-repl"), true),
     };
     let o = run_bench_repl(cfg, &dir, grace).map_err(|e| format!("bench-repl failed: {e}"))?;
     if scratch {
@@ -1073,7 +1066,7 @@ mod tests {
 
     #[test]
     fn durable_build_recovers_instead_of_reseeding() {
-        let dir = std::env::temp_dir().join(format!("rtwc-serve-recover-{}", std::process::id()));
+        let dir = rtwc_server::scratch_dir("serve-recover");
         let _ = std::fs::remove_dir_all(&dir);
         let spec = raw("mesh 10 10\nstream 7,3 7,7 5 15 4\nstream 1,1 5,4 4 10 2\n");
         let opts = ServeOptions {

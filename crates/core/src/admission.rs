@@ -96,43 +96,6 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// An accepted admission analyzed by [`AdmissionController::validate`]
-/// against a read-only snapshot, ready for
-/// [`AdmissionController::commit_validated`].
-///
-/// Holds everything the commit needs: the candidate, the link-sharing
-/// component it was validated against (ids and parts, for the
-/// commit-time staleness check), the candidate's bound, and the
-/// refreshed bounds of every affected component member.
-#[derive(Clone, Debug)]
-pub struct ValidatedAdmission {
-    spec: StreamSpec,
-    path: Path,
-    /// Dense ids (at validation time) of the candidate's link-sharing
-    /// component, in increasing order.
-    component: Vec<StreamId>,
-    /// The members' `(spec, path)` parts, parallel to `component`.
-    component_parts: Vec<(StreamSpec, Path)>,
-    /// The candidate's accepted bound (it met its deadline).
-    candidate_bound: u64,
-    /// Refreshed bounds for the affected members, by dense id.
-    updates: Vec<(StreamId, DelayBound)>,
-    /// `Cal_U` invocations the validation performed.
-    recomputed: u64,
-}
-
-impl ValidatedAdmission {
-    /// Number of streams in the candidate's link-sharing component.
-    pub fn component_len(&self) -> usize {
-        self.component.len()
-    }
-
-    /// The candidate's accepted delay bound.
-    pub fn candidate_bound(&self) -> u64 {
-        self.candidate_bound
-    }
-}
-
 /// An incremental feasibility-preserving admission controller.
 ///
 /// Invariant: after every successful [`AdmissionController::admit`] (and
@@ -349,160 +312,6 @@ impl AdmissionController {
             return Err(err);
         }
         Ok(new_id)
-    }
-
-    /// Analyzes an admission **without mutating the controller** — the
-    /// read-locked half of the optimistic concurrent admission path.
-    ///
-    /// The analysis runs over a miniature stream set holding only the
-    /// candidate's link-sharing component
-    /// ([`InterferenceIndex::link_component`]) plus the candidate
-    /// itself. Because interference never crosses component boundaries
-    /// and the mini set preserves the members' relative dense order,
-    /// every recomputed bound — and therefore the accept/reject verdict,
-    /// the victim list, and the blocker list — is bit-identical to what
-    /// [`AdmissionController::admit`] would produce on the full set
-    /// (enforced by the equivalence tests).
-    ///
-    /// On acceptance the returned [`ValidatedAdmission`] carries the
-    /// candidate's bound and the refreshed bounds of every affected
-    /// member; [`AdmissionController::commit_validated`] applies them
-    /// without re-running `Cal_U`, provided the component is unchanged.
-    pub fn validate(
-        &self,
-        spec: StreamSpec,
-        path: Path,
-    ) -> Result<ValidatedAdmission, AdmissionError> {
-        if spec.max_length > spec.period {
-            return Err(AdmissionError::Invalid(format!(
-                "length C = {} exceeds period T = {} (the stream oversubscribes its own channel)",
-                spec.max_length, spec.period
-            )));
-        }
-        let latency = crate::latency::network_latency(path.hops(), spec.max_length);
-        if spec.deadline < latency {
-            return Err(AdmissionError::CandidateInfeasible {
-                bound: DelayBound::Bounded(latency),
-                source: spec.source,
-                dest: spec.dest,
-                blocked_by: Vec::new(),
-            });
-        }
-
-        let component = self.index.link_component(path.sorted_links());
-        let component_parts: Vec<(StreamSpec, Path)> = component
-            .iter()
-            .map(|&id| self.parts[id.index()].clone())
-            .collect();
-        let mut mini_parts = component_parts.clone();
-        mini_parts.push((spec.clone(), path.clone()));
-        let mini_set = StreamSet::from_parts(mini_parts)
-            .map_err(|e| AdmissionError::Invalid(e.to_string()))?;
-        let mini_index = InterferenceIndex::build(&mini_set);
-        let new_id = StreamId(component.len() as u32);
-
-        let mut scratch = AnalysisScratch::new();
-        let mut victims = Vec::new();
-        let mut candidate_bound = DelayBound::Exceeded;
-        let mut blocked_by = Vec::new();
-        let mut updates = Vec::new();
-        let mut accepted = None;
-        let mut recomputed = 0u64;
-        for id in mini_index.downstream(new_id) {
-            let hp = mini_index.hp_set(&mini_set, id);
-            if id == new_id {
-                // The target is never an HP member, so every element
-                // translates through `component`.
-                blocked_by = hp
-                    .elements()
-                    .iter()
-                    .filter(|e| e.is_direct())
-                    .map(|e| component[e.stream.index()])
-                    .collect();
-            }
-            let bound = scratch.delay_bound_indexed(
-                &mini_set,
-                &mini_index,
-                &hp,
-                mini_set.get(id).deadline(),
-            );
-            recomputed += 1;
-            let meets = bound.meets(mini_set.get(id).deadline());
-            if id == new_id {
-                if meets {
-                    accepted = bound.value();
-                } else {
-                    candidate_bound = bound;
-                }
-            } else {
-                if !meets {
-                    victims.push(component[id.index()]);
-                }
-                updates.push((component[id.index()], bound));
-            }
-        }
-        if !victims.is_empty() {
-            return Err(AdmissionError::BreaksExisting {
-                source: spec.source,
-                dest: spec.dest,
-                victims,
-            });
-        }
-        let Some(candidate_bound) = accepted else {
-            return Err(AdmissionError::CandidateInfeasible {
-                bound: candidate_bound,
-                source: spec.source,
-                dest: spec.dest,
-                blocked_by,
-            });
-        };
-        Ok(ValidatedAdmission {
-            spec,
-            path,
-            component,
-            component_parts,
-            candidate_bound,
-            updates,
-            recomputed,
-        })
-    }
-
-    /// Applies a [`ValidatedAdmission`] without re-running the analysis
-    /// — the write-locked half of the optimistic concurrent path.
-    ///
-    /// Returns `None` (controller unchanged) when the validation is
-    /// stale: the candidate's link-sharing component no longer holds
-    /// exactly the streams it was validated against, either because ids
-    /// shifted (a removal) or because a new overlapping stream was
-    /// admitted. The caller falls back to the serial
-    /// [`AdmissionController::admit`].
-    pub fn commit_validated(&mut self, v: &ValidatedAdmission) -> Option<StreamId> {
-        let component = self.index.link_component(v.path.sorted_links());
-        if component != v.component
-            || component
-                .iter()
-                .zip(&v.component_parts)
-                .any(|(&id, part)| &self.parts[id.index()] != part)
-        {
-            return None;
-        }
-        let new_id = match self.set.as_mut() {
-            Some(set) => set.push(v.spec.clone(), v.path.clone()).ok()?,
-            None => {
-                self.set =
-                    Some(StreamSet::from_parts(vec![(v.spec.clone(), v.path.clone())]).ok()?);
-                StreamId(0)
-            }
-        };
-        let set = self.set.as_ref().expect("set just populated");
-        self.index.insert_last(set.get(new_id));
-        self.parts.push((v.spec.clone(), v.path.clone()));
-        self.bounds.push(DelayBound::Bounded(v.candidate_bound));
-        for &(id, b) in &v.updates {
-            self.bounds[id.index()] = b;
-        }
-        self.recomputations += v.recomputed;
-        Some(new_id)
     }
 
     /// Removes an admitted stream. Remaining streams keep their cached
@@ -786,112 +595,6 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(ctl.recomputations(), 0);
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn random_candidate(m: &Mesh, rng: &mut u64) -> (StreamSpec, Path) {
-        let sx = (splitmix64(rng) % 10) as u32;
-        let sy = (splitmix64(rng) % 10) as u32;
-        let mut dx = (splitmix64(rng) % 10) as u32;
-        let dy = (splitmix64(rng) % 10) as u32;
-        if (dx, dy) == (sx, sy) {
-            dx = (dx + 1) % 10;
-        }
-        let p = 1 + (splitmix64(rng) % 4) as u32;
-        let t = 50 + splitmix64(rng) % 400;
-        let c = 2 + splitmix64(rng) % 6;
-        routed(m, [sx, sy], [dx, dy], p, t, c, t)
-    }
-
-    /// The optimistic validate/commit path must be bit-identical to the
-    /// serial path: same verdicts, same rejection diagnostics, same
-    /// bounds, same index.
-    #[test]
-    fn validated_commit_is_bit_identical_to_serial_admit() {
-        let m = mesh();
-        let mut serial = AdmissionController::new();
-        let mut optimistic = AdmissionController::new();
-        let mut rng = 0x51de_c0de;
-        let mut admitted = 0usize;
-        for _ in 0..120 {
-            let (spec, path) = random_candidate(&m, &mut rng);
-            let serial_out = serial.admit(spec.clone(), path.clone());
-            match optimistic.validate(spec.clone(), path.clone()) {
-                Ok(v) => {
-                    let id = optimistic
-                        .commit_validated(&v)
-                        .expect("no concurrent writers: commit is never stale");
-                    assert_eq!(serial_out.as_ref().ok(), Some(&id), "verdicts diverged");
-                    assert_eq!(
-                        optimistic.bound(id),
-                        DelayBound::Bounded(v.candidate_bound()),
-                        "committed bound mismatch"
-                    );
-                    admitted += 1;
-                    // Occasionally remove to exercise id shifts.
-                    if admitted.is_multiple_of(7) {
-                        let victim = StreamId((splitmix64(&mut rng) % serial.len() as u64) as u32);
-                        serial.remove(victim);
-                        optimistic.remove(victim);
-                    }
-                }
-                Err(e) => {
-                    assert_eq!(serial_out.unwrap_err(), e, "rejection diagnostics diverged");
-                }
-            }
-            assert_eq!(serial.bounds(), optimistic.bounds());
-            assert_eq!(serial.parts(), optimistic.parts());
-        }
-        assert!(admitted > 10, "workload should admit a healthy number");
-        assert_eq!(
-            optimistic.index(),
-            &InterferenceIndex::build(optimistic.set().unwrap())
-        );
-    }
-
-    /// A validation goes stale when an overlapping stream lands (or a
-    /// removal shifts ids) between validate and commit; commit must
-    /// refuse and leave the controller untouched.
-    #[test]
-    fn stale_validation_is_refused_at_commit() {
-        let m = mesh();
-        let mut ctl = AdmissionController::new();
-        let (s0, p0) = routed(&m, [0, 0], [5, 0], 2, 50, 4, 50);
-        ctl.admit(s0, p0).unwrap();
-        let (cand, cand_p) = routed(&m, [1, 0], [6, 0], 1, 200, 4, 200);
-        let v = ctl.validate(cand.clone(), cand_p.clone()).unwrap();
-        // An overlapping admit invalidates the component.
-        let (mid, mid_p) = routed(&m, [2, 0], [7, 0], 3, 60, 4, 60);
-        ctl.admit(mid, mid_p).unwrap();
-        let before_bounds = ctl.bounds().to_vec();
-        assert!(
-            ctl.commit_validated(&v).is_none(),
-            "stale commit must refuse"
-        );
-        assert_eq!(ctl.bounds(), before_bounds.as_slice());
-        // Re-validated against the current state, it commits cleanly and
-        // matches a serial admit on a cloned controller.
-        let mut serial = ctl.clone();
-        let v2 = ctl.validate(cand.clone(), cand_p.clone()).unwrap();
-        let id = ctl.commit_validated(&v2).unwrap();
-        assert_eq!(serial.admit(cand, cand_p).unwrap(), id);
-        assert_eq!(serial.bounds(), ctl.bounds());
-        // A disjoint admit elsewhere does NOT invalidate a validation.
-        let (far, far_p) = routed(&m, [0, 9], [5, 9], 1, 100, 4, 100);
-        let v3 = ctl.validate(far.clone(), far_p.clone()).unwrap();
-        let (other, other_p) = routed(&m, [9, 0], [9, 5], 1, 100, 4, 100);
-        ctl.admit(other, other_p).unwrap();
-        assert!(
-            ctl.commit_validated(&v3).is_some(),
-            "disjoint admission must not invalidate the component"
-        );
     }
 
     #[test]

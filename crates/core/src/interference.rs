@@ -177,7 +177,7 @@ impl InterferenceIndex {
     /// (backward closure) and downstream damage analysis (forward
     /// closure): an admission restricted to the candidate's component
     /// computes bit-identical bounds to one run over the full set. The
-    /// admission controller's optimistic concurrent path keys on this.
+    /// sharded plane's neighborhood scan keys on this.
     pub fn link_component(&self, seed_links: &[LinkId]) -> Vec<StreamId> {
         let mut member = vec![false; self.n];
         let mut link_seen = vec![false; self.link_streams.len()];

@@ -71,7 +71,7 @@ pub mod report;
 pub mod shard;
 pub mod stream;
 
-pub use admission::{AdmissionController, AdmissionError, ValidatedAdmission};
+pub use admission::{AdmissionController, AdmissionError};
 pub use bdg::BlockingDependencyGraph;
 pub use bounds::{busy_window_bound, direct_only_bound};
 pub use calu::{cal_u, cal_u_detailed, cal_u_with_hp, CalUAnalysis, DelayBound};

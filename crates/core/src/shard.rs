@@ -20,9 +20,9 @@
 //! candidate's **neighborhood** ([`scan_neighborhood`]) from the shards
 //! its links touch (growing the shard set only when a neighbor's path
 //! escapes them), plans the admission over a miniature stream set
-//! ([`plan_admit`], the same restricted analysis as
-//! [`AdmissionController::validate`], which the equivalence suite pins
-//! to the serial path bit-for-bit), and commits by writing the
+//! ([`plan_admit`], [`AdmissionController::admit`]'s analysis restricted
+//! to the neighborhood, which the equivalence suite pins to the serial
+//! path bit-for-bit), and commits by writing the
 //! pre-computed bounds into the owning shards. A shard-local stream
 //! touches one shard and needs zero cross-shard coordination; a
 //! boundary-crossing stream validates in every touched shard and then
@@ -424,10 +424,10 @@ pub struct AdmitPlan {
 /// (`members` must be [`scan_neighborhood`]'s fixpoint with no missing
 /// shards, ascending by key).
 ///
-/// This is [`AdmissionController::validate`]'s restricted analysis with
-/// keys in place of dense ids: structural guards first, then the
-/// downstream recomputation over the mini stream set `members +
-/// candidate`. Because the neighborhood equals the global link-sharing
+/// This is [`AdmissionController::admit`]'s analysis restricted to the
+/// neighborhood, with keys in place of dense ids: structural guards
+/// first, then the downstream recomputation over the mini stream set
+/// `members + candidate`. Because the neighborhood equals the global link-sharing
 /// component and preserves global admission order, the verdict, every
 /// bound, and every diagnostic are bit-identical to what a monolithic
 /// [`AdmissionController::admit`] would produce.

@@ -44,8 +44,7 @@ pub struct BenchConfig {
     /// Requests each client keeps in flight per burst (1 = classic
     /// closed loop; >1 pipelines over one connection).
     pub pipeline: usize,
-    /// Server worker threads (0 = one per core); >1 also enables the
-    /// service's optimistic concurrent-admission path.
+    /// Server worker threads (0 = one per core).
     pub server_workers: usize,
     /// Mesh width.
     pub width: u32,
@@ -363,7 +362,7 @@ fn worker(
 /// [`BenchConfig::wal_dir`] is set.
 fn bench_service(cfg: &BenchConfig) -> io::Result<AdmissionService> {
     let mesh = Mesh::mesh2d(cfg.width, cfg.height);
-    let mut service = match &cfg.wal_dir {
+    Ok(match &cfg.wal_dir {
         None => AdmissionService::new(mesh),
         Some(dir) => {
             std::fs::create_dir_all(dir)?;
@@ -378,14 +377,7 @@ fn bench_service(cfg: &BenchConfig) -> io::Result<AdmissionService> {
                 },
             )
         }
-    };
-    if cfg.server_workers > 1 {
-        // Multiple admission workers: let disjoint-neighborhood admits
-        // validate concurrently instead of serializing on the write
-        // lock.
-        service.set_optimistic(true);
-    }
-    Ok(service)
+    })
 }
 
 /// Drives the configured client loops against a running server at
@@ -1175,7 +1167,7 @@ mod tests {
 
     #[test]
     fn durable_bench_runs_and_audits() {
-        let dir = std::env::temp_dir().join(format!("rtwc-bench-wal-{}", std::process::id()));
+        let dir = crate::faultfs::scratch_dir("bench-wal");
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = BenchConfig {
             clients: 2,
@@ -1254,7 +1246,7 @@ mod tests {
 
     #[test]
     fn duration_mode_runs_for_the_window_and_reports_batching() {
-        let dir = std::env::temp_dir().join(format!("rtwc-bench-dur-{}", std::process::id()));
+        let dir = crate::faultfs::scratch_dir("bench-dur");
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = BenchConfig {
             clients: 2,
@@ -1281,7 +1273,7 @@ mod tests {
 
     #[test]
     fn repl_bench_measures_lag_and_failover() {
-        let dir = std::env::temp_dir().join(format!("rtwc-bench-repl-{}", std::process::id()));
+        let dir = crate::faultfs::scratch_dir("bench-repl");
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = BenchConfig {
             clients: 2,

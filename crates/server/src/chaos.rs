@@ -238,23 +238,6 @@ fn serial_state(mesh: &Mesh, ops: &[AcceptedOp]) -> Result<Vec<(u64, u64)>, Stri
         .collect())
 }
 
-/// The recovered equivalent of [`serial_state`].
-fn recovered_state_pairs(state: &RecoveredState) -> Vec<(u64, u64)> {
-    state
-        .handles
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| {
-            let bound = state
-                .ctl
-                .bound(StreamId(i as u32))
-                .value()
-                .expect("recovered bounds are bounded");
-            (h, bound)
-        })
-        .collect()
-}
-
 fn scenario_dir(base: &Path, name: &str) -> io::Result<PathBuf> {
     let dir = base.join(name);
     let _ = std::fs::remove_dir_all(&dir);
@@ -264,7 +247,7 @@ fn scenario_dir(base: &Path, name: &str) -> io::Result<PathBuf> {
 
 /// Builds a durable service over `dir`, recovering whatever the
 /// directory already holds, with the WAL behind `file`.
-fn durable_service(
+pub(crate) fn durable_service(
     mesh: &Mesh,
     dir: &Path,
     policy: FsyncPolicy,
@@ -302,7 +285,7 @@ fn recover_and_compare(
         Ok(e) => e,
         Err(e) => return Ok((state, survived, false, format!("serial replay failed: {e}"))),
     };
-    let got = recovered_state_pairs(&state);
+    let got = state.bounds_by_handle();
     let identical = expected == got;
     let detail = if identical {
         format!(
@@ -531,7 +514,7 @@ fn scenario_snapshot_compaction(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
     let (state, wal, report) = recover_with_file(&mesh, &dir, FsyncPolicy::Always, file)?;
     let compacted = report.snapshot_seq.is_some();
     let expected = serial_state(&mesh, &driven.acked);
-    let got = recovered_state_pairs(&state);
+    let got = state.bounds_by_handle();
     let mut identical = expected.as_ref().ok() == Some(&got) && compacted;
     let mut detail = format!(
         "snapshot_seq={:?}, wal_records={}, streams={}",
@@ -667,12 +650,7 @@ fn scenario_kill9_group_commit(cfg: &ChaosConfig, base: &Path) -> io::Result<Sce
         plan,
         Arc::clone(&state),
     )?);
-    let mut service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
-    // Concurrent admits also take the optimistic validate-then-commit
-    // path, so this scenario exercises both tentpole concurrency
-    // mechanisms at once.
-    service.set_optimistic(true);
-    let service = Arc::new(service);
+    let service = Arc::new(durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?);
 
     let lanes = 4usize;
     let per_lane = cfg.ops.max(8);
@@ -1404,7 +1382,7 @@ fn scenario_partition_heal_rejoin(cfg: &ChaosConfig, base: &Path) -> io::Result<
 pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
     let base = match &cfg.dir {
         Some(d) => d.clone(),
-        None => std::env::temp_dir().join(format!("rtwc-chaos-{}", std::process::id())),
+        None => crate::faultfs::scratch_dir("chaos"),
     };
     std::fs::create_dir_all(&base)?;
     let scenarios = vec![

@@ -24,9 +24,19 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A scratch directory path under the system temp dir that no other
+/// call in this or any live process gets: `rtwc-{tag}-{pid}-{n}`. The
+/// pid alone is not enough — tests in one binary share it and would
+/// delete each other's directory. Not created here.
+pub fn scratch_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("rtwc-{tag}-{}-{n}", std::process::id()))
+}
 
 /// The file operations the WAL needs. Implemented by [`RealFile`]
 /// (plain `std::fs`) and [`FailpointFile`] (fault injection).

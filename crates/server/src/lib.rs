@@ -86,7 +86,7 @@ pub use bench::{
 pub use chaos::{render_chaos_report, run_chaos, ChaosConfig, ChaosOutcome, ScenarioOutcome};
 pub use client::{Client, ClientConfig, ClientError};
 pub use dispatch::{Completion, CompletionQueue, ConnFifo, Job, JobQueue, Wake, MAX_BATCH_LINES};
-pub use faultfs::{FailpointFile, FaultPlan, FaultState, MemFile, RealFile, WalFile};
+pub use faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState, MemFile, RealFile, WalFile};
 pub use group_commit::{GroupCommitStats, GroupWal};
 pub use lock_order::{
     LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedRwLock,

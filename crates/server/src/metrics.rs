@@ -137,7 +137,6 @@ pub struct Metrics {
     replayed: AtomicU64,
     errors: AtomicU64,
     shed: AtomicU64,
-    optimistic: AtomicU64,
     hist: LatencyHistogram,
     queue_hist: LatencyHistogram,
     service_hist: LatencyHistogram,
@@ -162,9 +161,6 @@ pub struct MetricsSnapshot {
     pub errors: u64,
     /// Requests shed with `busy` under overload.
     pub shed: u64,
-    /// Admissions committed through the optimistic concurrent path
-    /// (validated under the shared lock, applied without re-analysis).
-    pub optimistic: u64,
     /// Latency observations.
     pub latency_count: u64,
     /// Median, microseconds (bucketed: upper power-of-two edge).
@@ -252,11 +248,6 @@ impl Metrics {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts an admission committed through the optimistic path.
-    pub fn count_optimistic(&self) {
-        self.optimistic.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Copies every counter and summarizes the histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counts = [0u64; KINDS];
@@ -271,7 +262,6 @@ impl Metrics {
             replayed: self.replayed.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            optimistic: self.optimistic.load(Ordering::Relaxed),
             latency_count: self.hist.count(),
             p50_us: self.hist.percentile_ns(50.0) / 1_000,
             p90_us: self.hist.percentile_ns(90.0) / 1_000,

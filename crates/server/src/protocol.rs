@@ -329,8 +329,6 @@ pub struct StatsReport {
     pub streams: u64,
     /// `Cal_U` recomputations the controller has performed.
     pub recomputations: u64,
-    /// Admissions committed through the optimistic concurrent path.
-    pub optimistic: u64,
     /// Latency observations recorded.
     pub latency_count: u64,
     /// Median total latency, microseconds.
@@ -591,8 +589,8 @@ pub fn render_response(r: &Response) -> String {
             );
             let _ = write!(
                 out,
-                ",\"admitted\":{},\"rejected\":{},\"removed\":{},\"replayed\":{},\"errors\":{},\"shed\":{},\"streams\":{},\"recomputations\":{},\"optimistic\":{}",
-                s.admitted, s.rejected, s.removed, s.replayed, s.errors, s.shed, s.streams, s.recomputations, s.optimistic
+                ",\"admitted\":{},\"rejected\":{},\"removed\":{},\"replayed\":{},\"errors\":{},\"shed\":{},\"streams\":{},\"recomputations\":{}",
+                s.admitted, s.rejected, s.removed, s.replayed, s.errors, s.shed, s.streams, s.recomputations
             );
             if let Some(sh) = &s.shards {
                 let _ = write!(
@@ -897,7 +895,10 @@ mod tests {
         );
         // The shard block sits between the counters and the histograms.
         let shards_at = line.find("\"shards\"").unwrap();
-        assert!(line.find("\"optimistic\"").unwrap() < shards_at, "{line}");
+        assert!(
+            line.find("\"recomputations\"").unwrap() < shards_at,
+            "{line}"
+        );
         assert!(shards_at < line.find("\"queue_us\"").unwrap(), "{line}");
     }
 

@@ -25,34 +25,40 @@
 //! recovered state is the state it acknowledged must not serve.
 
 use crate::faultfs::{RealFile, WalFile};
-use crate::service::AcceptedOp;
-use crate::snapshot::{load_snapshot, DedupEntry, SnapshotData};
+use crate::service::{AcceptedOp, Inner};
+use crate::snapshot::load_snapshot;
 use crate::wal::{FsyncPolicy, Wal, WalRecord, WAL_FILE};
-use rtwc_core::{StreamId, StreamSet};
+use rtwc_core::StreamSet;
 use rtwc_verifier::{lint_recovered, lint_recovery_report, RecoveryArtifact};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
-use wormnet_topology::{Mesh, Routing, XyRouting};
+use wormnet_topology::Mesh;
 
 /// The state recovery hands to the service: exactly what a service
-/// that never crashed would hold after the same accepted-op history.
+/// that never crashed would hold after the same accepted-op history —
+/// the rebuilt controller with all cached bounds, the stable ids, the
+/// op journal (synthesized admits for snapshot streams followed by the
+/// replayed WAL records) and the idempotency window (snapshot entries,
+/// then WAL-derived ones).
 #[derive(Debug)]
 pub struct RecoveredState {
-    /// The rebuilt controller with all cached bounds.
-    pub ctl: rtwc_core::AdmissionController,
-    /// Stable ids, parallel to the controller's dense ids.
-    pub handles: Vec<u64>,
-    /// The next stable handle to assign.
-    pub next_handle: u64,
-    /// The op journal: synthesized admits for snapshot streams followed
-    /// by the replayed WAL records.
-    pub log: Vec<Arc<AcceptedOp>>,
-    /// The idempotency window, oldest first (snapshot entries, then
-    /// WAL-derived ones).
-    pub dedup: Vec<DedupEntry>,
+    pub(crate) inner: Inner,
     /// Total accepted operations in the recovered history.
     pub seq: u64,
+}
+
+impl RecoveredState {
+    /// Stable ids of the recovered streams, in dense order.
+    pub fn handles(&self) -> &[u64] {
+        &self.inner.handles
+    }
+
+    /// The recovered cached bounds with their stable ids, in dense
+    /// order — what [`crate::AdmissionService::bounds_by_handle`] will
+    /// serve from this state.
+    pub fn bounds_by_handle(&self) -> Vec<(u64, u64)> {
+        self.inner.streams().map(|(h, _, b)| (h, b)).collect()
+    }
 }
 
 /// What recovery did, for the startup banner and the chaos harness.
@@ -125,67 +131,38 @@ pub fn recover_with_file(
     let skip = (snap_seq - opened.base_seq) as usize;
     let replayable: &[WalRecord] = opened.records.get(skip..).unwrap_or(&[]);
 
-    let mut ctl = rtwc_core::AdmissionController::new();
-    let mut handles: Vec<u64> = Vec::new();
-    let mut log: Vec<Arc<AcceptedOp>> = Vec::new();
-    let mut dedup: Vec<DedupEntry> = Vec::new();
-    let mut next_handle = 0u64;
+    // Every snapshot stream and WAL record was accepted live against
+    // exactly the state rebuilt so far, so the deterministic controller
+    // must accept it again; a refusal means the history and the
+    // analysis disagree. (Any subset of a feasible set is feasible, so
+    // re-admitting the snapshot's streams in dense order reproduces the
+    // exact bounds the live service cached.)
+    let mut inner = Inner::default();
     let (snapshot_seq, snapshot_streams) = match &snapshot {
         Some(snap) => {
-            restore_snapshot(mesh, snap, &mut ctl, &mut handles, &mut log)?;
-            next_handle = snap.next_handle;
-            dedup.extend_from_slice(&snap.dedup);
+            for (handle, spec) in &snap.streams {
+                let op = AcceptedOp::Admit {
+                    handle: *handle,
+                    spec: spec.clone(),
+                };
+                inner
+                    .apply_accepted(mesh, 0, &op)
+                    .map_err(|e| data_err(format!("recovery: snapshot stream: {e}")))?;
+            }
+            inner.next_handle = inner.next_handle.max(snap.next_handle);
+            for entry in &snap.dedup {
+                inner.remember(*entry);
+            }
             (Some(snap.seq), snap.streams.len())
         }
         None => (None, 0),
     };
-
-    // Replay the WAL tail. Every record was accepted live against
-    // exactly this state, so the deterministic controller must accept
-    // it again; a refusal means the log and the analysis disagree.
     for rec in replayable {
-        match &rec.op {
-            AcceptedOp::Admit { handle, spec } => {
-                let path = XyRouting.route(mesh, spec.source, spec.dest).map_err(|e| {
-                    data_err(format!("recovery: admit {handle} no longer routes: {e}"))
-                })?;
-                let id = ctl
-                    .admit(spec.clone(), path)
-                    .map_err(|e| data_err(format!("recovery: admit {handle} refused: {e}")))?;
-                handles.push(*handle);
-                next_handle = next_handle.max(handle + 1);
-                if rec.req_id != 0 {
-                    let bound = ctl.bound(id).value().ok_or_else(|| {
-                        data_err(format!("recovery: admit {handle} has no bound"))
-                    })?;
-                    dedup.push(DedupEntry {
-                        req_id: rec.req_id,
-                        admit: true,
-                        handle: *handle,
-                        bound,
-                        deadline: spec.deadline,
-                    });
-                }
-            }
-            AcceptedOp::Remove { handle } => {
-                let idx = handles.iter().position(|h| h == handle).ok_or_else(|| {
-                    data_err(format!("recovery: remove {handle}: unknown handle"))
-                })?;
-                ctl.remove(StreamId(idx as u32));
-                handles.remove(idx);
-                if rec.req_id != 0 {
-                    dedup.push(DedupEntry {
-                        req_id: rec.req_id,
-                        admit: false,
-                        handle: *handle,
-                        bound: 0,
-                        deadline: 0,
-                    });
-                }
-            }
-        }
-        log.push(Arc::new(rec.op.clone()));
+        inner
+            .apply_accepted(mesh, rec.req_id, &rec.op)
+            .map_err(|e| data_err(format!("recovery: WAL record: {e}")))?;
     }
+    let ctl = &inner.ctl;
 
     // Verifier audit: the recovered cached bounds must equal a fresh
     // offline analysis, and every recovered stream must still meet its
@@ -235,50 +212,16 @@ pub fn recover_with_file(
             d.code, d.message
         )));
     }
-    let state = RecoveredState {
-        ctl,
-        handles,
-        next_handle,
-        log,
-        dedup,
-        seq,
-    };
+    let state = RecoveredState { inner, seq };
     Ok((state, wal, report))
-}
-
-/// Re-admits the snapshot's streams in dense order. Any subset of a
-/// feasible set is feasible (removing streams only removes
-/// interference), so every admission must succeed and reproduce the
-/// exact bounds the live service cached.
-fn restore_snapshot(
-    mesh: &Mesh,
-    snap: &SnapshotData,
-    ctl: &mut rtwc_core::AdmissionController,
-    handles: &mut Vec<u64>,
-    log: &mut Vec<Arc<AcceptedOp>>,
-) -> io::Result<()> {
-    for (handle, spec) in &snap.streams {
-        let path = XyRouting.route(mesh, spec.source, spec.dest).map_err(|e| {
-            data_err(format!(
-                "recovery: snapshot stream {handle} no longer routes: {e}"
-            ))
-        })?;
-        ctl.admit(spec.clone(), path)
-            .map_err(|e| data_err(format!("recovery: snapshot stream {handle} refused: {e}")))?;
-        handles.push(*handle);
-        log.push(Arc::new(AcceptedOp::Admit {
-            handle: *handle,
-            spec: spec.clone(),
-        }));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::write_snapshot;
-    use rtwc_core::StreamSpec;
+    use crate::snapshot::{write_snapshot, SnapshotData};
+    use rtwc_core::{StreamId, StreamSpec};
+    use std::sync::Arc;
     use wormnet_topology::Topology;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -308,7 +251,7 @@ mod tests {
         let dir = tmpdir("empty");
         let m = mesh();
         let (state, wal, report) = recover(&m, &dir, FsyncPolicy::Always).unwrap();
-        assert_eq!(state.ctl.len(), 0);
+        assert_eq!(state.inner.ctl.len(), 0);
         assert_eq!(state.seq, 0);
         assert_eq!(wal.records(), 0);
         assert_eq!(report.streams, 0);
@@ -339,16 +282,16 @@ mod tests {
             wal.append(0, &AcceptedOp::Remove { handle: 1 }).unwrap();
         }
         let (state, wal, report) = recover(&m, &dir, FsyncPolicy::Always).unwrap();
-        assert_eq!(state.ctl.len(), 2);
-        assert_eq!(state.handles, vec![0, 2]);
-        assert_eq!(state.next_handle, 3);
+        assert_eq!(state.inner.ctl.len(), 2);
+        assert_eq!(state.handles(), vec![0, 2]);
+        assert_eq!(state.inner.next_handle, 3);
         assert_eq!(state.seq, 4);
         assert_eq!(wal.seq(), 4);
         assert_eq!(report.wal_records, 4);
         assert_eq!(report.audited, 2);
         // The three admits carried request ids; the remove did not.
-        assert_eq!(state.dedup.len(), 3);
-        assert!(state.dedup.iter().all(|e| e.admit && e.bound > 0));
+        assert_eq!(state.inner.dedup.len(), 3);
+        assert!(state.inner.dedup.values().all(|e| e.admit && e.bound > 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -393,12 +336,12 @@ mod tests {
         assert_eq!(report.snapshot_seq, Some(2));
         assert_eq!(report.wal_skipped, 2);
         assert_eq!(report.wal_records, 1);
-        assert_eq!(state.ctl.len(), 3);
-        assert_eq!(state.handles, vec![0, 1, 2]);
-        assert_eq!(state.next_handle, 3);
+        assert_eq!(state.inner.ctl.len(), 3);
+        assert_eq!(state.handles(), vec![0, 1, 2]);
+        assert_eq!(state.inner.next_handle, 3);
         assert_eq!(state.seq, 3);
-        assert_eq!(state.dedup.len(), 1);
-        assert_eq!(state.dedup[0].req_id, 7);
+        assert_eq!(state.inner.dedup.len(), 1);
+        assert!(state.inner.dedup.contains_key(&7));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -436,11 +379,11 @@ mod tests {
         let (state, _, _) = recover(&m, &dir, FsyncPolicy::Always).unwrap();
         let arcs: Vec<Arc<AcceptedOp>> = ops.into_iter().map(Arc::new).collect();
         let serial = replay(&m, &arcs).unwrap();
-        assert_eq!(serial.len(), state.ctl.len());
+        assert_eq!(serial.len(), state.inner.ctl.len());
         for i in 0..serial.len() {
             assert_eq!(
                 serial.bound(StreamId(i as u32)),
-                state.ctl.bound(StreamId(i as u32)),
+                state.inner.ctl.bound(StreamId(i as u32)),
                 "stream {i}"
             );
         }

@@ -7,29 +7,33 @@
 //! One `RwLock` guards the controller and the id table. Reads
 //! (`QUERY`, `SNAPSHOT`, the read half of `STATS`) take the shared
 //! lock and only ever touch *cached* bounds — they never run the
-//! analysis. Writes (`ADMIT`, `REMOVE`) take the exclusive lock for
-//! the whole decision, **including the candidate lint**, so every
-//! admission decision is made against exactly the set it will join.
-//! The exclusive section is kept minimal: the candidate is routed
-//! *before* the lock (routing is deterministic and set-independent),
-//! the lint borrows the controller's `(spec, path)` parts instead of
-//! cloning and re-routing the admitted set, and the journal holds
-//! `Arc<AcceptedOp>` entries so [`AdmissionService::ops`] clones
-//! pointers, not specs, under the shared lock. Metrics are plain
-//! atomics outside the lock.
+//! analysis. Every write — a client's `ADMIT`/`REMOVE` or a frame the
+//! leader replicated — goes through the one private `write`, which
+//! takes the exclusive lock for the whole decision, **including the
+//! candidate lint**, so every admission decision is made against
+//! exactly the set it will join. The exclusive section is kept minimal:
+//! the candidate is routed *before* the lock (routing is deterministic
+//! and set-independent), the lint borrows the controller's `(spec,
+//! path)` parts instead of cloning and re-routing the admitted set, and
+//! the journal holds `Arc<AcceptedOp>` entries so
+//! [`AdmissionService::ops`] clones pointers, not specs, under the
+//! shared lock. Metrics are plain atomics outside the lock.
 //!
-//! With the **optimistic path** enabled
-//! ([`AdmissionService::set_optimistic`]), an `ADMIT` runs the whole
-//! analysis under the *shared* lock instead:
-//! [`AdmissionController::validate`] analyzes the candidate against
-//! only its link-sharing component, so admissions whose neighborhoods
-//! are disjoint validate concurrently. The exclusive lock is then taken
-//! only to [`AdmissionController::commit_validated`] the pre-computed
-//! bounds — which re-derives the component and refuses (falling back to
-//! the serial path, same lock) if any overlapping stream changed in
-//! between. Either way the decision applied is bit-identical to a
-//! serial admit at the commit point, so the journal stays serially
-//! replayable.
+//! ## The write path
+//!
+//! `write(origin, op)` differs by **origin** only in data: a client
+//! write is ticketed by its `@REQID` (a dedup-window hit returns the
+//! original answer), takes the next handle and is linted; a leader
+//! frame is ticketed by its sequence number (at or below the local one
+//! is a no-op, a gap an error), carries its handle and is not
+//! re-linted. It differs by **backend** in where the analysis runs: the
+//! serial controller decides under the service lock (mutate, roll back
+//! if the WAL refuses the record); the shard plane (`--shards`) decides
+//! before it, under the owning shard locks, and applies its plan once
+//! the record is ticketed. The steps run once, in this order: plane
+//! decision, service lock, ticket check, lint, serial decision, WAL
+//! append, bookkeeping, backend apply, snapshot cadence, unlock,
+//! durability wait, metrics.
 //!
 //! ## Soundness
 //!
@@ -68,8 +72,8 @@ use crate::group_commit::GroupWal;
 use crate::lock_order::{classes, TrackedRwLock, TrackedRwLockReadGuard, TrackedRwLockWriteGuard};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestKind};
 use crate::protocol::{
-    parse_request, RejectReason, Request, Response, ShardStats, ShardsReport, SnapshotStream,
-    StatsReport,
+    parse_request, render_response, RejectReason, Request, Response, ShardStats, ShardsReport,
+    SnapshotStream, StatsReport,
 };
 use crate::repl::ReplHub;
 use crate::shard_plane::ShardPlane;
@@ -79,8 +83,8 @@ use crate::sync::Instant;
 use crate::wal::FsyncPolicy;
 use rtwc_core::{
     determine_feasibility, plan_admit, plan_remove, scan_neighborhood, AdmissionController,
-    AdmissionError, DelayBound, KeyedRejection, NeighborMember, RegionShard, ShardId, ShardMap,
-    StreamId, StreamSet, StreamSpec,
+    AdmissionError, AdmitPlan, DelayBound, KeyedRejection, NeighborMember, RegionShard, ShardId,
+    ShardMap, StreamId, StreamSet, StreamSpec,
 };
 use rtwc_verifier::{lint_candidate_indexed, lint_candidate_routed, Diagnostic};
 use std::collections::{HashMap, VecDeque};
@@ -131,9 +135,62 @@ pub struct Durability {
     pub snapshot_every: u64,
 }
 
+/// Who assigns a write its place in history.
+#[derive(Clone, Copy, Debug)]
+enum Origin {
+    /// A live client: deduplicated by `req_id` (0 = none), given the
+    /// next handle, linted.
+    Client { req_id: u64 },
+    /// The leader, over the replication stream: `seq` must be exactly
+    /// the local sequence plus one, the handle rides in the frame, and
+    /// the leader's acceptance is not second-guessed by the lint.
+    Leader { seq: u64, req_id: u64 },
+}
+
+/// A write before it is accepted.
 #[derive(Debug)]
-struct Inner {
-    ctl: AdmissionController,
+enum Op {
+    Admit {
+        spec: StreamSpec,
+        /// `None` when the routing cannot connect the endpoints.
+        path: Option<Path>,
+        /// The handle the leader assigned; `None` takes the next one.
+        handle: Option<u64>,
+    },
+    Remove {
+        handle: u64,
+    },
+}
+
+/// Why [`AdmissionService::write`] applied nothing new.
+enum NotApplied {
+    /// The ticket check found a client retry: the original answer.
+    Replayed(Response),
+    /// The ticket check found a re-delivered frame, at or below this
+    /// local sequence: a no-op.
+    Behind(u64),
+    /// Refused; the answer to send instead of an acknowledgement.
+    Refused(Response),
+}
+
+impl NotApplied {
+    /// A client's answer. (`Behind` is a leader-frame outcome; it never
+    /// reaches a client.)
+    fn into_response(self) -> Response {
+        match self {
+            NotApplied::Replayed(r) | NotApplied::Refused(r) => r,
+            NotApplied::Behind(seq) => {
+                Response::error("behind", format!("already applied at sequence {seq}"))
+            }
+        }
+    }
+}
+
+/// The state behind the service lock. Recovery builds one (through
+/// [`Inner::apply_accepted`]) and hands it to the service.
+#[derive(Debug, Default)]
+pub(crate) struct Inner {
+    pub(crate) ctl: AdmissionController,
     /// Sharded mode only: admitted specs parallel to `handles`, so
     /// reads (`QUERY`, `SNAPSHOT`, audit) never touch a shard lock.
     /// Empty in monolithic mode, where `ctl` holds the parts.
@@ -143,19 +200,58 @@ struct Inner {
     /// Stable ids, parallel to the controller's dense ids. Assigned
     /// monotonically and removed in place, so the vector is always
     /// sorted ascending — lookups may binary-search it.
-    handles: Vec<u64>,
-    next_handle: u64,
+    pub(crate) handles: Vec<u64>,
+    pub(crate) next_handle: u64,
     /// The accepted-operation journal. Entries are `Arc`ed so snapshot
     /// readers clone pointers, not specs.
     log: Vec<Arc<AcceptedOp>>,
     /// Idempotency window: request id -> original outcome.
-    dedup: HashMap<u64, DedupEntry>,
+    pub(crate) dedup: HashMap<u64, DedupEntry>,
     /// Eviction order for `dedup` (front = oldest).
     dedup_order: VecDeque<u64>,
 }
 
+fn unknown_id(handle: u64) -> Response {
+    Response::error("unknown_id", format!("unknown stream id {handle}"))
+}
+
+/// The route of the stream an accepted op admits (`None`: a removal).
+fn route_of(mesh: &Mesh, op: &AcceptedOp) -> Result<Option<Path>, String> {
+    match op {
+        AcceptedOp::Admit { handle, spec } => XyRouting
+            .route(mesh, spec.source, spec.dest)
+            .map(Some)
+            .map_err(|e| format!("admit {handle}: routing failed: {e}")),
+        AcceptedOp::Remove { .. } => Ok(None),
+    }
+}
+
 impl Inner {
-    fn remember(&mut self, entry: DedupEntry) {
+    /// The admitted spec and cached bound at dense index `i`, from
+    /// whichever backend's table holds them: `specs`/`bounds` under the
+    /// shard plane, the controller otherwise (`specs` stays empty).
+    fn stream(&self, i: usize) -> (&StreamSpec, u64) {
+        match self.specs.get(i) {
+            Some(spec) => (spec, self.bounds[i]),
+            None => (
+                &self.ctl.parts()[i].0,
+                self.ctl
+                    .bound(StreamId(i as u32))
+                    .value()
+                    .expect("admitted bound is bounded"),
+            ),
+        }
+    }
+
+    /// Every admitted stream in dense order: `(handle, spec, bound)`.
+    pub(crate) fn streams(&self) -> impl Iterator<Item = (u64, &StreamSpec, u64)> {
+        self.handles.iter().enumerate().map(|(i, &handle)| {
+            let (spec, bound) = self.stream(i);
+            (handle, spec, bound)
+        })
+    }
+
+    pub(crate) fn remember(&mut self, entry: DedupEntry) {
         if self.dedup.len() >= DEDUP_CAP {
             if let Some(oldest) = self.dedup_order.pop_front() {
                 self.dedup.remove(&oldest);
@@ -163,6 +259,218 @@ impl Inner {
         }
         self.dedup_order.push_back(entry.req_id);
         self.dedup.insert(entry.req_id, entry);
+    }
+
+    /// The bookkeeping every accepted, ticketed op gets, whichever
+    /// backend decided it: handle table, journal, dedup window. `bound`
+    /// is the admitted stream's (ignored for removals). Returns the
+    /// op's dense index — the new last one, or the one just vacated.
+    fn record(&mut self, req_id: u64, op: &Arc<AcceptedOp>, bound: u64) -> usize {
+        let (dense, entry) = match op.as_ref() {
+            AcceptedOp::Admit { handle, spec } => {
+                self.next_handle = self.next_handle.max(handle + 1);
+                self.handles.push(*handle);
+                let entry = DedupEntry {
+                    req_id,
+                    admit: true,
+                    handle: *handle,
+                    bound,
+                    deadline: spec.deadline,
+                };
+                (self.handles.len() - 1, entry)
+            }
+            AcceptedOp::Remove { handle } => {
+                let dense = self
+                    .handles
+                    .binary_search(handle)
+                    .expect("the backend checked the victim is live");
+                self.handles.remove(dense);
+                let entry = DedupEntry {
+                    req_id,
+                    admit: false,
+                    handle: *handle,
+                    bound: 0,
+                    deadline: 0,
+                };
+                (dense, entry)
+            }
+        };
+        self.log.push(Arc::clone(op));
+        if req_id != 0 {
+            self.remember(entry);
+        }
+        dense
+    }
+
+    /// The serial backend: how an accepted op changes the controller
+    /// and the tables around it. `ticket` runs between the decision and
+    /// the bookkeeping (the WAL append of a live write); when it
+    /// refuses, the decision is rolled back and the state is untouched —
+    /// an acked op can never be one the log does not hold. Returns the
+    /// ticket and the admitted bound (0 for a removal).
+    #[allow(clippy::result_large_err)] // the Err is the refusal sent on the wire
+    fn apply(
+        &mut self,
+        req_id: u64,
+        op: &Arc<AcceptedOp>,
+        path: Option<Path>,
+        ticket: impl FnOnce() -> Result<Option<u64>, Response>,
+    ) -> Result<(Option<u64>, u64), Response> {
+        match op.as_ref() {
+            AcceptedOp::Admit { spec, .. } => {
+                let path = path.expect("an admit reaches the backend routed");
+                let id = self
+                    .ctl
+                    .admit(spec.clone(), path)
+                    .map_err(|e| AdmissionService::rejection(&e, &self.handles))?;
+                let ticket = match ticket() {
+                    Ok(t) => t,
+                    Err(refusal) => {
+                        self.ctl.remove(id);
+                        return Err(refusal);
+                    }
+                };
+                let bound = self
+                    .ctl
+                    .bound(id)
+                    .value()
+                    .expect("admitted bound is bounded");
+                let dense = self.record(req_id, op, bound);
+                debug_assert_eq!(dense, id.index());
+                Ok((ticket, bound))
+            }
+            AcceptedOp::Remove { handle } => {
+                if self.handles.binary_search(handle).is_err() {
+                    return Err(unknown_id(*handle));
+                }
+                // Nothing has been applied yet, so a refused ticket
+                // leaves the state untouched.
+                let ticket = ticket()?;
+                let dense = self.record(req_id, op, 0);
+                self.ctl.remove(StreamId(dense as u32));
+                Ok((ticket, 0))
+            }
+        }
+    }
+
+    /// Applies an op that was accepted before (a snapshot stream, a WAL
+    /// record): [`Inner::apply`] with nothing to ticket. The
+    /// deterministic controller accepted it against exactly this state
+    /// once, so a refusal means the history and the analysis disagree.
+    pub(crate) fn apply_accepted(
+        &mut self,
+        mesh: &Mesh,
+        req_id: u64,
+        op: &AcceptedOp,
+    ) -> Result<(), String> {
+        let path = route_of(mesh, op)?;
+        self.apply(req_id, &Arc::new(op.clone()), path, || Ok(None))
+            .map(|_| ())
+            .map_err(|refusal| format!("accepted op refused: {}", render_response(&refusal)))
+    }
+}
+
+/// The shard plane's half of a write, between
+/// [`AdmissionService::stage`] and [`Staged::commit`]: the touched
+/// shards locked, the op planned against its neighborhood.
+struct Staged<'a> {
+    plane: &'a ShardPlane,
+    /// Write guards on `touched`, parallel to it (ascending shard id).
+    guards: Vec<TrackedRwLockWriteGuard<'a, RegionShard>>,
+    touched: Vec<ShardId>,
+    /// The op's complete link-sharing neighborhood.
+    members: Vec<NeighborMember>,
+    /// The shards the written stream itself is resident in.
+    owners: Vec<ShardId>,
+    /// The written stream's route.
+    path: Path,
+    /// An admit spanning several shards (two-phase; counted once it is
+    /// durable, or as an abort when the plan rejects it).
+    cross_admit: bool,
+    /// What to write where. (A removal's is an admit plan without a
+    /// candidate: refreshed member bounds only.)
+    plan: Result<AdmitPlan, KeyedRejection>,
+}
+
+impl Staged<'_> {
+    /// The shard-plane backend: [`Inner::apply`]'s counterpart. The
+    /// decision was made in `stage`; this tickets it, records it and
+    /// writes the planned bounds into the owning shards and the
+    /// service's bound table.
+    #[allow(clippy::result_large_err)] // the Err is the refusal sent on the wire
+    fn commit(
+        &mut self,
+        inner: &mut Inner,
+        req_id: u64,
+        op: &Arc<AcceptedOp>,
+        ticket: impl FnOnce() -> Result<Option<u64>, Response>,
+    ) -> Result<(Option<u64>, u64), Response> {
+        let plan = match &self.plan {
+            Ok(plan) => plan,
+            Err(e) => {
+                if self.cross_admit {
+                    self.plane.count_cross_abort();
+                }
+                let e = AdmissionService::keyed_to_dense(&inner.handles, e.clone());
+                return Err(AdmissionService::rejection(&e, &inner.handles));
+            }
+        };
+        self.plane.add_recomputations(plan.recomputed);
+        // Nothing has been applied yet, so a refused ticket leaves
+        // every shard untouched.
+        let ticket = ticket()?;
+        let dense = inner.record(req_id, op, plan.candidate_bound);
+        let cross = self.owners.len() > 1;
+        for sid in &self.owners {
+            let pos = self
+                .touched
+                .binary_search(sid)
+                .expect("owner shards are locked");
+            match op.as_ref() {
+                AcceptedOp::Admit { handle, spec } => self.guards[pos].insert_member(
+                    *handle,
+                    spec.clone(),
+                    self.path.clone(),
+                    DelayBound::Bounded(plan.candidate_bound),
+                    cross,
+                ),
+                AcceptedOp::Remove { handle } => self.guards[pos].remove_member(*handle),
+            }
+        }
+        match op.as_ref() {
+            AcceptedOp::Admit { spec, .. } => {
+                inner.specs.push(spec.clone());
+                inner.bounds.push(plan.candidate_bound);
+            }
+            AcceptedOp::Remove { .. } => {
+                inner.specs.remove(dense);
+                inner.bounds.remove(dense);
+            }
+        }
+        for &(key, bound) in &plan.updates {
+            let member = self
+                .members
+                .iter()
+                .find(|m| m.key == key)
+                .expect("update targets a neighborhood member");
+            let dense = inner
+                .handles
+                .binary_search(&key)
+                .expect("member handle is live");
+            inner.bounds[dense] = bound.value().expect("surviving member bounds are bounded");
+            for sid in self
+                .plane
+                .map()
+                .shards_of(member.path.links().iter().copied())
+            {
+                let pos = self
+                    .touched
+                    .binary_search(&sid)
+                    .expect("neighborhood shards are locked");
+                self.guards[pos].set_member_bound(key, bound);
+            }
+        }
+        Ok((ticket, plan.candidate_bound))
     }
 }
 
@@ -184,10 +492,6 @@ pub struct AdmissionService {
     pending_writes: AtomicU64,
     /// Shed writes beyond this many pending (0 = never shed).
     max_pending: u64,
-    /// Validate admissions under the shared lock, committing the
-    /// pre-computed result under the exclusive one. Ignored when the
-    /// sharded plane is enabled (the plane is the concurrent path).
-    optimistic: bool,
     /// The sharded admission plane (`--shards`). When present, `ADMIT`
     /// and `REMOVE` run two-phase over per-shard locks and `inner.ctl`
     /// stays empty; reads serve from `inner.specs`/`inner.bounds`.
@@ -202,20 +506,7 @@ impl AdmissionService {
     /// An empty service over `mesh`, no durability (state dies with the
     /// process).
     pub fn new(mesh: Mesh) -> Self {
-        Self::build(
-            mesh,
-            Inner {
-                ctl: AdmissionController::new(),
-                specs: Vec::new(),
-                bounds: Vec::new(),
-                handles: Vec::new(),
-                next_handle: 0,
-                log: Vec::new(),
-                dedup: HashMap::new(),
-                dedup_order: VecDeque::new(),
-            },
-            None,
-        )
+        Self::build(mesh, Inner::default(), None)
     }
 
     /// A service resuming from recovered state, persisting into
@@ -225,20 +516,7 @@ impl AdmissionService {
         state: crate::recovery::RecoveredState,
         durability: Durability,
     ) -> Self {
-        let mut inner = Inner {
-            ctl: state.ctl,
-            specs: Vec::new(),
-            bounds: Vec::new(),
-            handles: state.handles,
-            next_handle: state.next_handle,
-            log: state.log,
-            dedup: HashMap::new(),
-            dedup_order: VecDeque::new(),
-        };
-        for entry in state.dedup {
-            inner.remember(entry);
-        }
-        Self::build(mesh, inner, Some(durability))
+        Self::build(mesh, state.inner, Some(durability))
     }
 
     fn build(mesh: Mesh, inner: Inner, durability: Option<Durability>) -> Self {
@@ -250,7 +528,6 @@ impl AdmissionService {
             degraded: AtomicBool::new(false),
             pending_writes: AtomicU64::new(0),
             max_pending: 0,
-            optimistic: false,
             plane: None,
             repl: std::sync::OnceLock::new(),
         }
@@ -324,39 +601,32 @@ impl AdmissionService {
         self.repl.get()
     }
 
-    /// `Some(error)` when this node is a follower: mutations are
-    /// redirected to the leader instead of being applied.
-    fn not_leader(&self) -> Option<Response> {
-        let hub = self.repl.get()?;
-        if hub.is_follower() {
-            Some(Response::error(
-                "not_leader",
-                format!("not the leader; leader is {}", hub.leader_addr()),
-            ))
-        } else {
-            None
+    /// The gate in front of every client write: a follower redirects to
+    /// the leader; a leader whose write lease has lapsed is *sealed*
+    /// (the follower may already be promoting, so an ack could open a
+    /// dual-ack window; the client's retry lands here again, on the
+    /// un-sealed leader, or on a redirect once fenced); a degraded node
+    /// is read-only.
+    fn write_gate(&self) -> Option<Response> {
+        if let Some(hub) = self.repl.get() {
+            if hub.is_follower() {
+                return Some(Response::error(
+                    "not_leader",
+                    format!("not the leader; leader is {}", hub.leader_addr()),
+                ));
+            }
+            if hub.write_sealed() {
+                return Some(Response::error(
+                    "sealed",
+                    format!(
+                        "write lease lapsed ({} ms without a follower ack); retry",
+                        hub.lease_ms()
+                    ),
+                ));
+            }
         }
-    }
-
-    /// `Some(error)` when the leader's write lease has lapsed: the
-    /// follower may already be promoting, so acking a write here could
-    /// open a dual-ack window. The response is retryable — the client
-    /// backs off and retries, landing either here again (still sealed),
-    /// on the un-sealed leader (the partition healed without a
-    /// promotion), or on a `not_leader` redirect (we were fenced).
-    fn write_sealed(&self) -> Option<Response> {
-        let hub = self.repl.get()?;
-        if hub.write_sealed() {
-            Some(Response::error(
-                "sealed",
-                format!(
-                    "write lease lapsed ({} ms without a follower ack); retry",
-                    hub.lease_ms()
-                ),
-            ))
-        } else {
-            None
-        }
+        self.is_degraded()
+            .then(|| Response::error("degraded", "service is read-only after a WAL device error"))
     }
 
     /// Permanently demotes this node: a peer promoted under `epoch`
@@ -401,14 +671,6 @@ impl AdmissionService {
     /// service across threads.
     pub fn set_max_pending(&mut self, n: u64) {
         self.max_pending = n;
-    }
-
-    /// Enables (or disables) the optimistic admission path: validation
-    /// under the shared lock, commit under the exclusive one. Worth it
-    /// when several workers admit concurrently; pure overhead for a
-    /// single writer. Call before sharing the service across threads.
-    pub fn set_optimistic(&mut self, on: bool) {
-        self.optimistic = on;
     }
 
     /// True once a WAL device error has flipped the service into
@@ -485,29 +747,11 @@ impl AdmissionService {
 
     /// The current cached bounds with their stable ids, in dense order.
     pub fn bounds_by_handle(&self) -> Vec<(u64, u64)> {
-        let inner = self.read();
-        if self.plane.is_some() {
-            return inner
-                .handles
-                .iter()
-                .zip(&inner.bounds)
-                .map(|(&h, &b)| (h, b))
-                .collect();
-        }
-        inner
-            .handles
-            .iter()
-            .zip(inner.ctl.bounds())
-            .map(|(&h, b)| (h, b.value().expect("admitted bounds are bounded")))
-            .collect()
+        self.read().streams().map(|(h, _, b)| (h, b)).collect()
     }
 
     fn read(&self) -> TrackedRwLockReadGuard<'_, Inner> {
         self.inner.read()
-    }
-
-    fn write(&self) -> TrackedRwLockWriteGuard<'_, Inner> {
-        self.inner.write()
     }
 
     /// Parses and serves one request line, timing it into the metrics.
@@ -561,10 +805,8 @@ impl AdmissionService {
                 Response::error("malformed", format!("malformed request: {e}")),
             ),
         };
-        // Fresh admissions/removals are counted inside `admit`/`remove`
-        // at the state-change point, so a dedup replay (which returns
-        // the same response shape) never inflates the accepted-op
-        // counters.
+        // Fresh admissions/removals are counted inside `write`, at the
+        // state-change point.
         match &response {
             Response::Rejected { .. } => self.metrics.count_rejected(),
             Response::Busy { .. } => self.metrics.count_shed(),
@@ -675,13 +917,14 @@ impl AdmissionService {
             .map(|d| d.wal.seq() - d.wal.records_since_reset())
     }
 
-    /// Applies one replicated WAL frame on a follower. `seq` is the
-    /// frame's global operation sequence: exactly `local seq + 1`
-    /// applies (persisted locally first — ticket-before-apply, like a
-    /// live write — then applied through the same controller path the
-    /// leader used); at or below the local sequence is a duplicate
-    /// delivery and an idempotent no-op; anything further ahead is a
-    /// gap, reported as an error so the session reconnects and
+    /// Applies one replicated WAL frame on a follower, through
+    /// [`Self::write`]: persisted locally first (ticket-before-apply,
+    /// like a live write), then applied by the same backend the leader
+    /// used — so a promoted sharded follower serves sharded writes with
+    /// no migration step. A frame at or below the local sequence is a
+    /// duplicate delivery and a no-op. A gap, a refusal (the leader
+    /// accepted this op; a standby that cannot has diverged) or a WAL
+    /// error is reported, so the session tears down, reconnects and
     /// re-requests from the last good sequence.
     pub fn apply_replicated(&self, seq: u64, req_id: u64, op: &AcceptedOp) -> Result<(), String> {
         let hub = self
@@ -691,306 +934,30 @@ impl AdmissionService {
         if !hub.is_follower() {
             return Err("not a follower (promoted mid-stream?)".to_string());
         }
-        if self.plane.is_some() {
-            // A sharded follower replays through the shard plane, so a
-            // promotion serves sharded writes immediately, without a
-            // restart.
-            return self.apply_replicated_sharded(seq, req_id, op);
-        }
-        let mut inner = self.write();
-        // Not `self.seq()`: that re-locks `inner` on a non-durable
-        // service, and the write lock is already held here.
-        let cur = match &self.durability {
-            Some(d) => d.wal.seq(),
-            None => inner.log.len() as u64,
+        let path = route_of(&self.mesh, op)?;
+        let write = match op {
+            AcceptedOp::Admit { handle, spec } => Op::Admit {
+                spec: spec.clone(),
+                path,
+                handle: Some(*handle),
+            },
+            AcceptedOp::Remove { handle } => Op::Remove { handle: *handle },
         };
-        if seq <= cur {
-            // Duplicate delivery (leader rewound to an older ack after
-            // a reconnect): already applied, by sequence.
-            hub.set_applied(cur);
-            return Ok(());
-        }
-        if seq != cur + 1 {
-            return Err(format!("replication gap: have {cur}, leader sent {seq}"));
-        }
-        let ticket = match op {
-            AcceptedOp::Admit { handle, spec } => {
-                let path = XyRouting
-                    .route(&self.mesh, spec.source, spec.dest)
-                    .map_err(|e| format!("replicated admit {handle}: routing failed: {e}"))?;
-                // The leader accepted this op, so the warm standby must
-                // too — a refusal is divergence, surfaced as an error.
-                let id = inner
-                    .ctl
-                    .admit(spec.clone(), path)
-                    .map_err(|e| format!("replicated admit {handle} refused: {e}"))?;
-                // Ticket after the decision, with rollback on refusal —
-                // the same order as a live admit, so the local WAL
-                // never holds a record the state does not.
-                let ticket = match self.persist(req_id, op) {
-                    Ok(t) => t,
-                    Err(refusal) => {
-                        inner.ctl.remove(id);
-                        return Err(format!("WAL refused the replicated record: {refusal:?}"));
-                    }
-                };
-                inner.handles.push(*handle);
-                debug_assert_eq!(inner.handles.len() - 1, id.index());
-                inner.next_handle = inner.next_handle.max(handle + 1);
-                if req_id != 0 {
-                    let bound = inner
-                        .ctl
-                        .bound(id)
-                        .value()
-                        .expect("admitted bound is bounded");
-                    inner.remember(DedupEntry {
-                        req_id,
-                        admit: true,
-                        handle: *handle,
-                        bound,
-                        deadline: spec.deadline,
-                    });
-                }
-                inner.log.push(Arc::new(op.clone()));
-                ticket
+        match self.write(Origin::Leader { seq, req_id }, write) {
+            Ok(_) => hub.set_applied(seq),
+            Err(NotApplied::Behind(cur)) => hub.set_applied(cur),
+            Err(NotApplied::Replayed(refusal) | NotApplied::Refused(refusal)) => {
+                return Err(format!(
+                    "replicated frame {seq} not applied: {}",
+                    render_response(&refusal)
+                ))
             }
-            AcceptedOp::Remove { handle } => {
-                let idx = inner
-                    .handles
-                    .iter()
-                    .position(|h| h == handle)
-                    .ok_or_else(|| format!("replicated remove {handle}: unknown handle"))?;
-                let ticket = match self.persist(req_id, op) {
-                    Ok(t) => t,
-                    Err(refusal) => {
-                        return Err(format!("WAL refused the replicated record: {refusal:?}"));
-                    }
-                };
-                inner.ctl.remove(StreamId(idx as u32));
-                inner.handles.remove(idx);
-                if req_id != 0 {
-                    inner.remember(DedupEntry {
-                        req_id,
-                        admit: false,
-                        handle: *handle,
-                        bound: 0,
-                        deadline: 0,
-                    });
-                }
-                inner.log.push(Arc::new(op.clone()));
-                ticket
-            }
-        };
-        self.maybe_snapshot(&mut inner);
-        drop(inner);
-        if let Some(refusal) = self.await_durable(ticket) {
-            return Err(format!("replicated record not durable: {refusal:?}"));
         }
-        hub.set_applied(seq);
         Ok(())
     }
 
-    /// [`Self::apply_replicated`] over the shard plane: the same
-    /// sequence discipline (duplicates no-op, gaps error), but the
-    /// decision lands in the owning region shards exactly as a live
-    /// sharded write would, so a promoted follower serves sharded
-    /// writes with no migration step. Shard guards are acquired before
-    /// the service lock (their rank is below it) and held across the
-    /// bookkeeping, mirroring `admit_sharded`/`remove_sharded`.
-    fn apply_replicated_sharded(
-        &self,
-        seq: u64,
-        req_id: u64,
-        op: &AcceptedOp,
-    ) -> Result<(), String> {
-        let hub = self.repl.get().expect("caller checked");
-        let plane = self.plane.as_ref().expect("caller checked");
-        // Authoritative sequence state is read under `inner` below;
-        // this precheck just keeps duplicate floods off the shard
-        // locks.
-        let cur = self.seq();
-        if seq <= cur {
-            hub.set_applied(cur);
-            return Ok(());
-        }
-        match op {
-            AcceptedOp::Admit { handle, spec } => {
-                let path = XyRouting
-                    .route(&self.mesh, spec.source, spec.dest)
-                    .map_err(|e| format!("replicated admit {handle}: routing failed: {e}"))?;
-                let seed: Vec<LinkId> = path.sorted_links().to_vec();
-                let insert_shards = plane.map().shards_of(seed.iter().copied());
-                let cross = insert_shards.len() > 1;
-                let (mut guards, touched, nb) =
-                    Self::converge_shards(plane, &seed, insert_shards.clone());
-                // The leader accepted this op, so the warm standby
-                // must too — a refusal is divergence, surfaced as an
-                // error that tears the session down.
-                let plan = plan_admit(&nb.members, spec, &path)
-                    .map_err(|e| format!("replicated admit {handle} refused: {e:?}"))?;
-                let mut inner = self.write();
-                let cur = match &self.durability {
-                    Some(d) => d.wal.seq(),
-                    None => inner.log.len() as u64,
-                };
-                if seq <= cur {
-                    hub.set_applied(cur);
-                    return Ok(());
-                }
-                if seq != cur + 1 {
-                    return Err(format!("replication gap: have {cur}, leader sent {seq}"));
-                }
-                let ticket = match self.persist(req_id, op) {
-                    Ok(t) => t,
-                    Err(refusal) => {
-                        return Err(format!("WAL refused the replicated record: {refusal:?}"))
-                    }
-                };
-                inner.next_handle = inner.next_handle.max(handle + 1);
-                inner.handles.push(*handle);
-                inner.specs.push(spec.clone());
-                inner.bounds.push(plan.candidate_bound);
-                inner.log.push(Arc::new(op.clone()));
-                if req_id != 0 {
-                    inner.remember(DedupEntry {
-                        req_id,
-                        admit: true,
-                        handle: *handle,
-                        bound: plan.candidate_bound,
-                        deadline: spec.deadline,
-                    });
-                }
-                for &sid in &insert_shards {
-                    let pos = touched
-                        .binary_search(&sid)
-                        .expect("insert shards are locked");
-                    guards[pos].insert_member(
-                        *handle,
-                        spec.clone(),
-                        path.clone(),
-                        DelayBound::Bounded(plan.candidate_bound),
-                        cross,
-                    );
-                }
-                for &(key, bound) in &plan.updates {
-                    let member = nb
-                        .members
-                        .iter()
-                        .find(|m| m.key == key)
-                        .expect("update targets a neighborhood member");
-                    let dense = inner
-                        .handles
-                        .binary_search(&key)
-                        .expect("member handle is live");
-                    inner.bounds[dense] =
-                        bound.value().expect("surviving member bounds are bounded");
-                    for sid in plane.map().shards_of(member.path.links().iter().copied()) {
-                        let pos = touched
-                            .binary_search(&sid)
-                            .expect("neighborhood shards are locked");
-                        guards[pos].set_member_bound(key, bound);
-                    }
-                }
-                self.maybe_snapshot(&mut inner);
-                drop(inner);
-                drop(guards);
-                if let Some(refusal) = self.await_durable(ticket) {
-                    return Err(format!("replicated record not durable: {refusal:?}"));
-                }
-            }
-            AcceptedOp::Remove { handle } => {
-                let path = {
-                    let inner = self.read();
-                    let idx = inner
-                        .handles
-                        .binary_search(handle)
-                        .map_err(|_| format!("replicated remove {handle}: unknown handle"))?;
-                    let spec = &inner.specs[idx];
-                    XyRouting
-                        .route(&self.mesh, spec.source, spec.dest)
-                        .map_err(|e| format!("replicated remove {handle}: routing failed: {e}"))?
-                };
-                let seed: Vec<LinkId> = path.sorted_links().to_vec();
-                let owners = plane.map().shards_of(seed.iter().copied());
-                let (mut guards, touched, nb) = Self::converge_shards(plane, &seed, owners.clone());
-                if !nb.members.iter().any(|m| m.key == *handle) {
-                    return Err(format!("replicated remove {handle}: not resident"));
-                }
-                let plan = plan_remove(&nb.members, *handle);
-                let mut inner = self.write();
-                let cur = match &self.durability {
-                    Some(d) => d.wal.seq(),
-                    None => inner.log.len() as u64,
-                };
-                if seq <= cur {
-                    hub.set_applied(cur);
-                    return Ok(());
-                }
-                if seq != cur + 1 {
-                    return Err(format!("replication gap: have {cur}, leader sent {seq}"));
-                }
-                let idx = inner
-                    .handles
-                    .binary_search(handle)
-                    .expect("victim is resident under its locked owner shards");
-                let ticket = match self.persist(req_id, op) {
-                    Ok(t) => t,
-                    Err(refusal) => {
-                        return Err(format!("WAL refused the replicated record: {refusal:?}"))
-                    }
-                };
-                inner.handles.remove(idx);
-                inner.specs.remove(idx);
-                inner.bounds.remove(idx);
-                inner.log.push(Arc::new(op.clone()));
-                if req_id != 0 {
-                    inner.remember(DedupEntry {
-                        req_id,
-                        admit: false,
-                        handle: *handle,
-                        bound: 0,
-                        deadline: 0,
-                    });
-                }
-                for &sid in &owners {
-                    let pos = touched
-                        .binary_search(&sid)
-                        .expect("owner shards are locked");
-                    guards[pos].remove_member(*handle);
-                }
-                for &(key, bound) in &plan.updates {
-                    let member = nb
-                        .members
-                        .iter()
-                        .find(|m| m.key == key)
-                        .expect("update targets a neighborhood member");
-                    let dense = inner
-                        .handles
-                        .binary_search(&key)
-                        .expect("member handle is live");
-                    inner.bounds[dense] =
-                        bound.value().expect("surviving member bounds are bounded");
-                    for sid in plane.map().shards_of(member.path.links().iter().copied()) {
-                        let pos = touched
-                            .binary_search(&sid)
-                            .expect("neighborhood shards are locked");
-                        guards[pos].set_member_bound(key, bound);
-                    }
-                }
-                self.maybe_snapshot(&mut inner);
-                drop(inner);
-                drop(guards);
-                if let Some(refusal) = self.await_durable(ticket) {
-                    return Err(format!("replicated record not durable: {refusal:?}"));
-                }
-            }
-        }
-        hub.set_applied(seq);
-        Ok(())
-    }
-
-    /// Admits a candidate through the verifier gate and the incremental
-    /// controller. See the module docs for the locking discipline.
+    /// Admits a candidate through the verifier gate and the analysis.
+    /// See the module docs for the locking discipline.
     #[allow(clippy::too_many_arguments)] // mirrors the wire arity
     pub fn admit(
         &self,
@@ -1002,14 +969,8 @@ impl AdmissionService {
         length: u64,
         deadline: Option<u64>,
     ) -> Response {
-        if let Some(redirect) = self.not_leader() {
-            return redirect;
-        }
-        if let Some(sealed) = self.write_sealed() {
-            return sealed;
-        }
-        if self.is_degraded() {
-            return Response::error("degraded", "service is read-only after a WAL device error");
+        if let Some(refusal) = self.write_gate() {
+            return refusal;
         }
         let Some(source) = self.mesh.node_at(&[src.0, src.1]) else {
             return Response::error(
@@ -1025,153 +986,255 @@ impl AdmissionService {
         };
         let deadline = deadline.unwrap_or(period);
         let spec = StreamSpec::new(source, dest, priority, period, length, deadline);
-
-        // Route before taking the lock: the deterministic route depends
+        // Route before taking any lock: the deterministic route depends
         // only on the endpoints, never on the admitted set. A candidate
-        // the routing cannot connect is rejected by W004 below without
-        // this path ever being used.
+        // the routing cannot connect is rejected by W004 in the lint
+        // without this path ever being used.
         let path = XyRouting.route(&self.mesh, source, dest).ok();
+        let op = Op::Admit {
+            spec,
+            path,
+            handle: None,
+        };
+        self.write(Origin::Client { req_id }, op)
+            .unwrap_or_else(NotApplied::into_response)
+    }
 
-        if self.plane.is_some() {
-            return self.admit_sharded(req_id, spec, deadline, path);
+    fn remove(&self, req_id: u64, handle: u64) -> Response {
+        if let Some(refusal) = self.write_gate() {
+            return refusal;
         }
+        self.write(Origin::Client { req_id }, Op::Remove { handle })
+            .unwrap_or_else(NotApplied::into_response)
+    }
 
-        // Optimistic phase: with concurrent validation enabled, the
-        // lint and the whole component analysis run under the *shared*
-        // lock — admissions whose link-sharing neighborhoods are
-        // disjoint validate in parallel; only the commit serializes.
-        let mut validated = None;
-        if self.optimistic {
-            if let Some(path) = path.clone() {
-                let inner = self.read();
-                if req_id != 0 {
-                    if let Some(entry) = inner.dedup.get(&req_id) {
-                        if entry.admit {
-                            self.metrics.count_replayed();
-                        }
-                        return Self::replay_dedup(entry, true);
-                    }
-                }
-                let findings =
-                    lint_candidate_routed(&self.mesh, &XyRouting, inner.ctl.parts(), &spec);
-                if findings.iter().any(rtwc_verifier::Diagnostic::is_error) {
-                    return Self::lint_rejection(findings);
-                }
-                match inner.ctl.validate(spec.clone(), path) {
-                    Ok(v) => validated = Some((v, findings)),
-                    // A rejection computed under the shared lock is the
-                    // serial verdict at this serialization point —
-                    // nothing to roll back, answer it directly.
-                    Err(e) => return Self::rejection(&e, &inner.handles),
-                }
+    /// The one write path: every state change — a client's or the
+    /// leader's, on the serial controller or the shard plane — is
+    /// decided, ticketed, recorded and acknowledged here, in the step
+    /// order the module docs give. `Ok` is the acknowledgement of a
+    /// write that is applied and durable.
+    fn write(&self, origin: Origin, op: Op) -> Result<Response, NotApplied> {
+        let (client, req_id) = match origin {
+            Origin::Client { req_id } => (true, req_id),
+            Origin::Leader { req_id, .. } => (false, req_id),
+        };
+        // Backend decision, shard plane: the analysis runs under the
+        // shard guards only, before the service lock (their rank is
+        // below it), and the guards stay held *across* the bookkeeping —
+        // so journal order equals analysis order for every pair of
+        // conflicting operations and a serial replay of the journal
+        // reproduces this exact state.
+        let mut staged = match &self.plane {
+            Some(plane) => Some(self.stage(plane, origin, &op)?),
+            None => None,
+        };
+        let mut inner = self.inner.write();
+
+        // Ticket check (authoritative even after the plane's precheck:
+        // a racing duplicate may have landed in between).
+        self.already_applied(&inner, origin, &op)?;
+        if let Origin::Leader { seq, .. } = origin {
+            let cur = self.seq_under(&inner);
+            if seq != cur + 1 {
+                return Err(NotApplied::Refused(Response::error(
+                    "gap",
+                    format!("replication gap: have {cur}, leader sent {seq}"),
+                )));
             }
         }
 
-        let mut inner = self.write();
+        let (accepted, path, warnings) = match op {
+            Op::Admit { spec, path, handle } => {
+                // The lint runs under the same exclusive lock as the
+                // admission itself. A frame the leader accepted is not
+                // re-linted.
+                let warnings = if client {
+                    let members = staged.as_ref().map(|s| s.members.as_slice());
+                    self.lint(&inner, members, &spec)?
+                } else {
+                    Vec::new()
+                };
+                if path.is_none() {
+                    // W004 catches this above; kept for defense in depth.
+                    return Err(NotApplied::Refused(Response::error(
+                        "routing",
+                        "routing failed",
+                    )));
+                }
+                let handle = handle.unwrap_or(inner.next_handle);
+                (AcceptedOp::Admit { handle, spec }, path, warnings)
+            }
+            Op::Remove { handle } => (AcceptedOp::Remove { handle }, None, Vec::new()),
+        };
+        let accepted = Arc::new(accepted);
 
-        // Idempotent replay: a retried request id returns the original
-        // outcome without touching any state. (Re-checked here even
-        // after the optimistic phase: a racing duplicate may have
-        // committed between the two locks.)
-        if req_id != 0 {
-            if let Some(entry) = inner.dedup.get(&req_id) {
-                if entry.admit {
+        // Decision (serial), WAL append, bookkeeping, backend apply.
+        // Ticket before acknowledging: if the WAL refuses the record
+        // nothing stays applied and the client is told "not admitted".
+        let append = || self.persist(req_id, &accepted);
+        let (ticket, bound) = match &mut staged {
+            None => inner.apply(req_id, &accepted, path, append),
+            Some(staged) => staged.commit(&mut inner, req_id, &accepted, append),
+        }
+        .map_err(NotApplied::Refused)?;
+        self.maybe_snapshot(&mut inner);
+        drop(inner);
+        let cross_admit = staged.as_ref().filter(|s| s.cross_admit).map(|s| s.plane);
+        drop(staged);
+
+        // The durability wait runs outside every lock: other writes
+        // keep deciding and committing while this batch syncs.
+        if let Some(refusal) = self.await_durable(ticket) {
+            return Err(NotApplied::Refused(refusal));
+        }
+        if let Some(plane) = cross_admit {
+            plane.count_cross_admit();
+        }
+        // Fresh admissions/removals are counted here, at the
+        // state-change point, so a dedup replay (which returns the same
+        // response shape) never inflates the accepted-op counters; a
+        // follower's replay is not a request and is not counted.
+        Ok(match accepted.as_ref() {
+            AcceptedOp::Admit { handle, spec } => {
+                if client {
+                    self.metrics.count_admitted();
+                }
+                Response::Admitted {
+                    id: *handle,
+                    bound,
+                    deadline: spec.deadline,
+                    slack: spec.deadline - bound,
+                    warnings,
+                }
+            }
+            AcceptedOp::Remove { handle } => {
+                if client {
+                    self.metrics.count_removed();
+                }
+                Response::Removed { id: *handle }
+            }
+        })
+    }
+
+    /// The ticket check of [`Self::write`]: `Err` when `origin`'s ticket
+    /// says this write was already applied — a client's request id is in
+    /// the dedup window (the retry gets the original outcome and touches
+    /// no state), or a leader frame is at or below the local sequence
+    /// (the leader rewound to an older ack after a reconnect).
+    fn already_applied(&self, inner: &Inner, origin: Origin, op: &Op) -> Result<(), NotApplied> {
+        match origin {
+            Origin::Client { req_id } => {
+                if req_id == 0 {
+                    return Ok(());
+                }
+                let Some(entry) = inner.dedup.get(&req_id) else {
+                    return Ok(());
+                };
+                let want_admit = matches!(op, Op::Admit { .. });
+                if entry.admit == want_admit {
                     self.metrics.count_replayed();
                 }
-                return Self::replay_dedup(entry, true);
+                Err(NotApplied::Replayed(Self::replay_dedup(entry, want_admit)))
             }
-        }
-
-        // Commit the optimistic validation if its component is intact;
-        // a stale one falls through to the serial path below, which
-        // re-lints and re-analyzes against the changed set.
-        if let Some((v, warnings)) = validated.take() {
-            if let Some(id) = inner.ctl.commit_validated(&v) {
-                self.metrics.count_optimistic();
-                return self.finish_admit(inner, id, req_id, spec, deadline, warnings);
-            }
-        }
-
-        // Verifier gate: W0xx rules on the candidate against the
-        // admitted set, under the same exclusive lock the admission
-        // itself runs under. The lint borrows the controller's own
-        // `(spec, path)` parts — no cloning, no re-routing.
-        let findings = lint_candidate_routed(&self.mesh, &XyRouting, inner.ctl.parts(), &spec);
-        if findings.iter().any(rtwc_verifier::Diagnostic::is_error) {
-            return Self::lint_rejection(findings);
-        }
-        let warnings = findings;
-
-        let Some(path) = path else {
-            // W004 catches this above; kept for defense in depth.
-            return Response::error("routing", "routing failed");
-        };
-
-        match inner.ctl.admit(spec.clone(), path) {
-            Ok(id) => self.finish_admit(inner, id, req_id, spec, deadline, warnings),
-            Err(e) => Self::rejection(&e, &inner.handles),
+            Origin::Leader { seq, .. } => match self.seq_under(inner) {
+                cur if seq <= cur => Err(NotApplied::Behind(cur)),
+                _ => Ok(()),
+            },
         }
     }
 
-    /// Bookkeeping for an admission the controller just accepted (`id`
-    /// is its fresh dense id): journal, WAL ticket, dedup window,
-    /// snapshot cadence — then release the write lock and acknowledge
-    /// once the ticket's batch is durable.
-    fn finish_admit(
-        &self,
-        mut inner: TrackedRwLockWriteGuard<'_, Inner>,
-        id: StreamId,
-        req_id: u64,
-        spec: StreamSpec,
-        deadline: u64,
-        warnings: Vec<Diagnostic>,
-    ) -> Response {
-        let handle = inner.next_handle;
-        let op = AcceptedOp::Admit { handle, spec };
-        // Ticket before acknowledging: if the WAL refuses the record
-        // the decision is rolled back and the client is told "not
-        // admitted" — an acked op can never be one the log (or a
-        // snapshot) does not hold.
-        let ticket = match self.persist(req_id, &op) {
-            Ok(t) => t,
-            Err(refusal) => {
-                inner.ctl.remove(id);
-                return refusal;
+    /// [`Self::seq`] with the service lock already held (`seq` would
+    /// re-lock `inner` on a non-durable service).
+    fn seq_under(&self, inner: &Inner) -> u64 {
+        match &self.durability {
+            Some(d) => d.wal.seq(),
+            None => inner.log.len() as u64,
+        }
+    }
+
+    /// The shard plane's half of [`Self::write`], run before the
+    /// service lock: locks the shards the op's route touches (two-phase
+    /// when there are several), scans the link-sharing neighborhood and
+    /// plans the op against it.
+    fn stage<'a>(
+        &'a self,
+        plane: &'a ShardPlane,
+        origin: Origin,
+        op: &Op,
+    ) -> Result<Staged<'a>, NotApplied> {
+        let path = {
+            let inner = self.read();
+            // Cheap ticket precheck, keeping duplicate floods off the
+            // shard locks.
+            self.already_applied(&inner, origin, op)?;
+            match op {
+                Op::Admit { spec, path, .. } => {
+                    // Error gate before any shard lock. Error findings
+                    // (W002-W007) are properties of the candidate alone,
+                    // so they cannot appear or vanish before the
+                    // authoritative lint — and a candidate that passes
+                    // is sane enough for `plan_admit` (it traverses at
+                    // least one channel). An unroutable candidate
+                    // touches no shard and ends here (W003/W004).
+                    if matches!(origin, Origin::Client { .. }) {
+                        self.lint(&inner, Some(&[]), spec)?;
+                    }
+                    path.clone().ok_or_else(|| {
+                        NotApplied::Refused(Response::error("routing", "routing failed"))
+                    })?
+                }
+                // The victim's route (and so its owner shards) is
+                // re-derived deterministically from the spec table.
+                Op::Remove { handle } => {
+                    let idx = inner
+                        .handles
+                        .binary_search(handle)
+                        .map_err(|_| NotApplied::Refused(unknown_id(*handle)))?;
+                    let spec = &inner.specs[idx];
+                    XyRouting
+                        .route(&self.mesh, spec.source, spec.dest)
+                        .map_err(|e| {
+                            let text = format!("routing failed: {e}");
+                            NotApplied::Refused(Response::error("routing", text))
+                        })?
+                }
             }
         };
-        inner.next_handle += 1;
-        inner.handles.push(handle);
-        debug_assert_eq!(inner.handles.len() - 1, id.index());
-        inner.log.push(Arc::new(op));
-        let bound = inner
-            .ctl
-            .bound(id)
-            .value()
-            .expect("admitted bound is bounded");
-        if req_id != 0 {
-            inner.remember(DedupEntry {
-                req_id,
-                admit: true,
-                handle,
-                bound,
-                deadline,
-            });
-        }
-        self.maybe_snapshot(&mut inner);
-        drop(inner);
-        // The durability wait runs outside the lock: other writes keep
-        // validating and committing while this batch syncs.
-        if let Some(refusal) = self.await_durable(ticket) {
-            return refusal;
-        }
-        self.metrics.count_admitted();
-        Response::Admitted {
-            id: handle,
-            bound,
-            deadline,
-            slack: deadline - bound,
-            warnings,
-        }
+        let seed: Vec<LinkId> = path.sorted_links().to_vec();
+        let owners = plane.map().shards_of(seed.iter().copied());
+        let (guards, touched, nb) = Self::converge_shards(plane, &seed, owners.clone());
+        // Plan with only the shard guards held: the neighborhood cannot
+        // change under them, and disjoint writes keep analyzing
+        // concurrently.
+        let plan = match op {
+            Op::Admit { spec, .. } => plan_admit(&nb.members, spec, &path),
+            Op::Remove { handle } => {
+                // A racing client may have removed the victim between
+                // the lookup above and the shard locks; under its
+                // (locked) owner shards, residency is authoritative.
+                if !nb.members.iter().any(|m| m.key == *handle) {
+                    drop(guards);
+                    self.already_applied(&self.read(), origin, op)?;
+                    return Err(NotApplied::Refused(unknown_id(*handle)));
+                }
+                let p = plan_remove(&nb.members, *handle);
+                Ok(AdmitPlan {
+                    candidate_bound: 0,
+                    updates: p.updates,
+                    recomputed: p.recomputed,
+                })
+            }
+        };
+        Ok(Staged {
+            plane,
+            guards,
+            touched,
+            members: nb.members,
+            cross_admit: owners.len() > 1 && matches!(op, Op::Admit { .. }),
+            owners,
+            path,
+            plan,
+        })
     }
 
     /// Write-locks every shard in `touched` (canonical ascending
@@ -1206,31 +1269,60 @@ impl AdmissionService {
         }
     }
 
-    /// The verifier gate for the sharded path, producing exactly the
-    /// findings the monolithic [`lint_candidate_routed`] would: the
-    /// candidate id is its would-be dense id, duplicate detection runs
-    /// over the full spec table, and the pairwise rules run over the
-    /// neighborhood members (which contain every admitted stream
-    /// sharing a channel with the candidate) with their dense ids.
-    fn lint_sharded(
-        mesh: &Mesh,
+    /// The verifier gate: W0xx rules on the candidate against the
+    /// admitted set; error findings refuse it, warnings ride along on
+    /// the answer. `members` is `None` on the serial backend (the lint
+    /// borrows the controller's own `(spec, path)` parts — no cloning,
+    /// no re-routing) and the candidate's neighborhood on the shard
+    /// plane, which produces exactly the same findings: the candidate
+    /// id is its would-be dense id, duplicate detection runs over the
+    /// full spec table, and the pairwise rules run over the members
+    /// (every admitted stream sharing a channel with the candidate)
+    /// with their dense ids.
+    fn lint(
+        &self,
         inner: &Inner,
-        members: &[NeighborMember],
+        members: Option<&[NeighborMember]>,
         spec: &StreamSpec,
-    ) -> Vec<Diagnostic> {
-        let cand_id = inner.handles.len() as u32;
-        let duplicate_of = inner.specs.iter().position(|s| s == spec).map(|i| i as u32);
-        let indexed: Vec<(u32, &StreamSpec, &Path)> = members
-            .iter()
-            .map(|m| {
-                let dense = inner
-                    .handles
-                    .binary_search(&m.key)
-                    .expect("member handle is live") as u32;
-                (dense, &m.spec, &m.path)
-            })
-            .collect();
-        lint_candidate_indexed(mesh, &XyRouting, cand_id, duplicate_of, &indexed, spec)
+    ) -> Result<Vec<Diagnostic>, NotApplied> {
+        let findings = match members {
+            None => lint_candidate_routed(&self.mesh, &XyRouting, inner.ctl.parts(), spec),
+            Some(members) => {
+                let cand_id = inner.handles.len() as u32;
+                let duplicate_of = inner.specs.iter().position(|s| s == spec).map(|i| i as u32);
+                let indexed: Vec<(u32, &StreamSpec, &Path)> = members
+                    .iter()
+                    .map(|m| {
+                        let dense = inner
+                            .handles
+                            .binary_search(&m.key)
+                            .expect("member handle is live")
+                            as u32;
+                        (dense, &m.spec, &m.path)
+                    })
+                    .collect();
+                lint_candidate_indexed(
+                    &self.mesh,
+                    &XyRouting,
+                    cand_id,
+                    duplicate_of,
+                    &indexed,
+                    spec,
+                )
+            }
+        };
+        if findings.iter().any(Diagnostic::is_error) {
+            let errors = findings.iter().filter(|d| d.is_error()).count();
+            return Err(NotApplied::Refused(Response::Rejected {
+                reason: RejectReason::Lint,
+                message: format!("candidate fails {errors} verifier rule(s)"),
+                bound: None,
+                blocked_by: Vec::new(),
+                victims: Vec::new(),
+                diagnostics: findings,
+            }));
+        }
+        Ok(findings)
     }
 
     /// Translates a plane rejection (blockers/victims by stable
@@ -1269,287 +1361,6 @@ impl AdmissionService {
         }
     }
 
-    /// `ADMIT` over the sharded plane: two-phase across the shards the
-    /// route touches. The analysis runs with only the shard guards
-    /// held; the service lock is taken afterwards just for the
-    /// decision's bookkeeping — and the shard guards are held *across*
-    /// that bookkeeping, so journal order equals analysis order for
-    /// every pair of conflicting operations and a serial replay of the
-    /// journal reproduces this exact state.
-    fn admit_sharded(
-        &self,
-        req_id: u64,
-        spec: StreamSpec,
-        deadline: u64,
-        path: Option<Path>,
-    ) -> Response {
-        let plane = self.plane.as_ref().expect("sharded path");
-        // Cheap dedup precheck before any shard lock; the
-        // authoritative recheck runs under the service lock below.
-        if req_id != 0 {
-            let inner = self.read();
-            if let Some(entry) = inner.dedup.get(&req_id) {
-                if entry.admit {
-                    self.metrics.count_replayed();
-                }
-                return Self::replay_dedup(entry, true);
-            }
-        }
-        // An unroutable candidate touches no shard: lint it against
-        // the spec table (W003/W004 are error severity) and refuse.
-        let Some(path) = path else {
-            let inner = self.read();
-            let findings = Self::lint_sharded(&self.mesh, &inner, &[], &spec);
-            if findings.iter().any(Diagnostic::is_error) {
-                return Self::lint_rejection(findings);
-            }
-            return Response::error("routing", "routing failed");
-        };
-        // Error gate before any shard lock, mirroring the optimistic
-        // path's shared-lock pre-lint. Error findings (W002-W007) are
-        // structural properties of the candidate alone, so they cannot
-        // appear or vanish between here and the authoritative re-lint
-        // below — and a candidate that passes here is sane enough for
-        // `plan_admit` (in particular it traverses at least one
-        // channel, which the analysis requires).
-        {
-            let inner = self.read();
-            let findings = Self::lint_sharded(&self.mesh, &inner, &[], &spec);
-            if findings.iter().any(Diagnostic::is_error) {
-                return Self::lint_rejection(findings);
-            }
-        }
-        let seed: Vec<LinkId> = path.sorted_links().to_vec();
-        let insert_shards = plane.map().shards_of(seed.iter().copied());
-        let cross = insert_shards.len() > 1;
-        let (mut guards, touched, nb) = Self::converge_shards(plane, &seed, insert_shards.clone());
-        // Plan with only the shard guards held: the neighborhood
-        // cannot change under them, and disjoint admissions keep
-        // analyzing concurrently.
-        let plan = plan_admit(&nb.members, &spec, &path);
-        let mut inner = self.write();
-        if req_id != 0 {
-            if let Some(entry) = inner.dedup.get(&req_id) {
-                if entry.admit {
-                    self.metrics.count_replayed();
-                }
-                return Self::replay_dedup(entry, true);
-            }
-        }
-        let findings = Self::lint_sharded(&self.mesh, &inner, &nb.members, &spec);
-        if findings.iter().any(Diagnostic::is_error) {
-            return Self::lint_rejection(findings);
-        }
-        let warnings = findings;
-        let plan = match plan {
-            Ok(plan) => plan,
-            Err(e) => {
-                if cross {
-                    plane.count_cross_abort();
-                }
-                return Self::rejection(&Self::keyed_to_dense(&inner.handles, e), &inner.handles);
-            }
-        };
-        plane.add_recomputations(plan.recomputed);
-        let handle = inner.next_handle;
-        let op = AcceptedOp::Admit {
-            handle,
-            spec: spec.clone(),
-        };
-        // Ticket before acknowledging, as on the monolithic path —
-        // but nothing has been applied yet, so a refused append
-        // leaves every shard untouched.
-        let ticket = match self.persist(req_id, &op) {
-            Ok(t) => t,
-            Err(refusal) => return refusal,
-        };
-        inner.next_handle += 1;
-        inner.handles.push(handle);
-        inner.specs.push(spec.clone());
-        inner.bounds.push(plan.candidate_bound);
-        inner.log.push(Arc::new(op));
-        if req_id != 0 {
-            inner.remember(DedupEntry {
-                req_id,
-                admit: true,
-                handle,
-                bound: plan.candidate_bound,
-                deadline,
-            });
-        }
-        for &sid in &insert_shards {
-            let pos = touched
-                .binary_search(&sid)
-                .expect("insert shards are locked");
-            guards[pos].insert_member(
-                handle,
-                spec.clone(),
-                path.clone(),
-                DelayBound::Bounded(plan.candidate_bound),
-                cross,
-            );
-        }
-        for &(key, bound) in &plan.updates {
-            let member = nb
-                .members
-                .iter()
-                .find(|m| m.key == key)
-                .expect("update targets a neighborhood member");
-            let dense = inner
-                .handles
-                .binary_search(&key)
-                .expect("member handle is live");
-            inner.bounds[dense] = bound.value().expect("surviving member bounds are bounded");
-            for sid in plane.map().shards_of(member.path.links().iter().copied()) {
-                let pos = touched
-                    .binary_search(&sid)
-                    .expect("neighborhood shards are locked");
-                guards[pos].set_member_bound(key, bound);
-            }
-        }
-        self.maybe_snapshot(&mut inner);
-        drop(inner);
-        drop(guards);
-        if let Some(refusal) = self.await_durable(ticket) {
-            return refusal;
-        }
-        self.metrics.count_admitted();
-        if cross {
-            plane.count_cross_admit();
-        }
-        Response::Admitted {
-            id: handle,
-            bound: plan.candidate_bound,
-            deadline,
-            slack: deadline - plan.candidate_bound,
-            warnings,
-        }
-    }
-
-    /// `REMOVE` over the sharded plane. The victim's route (and so its
-    /// owner shards) is re-derived deterministically from the spec
-    /// table; the downstream recomputation then runs under the shard
-    /// guards exactly as on the admit path.
-    fn remove_sharded(&self, req_id: u64, handle: u64) -> Response {
-        let plane = self.plane.as_ref().expect("sharded path");
-        let path = {
-            let inner = self.read();
-            if req_id != 0 {
-                if let Some(entry) = inner.dedup.get(&req_id) {
-                    if !entry.admit {
-                        self.metrics.count_replayed();
-                    }
-                    return Self::replay_dedup(entry, false);
-                }
-            }
-            let Ok(idx) = inner.handles.binary_search(&handle) else {
-                return Response::error("unknown_id", format!("unknown stream id {handle}"));
-            };
-            let spec = &inner.specs[idx];
-            match XyRouting.route(&self.mesh, spec.source, spec.dest) {
-                Ok(p) => p,
-                Err(e) => return Response::error("routing", format!("routing failed: {e}")),
-            }
-        };
-        let seed: Vec<LinkId> = path.sorted_links().to_vec();
-        let owners = plane.map().shards_of(seed.iter().copied());
-        let (mut guards, touched, nb) = Self::converge_shards(plane, &seed, owners.clone());
-        // A racing client may have removed the victim between the
-        // lookup above and the shard locks; under its (locked) owner
-        // shards, residency is authoritative.
-        if !nb.members.iter().any(|m| m.key == handle) {
-            drop(guards);
-            let inner = self.read();
-            if req_id != 0 {
-                if let Some(entry) = inner.dedup.get(&req_id) {
-                    if !entry.admit {
-                        self.metrics.count_replayed();
-                    }
-                    return Self::replay_dedup(entry, false);
-                }
-            }
-            return Response::error("unknown_id", format!("unknown stream id {handle}"));
-        }
-        // Plan with only the shard guards held, as on the admit path.
-        let plan = plan_remove(&nb.members, handle);
-        let mut inner = self.write();
-        if req_id != 0 {
-            if let Some(entry) = inner.dedup.get(&req_id) {
-                if !entry.admit {
-                    self.metrics.count_replayed();
-                }
-                return Self::replay_dedup(entry, false);
-            }
-        }
-        let idx = inner
-            .handles
-            .binary_search(&handle)
-            .expect("victim is resident under its locked owner shards");
-        let op = AcceptedOp::Remove { handle };
-        let ticket = match self.persist(req_id, &op) {
-            Ok(t) => t,
-            Err(refusal) => return refusal,
-        };
-        plane.add_recomputations(plan.recomputed);
-        inner.handles.remove(idx);
-        inner.specs.remove(idx);
-        inner.bounds.remove(idx);
-        inner.log.push(Arc::new(op));
-        if req_id != 0 {
-            inner.remember(DedupEntry {
-                req_id,
-                admit: false,
-                handle,
-                bound: 0,
-                deadline: 0,
-            });
-        }
-        for &sid in &owners {
-            let pos = touched
-                .binary_search(&sid)
-                .expect("owner shards are locked");
-            guards[pos].remove_member(handle);
-        }
-        for &(key, bound) in &plan.updates {
-            let member = nb
-                .members
-                .iter()
-                .find(|m| m.key == key)
-                .expect("update targets a neighborhood member");
-            let dense = inner
-                .handles
-                .binary_search(&key)
-                .expect("member handle is live");
-            inner.bounds[dense] = bound.value().expect("surviving member bounds are bounded");
-            for sid in plane.map().shards_of(member.path.links().iter().copied()) {
-                let pos = touched
-                    .binary_search(&sid)
-                    .expect("neighborhood shards are locked");
-                guards[pos].set_member_bound(key, bound);
-            }
-        }
-        self.maybe_snapshot(&mut inner);
-        drop(inner);
-        drop(guards);
-        if let Some(refusal) = self.await_durable(ticket) {
-            return refusal;
-        }
-        self.metrics.count_removed();
-        Response::Removed { id: handle }
-    }
-
-    fn lint_rejection(findings: Vec<Diagnostic>) -> Response {
-        let errors = findings.iter().filter(|d| d.is_error()).count();
-        Response::Rejected {
-            reason: RejectReason::Lint,
-            message: format!("candidate fails {errors} verifier rule(s)"),
-            bound: None,
-            blocked_by: Vec::new(),
-            victims: Vec::new(),
-            diagnostics: findings,
-        }
-    }
-
     /// Maps an analysis rejection onto the wire shape, translating the
     /// controller's dense ids into stable handles.
     fn rejection(e: &AdmissionError, handles: &[u64]) -> Response {
@@ -1580,59 +1391,6 @@ impl AdmissionService {
             victims,
             diagnostics: Vec::new(),
         }
-    }
-
-    fn remove(&self, req_id: u64, handle: u64) -> Response {
-        if let Some(redirect) = self.not_leader() {
-            return redirect;
-        }
-        if let Some(sealed) = self.write_sealed() {
-            return sealed;
-        }
-        if self.is_degraded() {
-            return Response::error("degraded", "service is read-only after a WAL device error");
-        }
-        if self.plane.is_some() {
-            return self.remove_sharded(req_id, handle);
-        }
-        let mut inner = self.write();
-        if req_id != 0 {
-            if let Some(entry) = inner.dedup.get(&req_id) {
-                if !entry.admit {
-                    self.metrics.count_replayed();
-                }
-                return Self::replay_dedup(entry, false);
-            }
-        }
-        let Some(idx) = inner.handles.iter().position(|&h| h == handle) else {
-            return Response::error("unknown_id", format!("unknown stream id {handle}"));
-        };
-        let op = AcceptedOp::Remove { handle };
-        // Ticket-before-ack, as in `admit` — but here nothing has been
-        // applied yet, so a refused append leaves the state untouched.
-        let ticket = match self.persist(req_id, &op) {
-            Ok(t) => t,
-            Err(refusal) => return refusal,
-        };
-        inner.ctl.remove(StreamId(idx as u32));
-        inner.handles.remove(idx);
-        inner.log.push(Arc::new(op));
-        if req_id != 0 {
-            inner.remember(DedupEntry {
-                req_id,
-                admit: false,
-                handle,
-                bound: 0,
-                deadline: 0,
-            });
-        }
-        self.maybe_snapshot(&mut inner);
-        drop(inner);
-        if let Some(refusal) = self.await_durable(ticket) {
-            return refusal;
-        }
-        self.metrics.count_removed();
-        Response::Removed { id: handle }
     }
 
     /// Buffers `op` into the group-commit WAL, if one is attached,
@@ -1718,21 +1476,10 @@ impl AdmissionService {
         if !due {
             return;
         }
-        let streams: Vec<(u64, StreamSpec)> = if self.plane.is_some() {
-            inner
-                .handles
-                .iter()
-                .zip(&inner.specs)
-                .map(|(&h, spec)| (h, spec.clone()))
-                .collect()
-        } else {
-            inner
-                .handles
-                .iter()
-                .zip(inner.ctl.parts())
-                .map(|(&h, (spec, _))| (h, spec.clone()))
-                .collect()
-        };
+        let streams = inner
+            .streams()
+            .map(|(h, spec, _)| (h, spec.clone()))
+            .collect();
         let dedup: Vec<DedupEntry> = inner
             .dedup_order
             .iter()
@@ -1759,20 +1506,9 @@ impl AdmissionService {
     fn query(&self, handle: u64) -> Response {
         let inner = self.read();
         let Some(idx) = inner.handles.iter().position(|&h| h == handle) else {
-            return Response::error("unknown_id", format!("unknown stream id {handle}"));
+            return unknown_id(handle);
         };
-        let (spec, bound) = if self.plane.is_some() {
-            (&inner.specs[idx], inner.bounds[idx])
-        } else {
-            (
-                &inner.ctl.parts()[idx].0,
-                inner
-                    .ctl
-                    .bound(StreamId(idx as u32))
-                    .value()
-                    .expect("admitted bound is bounded"),
-            )
-        };
+        let (spec, bound) = inner.stream(idx);
         Response::Query {
             id: handle,
             bound,
@@ -1791,40 +1527,19 @@ impl AdmissionService {
 
     fn snapshot(&self) -> Response {
         let inner = self.read();
-        let streams = if self.plane.is_some() {
-            inner
-                .handles
-                .iter()
-                .zip(&inner.specs)
-                .zip(&inner.bounds)
-                .map(|((&handle, spec), &bound)| SnapshotStream {
-                    id: handle,
-                    src: self.coords(spec.source),
-                    dst: self.coords(spec.dest),
-                    priority: spec.priority,
-                    period: spec.period,
-                    length: spec.max_length,
-                    deadline: spec.deadline,
-                    bound: DelayBound::Bounded(bound),
-                })
-                .collect()
-        } else {
-            inner
-                .ctl
-                .snapshot()
-                .zip(&inner.handles)
-                .map(|((_, spec, _, bound), &handle)| SnapshotStream {
-                    id: handle,
-                    src: self.coords(spec.source),
-                    dst: self.coords(spec.dest),
-                    priority: spec.priority,
-                    period: spec.period,
-                    length: spec.max_length,
-                    deadline: spec.deadline,
-                    bound,
-                })
-                .collect()
-        };
+        let streams = inner
+            .streams()
+            .map(|(handle, spec, bound)| SnapshotStream {
+                id: handle,
+                src: self.coords(spec.source),
+                dst: self.coords(spec.dest),
+                priority: spec.priority,
+                period: spec.period,
+                length: spec.max_length,
+                deadline: spec.deadline,
+                bound: DelayBound::Bounded(bound),
+            })
+            .collect();
         let dims = self.mesh.dims();
         Response::Snapshot {
             mesh: (dims[0], dims[1]),
@@ -1875,7 +1590,6 @@ impl AdmissionService {
             shed: m.shed,
             streams: streams as u64,
             recomputations,
-            optimistic: m.optimistic,
             latency_count: m.latency_count,
             p50_us: m.p50_us,
             p90_us: m.p90_us,
@@ -1901,13 +1615,14 @@ impl AdmissionService {
     /// streams audited, or a description of the first mismatch.
     pub fn audit(&self) -> Result<usize, String> {
         let inner = self.read();
-        if self.plane.is_some() {
-            if inner.handles.is_empty() {
-                return Ok(0);
-            }
-            // Sharded mode: re-route the spec table deterministically
-            // and compare the served bounds against a fresh offline
-            // analysis, exactly as below.
+        if inner.handles.is_empty() {
+            return Ok(0);
+        }
+        // The controller keeps its routes; the shard plane's spec table
+        // is re-routed deterministically.
+        let parts = if inner.specs.is_empty() {
+            inner.ctl.parts().to_vec()
+        } else {
             let mut parts = Vec::with_capacity(inner.specs.len());
             for spec in &inner.specs {
                 let path = XyRouting
@@ -1915,32 +1630,16 @@ impl AdmissionService {
                     .map_err(|e| format!("admitted stream no longer routes: {e}"))?;
                 parts.push((spec.clone(), path));
             }
-            let set = StreamSet::from_parts(parts)
-                .map_err(|e| format!("admitted set no longer resolves: {e}"))?;
-            let fresh = determine_feasibility(&set);
-            for id in set.ids() {
-                let served = DelayBound::Bounded(inner.bounds[id.index()]);
-                if fresh.bound(id) != served {
-                    return Err(format!(
-                        "stream id {} (dense {id}): served bound {served} != offline bound {}",
-                        inner.handles[id.index()],
-                        fresh.bound(id)
-                    ));
-                }
-            }
-            return Ok(set.len());
-        }
-        if inner.ctl.is_empty() {
-            return Ok(0);
-        }
-        let set = StreamSet::from_parts(inner.ctl.parts().to_vec())
+            parts
+        };
+        let set = StreamSet::from_parts(parts)
             .map_err(|e| format!("admitted set no longer resolves: {e}"))?;
         let fresh = determine_feasibility(&set);
         for id in set.ids() {
-            let cached = inner.ctl.bound(id);
-            if fresh.bound(id) != cached {
+            let served = DelayBound::Bounded(inner.stream(id.index()).1);
+            if fresh.bound(id) != served {
                 return Err(format!(
-                    "stream id {} (dense {id}): served bound {cached} != offline bound {}",
+                    "stream id {} (dense {id}): served bound {served} != offline bound {}",
                     inner.handles[id.index()],
                     fresh.bound(id)
                 ));
@@ -2352,18 +2051,231 @@ mod tests {
         "SNAPSHOT",
     ];
 
-    #[test]
-    fn sharded_responses_match_monolithic_byte_for_byte() {
-        let mono = service();
-        let sharded = sharded_service(4);
-        for line in PARITY_WORKLOAD {
-            let a = crate::protocol::render_response(&admit_line(&mono, line));
-            let b = crate::protocol::render_response(&admit_line(&sharded, line));
-            assert_eq!(a, b, "divergence on {line:?}");
+    /// Who orders the writes of a matrix cell: a client sending request
+    /// lines, or a leader shipping the frames those lines produced.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum From {
+        Client,
+        Leader,
+    }
+
+    /// The write-path matrix: origin x backend (0 = the serial
+    /// controller, else that many region shards).
+    const CELLS: [(From, usize); 4] = [
+        (From::Client, 0),
+        (From::Client, 4),
+        (From::Leader, 0),
+        (From::Leader, 4),
+    ];
+
+    fn cell_service(shards: usize) -> AdmissionService {
+        if shards == 0 {
+            service()
+        } else {
+            sharded_service(shards)
         }
-        assert_eq!(mono.bounds_by_handle(), sharded.bounds_by_handle());
-        assert_eq!(mono.ops(), sharded.ops(), "journals must be identical");
-        assert_eq!(sharded.audit().unwrap(), sharded.admitted_count());
+    }
+
+    /// The `@REQID` prefix of a request line (0 = none).
+    fn req_id_of(line: &str) -> u64 {
+        line.strip_prefix('@')
+            .and_then(|rest| rest.split(' ').next())
+            .map_or(0, |id| id.parse().unwrap())
+    }
+
+    fn render_line(svc: &AdmissionService, line: &str) -> String {
+        render_response(&admit_line(svc, line))
+    }
+
+    #[test]
+    fn write_path_parity_matrix() {
+        // The reference is a client on the serial backend: its answers,
+        // journal and bounds are what every cell must reproduce, and
+        // the frames it would ship are what the leader cells replay.
+        let reference = service();
+        let mut answers = Vec::new();
+        let mut frames: Vec<(u64, Arc<AcceptedOp>)> = Vec::new();
+        for line in PARITY_WORKLOAD {
+            answers.push(render_line(&reference, line));
+            if let Some(op) = reference.ops().get(frames.len()) {
+                frames.push((req_id_of(line), Arc::clone(op)));
+            }
+        }
+        assert!(frames.len() >= 5, "workload must accept operations");
+        let retry = "@17 ADMIT 6,6 9,6 2 50 4";
+        assert!(frames.iter().any(|&(req_id, _)| req_id == req_id_of(retry)));
+        let original = render_line(&reference, retry);
+
+        let mut plane_counters = Vec::new();
+        for (from, shards) in CELLS {
+            let cell = format!("{from:?} x {shards} shard(s)");
+            let svc = cell_service(shards);
+            match from {
+                From::Client => {
+                    for (line, want) in PARITY_WORKLOAD.iter().zip(&answers) {
+                        assert_eq!(&render_line(&svc, line), want, "{cell}: {line:?}");
+                    }
+                }
+                From::Leader => {
+                    let hub = Arc::new(ReplHub::follower("leader:1"));
+                    svc.attach_repl(Arc::clone(&hub));
+                    for (i, (req_id, op)) in frames.iter().enumerate() {
+                        let seq = i as u64 + 1;
+                        svc.apply_replicated(seq, *req_id, op).unwrap();
+                        // Duplicate delivery (leader rewound): a no-op.
+                        svc.apply_replicated(seq, *req_id, op).unwrap();
+                    }
+                    assert_eq!(hub.applied_seq(), frames.len() as u64, "{cell}");
+                    // A sequence gap is refused.
+                    let err = svc
+                        .apply_replicated(99, 0, &AcceptedOp::Remove { handle: 0 })
+                        .unwrap_err();
+                    assert!(err.contains("gap"), "{cell}: {err}");
+                }
+            }
+            assert_eq!(svc.ops(), reference.ops(), "{cell}: journals differ");
+            assert_eq!(
+                svc.bounds_by_handle(),
+                reference.bounds_by_handle(),
+                "{cell}"
+            );
+            assert_eq!(svc.audit().unwrap(), svc.admitted_count(), "{cell}");
+            if shards > 0 {
+                let Response::Stats(s) = admit_line(&svc, "STATS") else {
+                    panic!("{cell}: no stats")
+                };
+                let plane = s.shards.as_ref().expect("shard gauges present");
+                plane_counters.push((s.recomputations, plane.cross_admits));
+            }
+
+            // Exactly-once across failover: the promoted follower (like
+            // the leader it replaces) answers a retried request id with
+            // the original outcome and changes nothing.
+            if from == From::Leader {
+                assert!(matches!(svc.promote(), Response::Promoted { .. }), "{cell}");
+            }
+            assert_eq!(
+                render_line(&svc, retry),
+                original,
+                "{cell}: retried request id"
+            );
+            assert_eq!(
+                svc.ops(),
+                reference.ops(),
+                "{cell}: a replay changes nothing"
+            );
+            // Promotion serves writes immediately, on the same backend —
+            // no restart, no migration step.
+            let r = admit_line(&svc, "ADMIT 0,2 5,2 2 50 4");
+            assert!(matches!(r, Response::Admitted { .. }), "{cell}: {r:?}");
+            if let Some(plane) = svc.shard_plane() {
+                let resident: u64 = plane.gauges().iter().map(|g| g.streams).sum();
+                assert!(resident > 0, "{cell}: replayed streams live in the shards");
+            }
+        }
+        // One write function, one accounting: a sharded follower reports
+        // the recomputations and cross-shard admits its leader does.
+        assert_eq!(plane_counters[0], plane_counters[1]);
+        assert!(plane_counters[0].0 > 0 && plane_counters[0].1 > 0);
+    }
+
+    #[test]
+    fn wal_refusal_leaves_no_trace_in_any_cell() {
+        use crate::faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState};
+        let mesh = Mesh::mesh2d(10, 10);
+        for (from, shards) in CELLS {
+            let cell = format!("{from:?} x {shards} shard(s)");
+            let dir = scratch_dir("wal-refusal");
+            std::fs::create_dir_all(&dir).unwrap();
+            // Append #1 is the WAL header, #2-#4 the three residents;
+            // #5 tears, which breaks the log.
+            let plan = FaultPlan {
+                torn_append: Some((5, 10)),
+                ..FaultPlan::default()
+            };
+            let fault = Arc::new(FaultState::default());
+            let path = dir.join(crate::wal::WAL_FILE);
+            let file = Box::new(FailpointFile::open(&path, plan, Arc::clone(&fault)).unwrap());
+            let mut svc =
+                crate::chaos::durable_service(&mesh, &dir, FsyncPolicy::Never, 0, file).unwrap();
+            if shards > 0 {
+                svc.enable_sharding(shards);
+            }
+            let hub = Arc::new(ReplHub::follower("leader:1"));
+            if from == From::Leader {
+                svc.attach_repl(Arc::clone(&hub));
+            }
+            // A client sends the line; a leader serves it on a serial
+            // reference and ships the frame it journals.
+            let leader = service();
+            let send = |line: &str| -> Result<(), String> {
+                if from == From::Client {
+                    return match admit_line(&svc, line) {
+                        Response::Error { message, .. } => Err(message),
+                        _ => Ok(()),
+                    };
+                }
+                let shipped = leader.ops().len();
+                admit_line(&leader, line);
+                let op = Arc::clone(&leader.ops()[shipped]);
+                svc.apply_replicated(svc.seq() + 1, req_id_of(line), &op)
+            };
+            for line in [
+                "ADMIT 0,0 5,0 2 40 10",
+                "ADMIT 0,0 9,9 2 200 6",
+                "@7 ADMIT 6,6 9,6 2 50 4",
+            ] {
+                send(line).unwrap();
+            }
+            svc.flush();
+            // A sacrificial record takes the torn append: the log is
+            // broken from here on, and nobody has noticed yet.
+            send("ADMIT 0,4 5,4 1 50 4").unwrap();
+            svc.flush();
+            assert!(fault.fired() && !svc.is_degraded(), "{cell}");
+
+            let trace = |svc: &AdmissionService| {
+                let mut dedup: Vec<u64> = svc.read().dedup.keys().copied().collect();
+                dedup.sort_unstable();
+                let resident: Vec<u64> = svc
+                    .shard_plane()
+                    .map(|p| p.gauges().iter().map(|g| g.streams).collect())
+                    .unwrap_or_default();
+                (
+                    svc.ops(),
+                    svc.admitted_count(),
+                    svc.bounds_by_handle(),
+                    dedup,
+                    resident,
+                    hub.applied_seq(),
+                )
+            };
+            let before = trace(&svc);
+            // Shares row 0 with a resident, so a serial decision that was
+            // not rolled back would show in the resident's bound.
+            let err = send("@99 ADMIT 1,0 6,0 1 100 4").unwrap_err();
+            assert!(err.contains("WAL"), "{cell}: {err}");
+            assert!(svc.is_degraded(), "{cell}: a WAL refusal degrades");
+            assert_eq!(
+                trace(&svc),
+                before,
+                "{cell}: the refused admit left a trace"
+            );
+            if from == From::Leader {
+                // The gate that refuses a degraded client's next write
+                // does not guard the follower session: a refused removal
+                // must leave no trace either.
+                send("@100 REMOVE 0").unwrap_err();
+                assert_eq!(
+                    trace(&svc),
+                    before,
+                    "{cell}: the refused remove left a trace"
+                );
+            }
+            assert_eq!(svc.audit().unwrap(), svc.admitted_count(), "{cell}");
+            drop(svc);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -2432,56 +2344,6 @@ mod tests {
         assert!(sh.per_shard.iter().all(|p| p.cross <= p.streams), "{sh:?}");
         let line = crate::protocol::render_response(&Response::Stats(s));
         assert!(line.contains("\"shards\":{\"count\":4"), "{line}");
-    }
-
-    #[test]
-    fn sharded_follower_replay_matches_monolithic() {
-        // Drive a leader through the full parity workload, then replay
-        // its journal into a monolithic follower and a sharded one:
-        // identical streams, identical bounds, duplicate deliveries
-        // idempotent on both.
-        let leader = service();
-        for line in PARITY_WORKLOAD {
-            admit_line(&leader, line);
-        }
-        let journal = leader.ops();
-        assert!(journal.len() >= 5, "workload must accept operations");
-
-        let mono = service();
-        mono.attach_repl(Arc::new(ReplHub::follower("leader:1")));
-        let sharded = sharded_service(4);
-        sharded.attach_repl(Arc::new(ReplHub::follower("leader:1")));
-        for (i, op) in journal.iter().enumerate() {
-            let seq = i as u64 + 1;
-            mono.apply_replicated(seq, seq * 100, op).unwrap();
-            sharded.apply_replicated(seq, seq * 100, op).unwrap();
-            // Duplicate delivery (leader rewound): idempotent no-op on
-            // the sharded path too.
-            sharded.apply_replicated(seq, seq * 100, op).unwrap();
-        }
-        assert_eq!(mono.bounds_by_handle(), sharded.bounds_by_handle());
-        assert_eq!(mono.ops(), sharded.ops(), "journals must be identical");
-        assert_eq!(sharded.audit().unwrap(), sharded.admitted_count());
-
-        // A sequence gap is refused on the sharded path as well.
-        let err = sharded
-            .apply_replicated(99, 0, &AcceptedOp::Remove { handle: 0 })
-            .unwrap_err();
-        assert!(err.contains("gap"), "{err}");
-
-        // Promotion serves sharded writes immediately — no restart, no
-        // migration step.
-        assert!(matches!(sharded.promote(), Response::Promoted { .. }));
-        let r = admit_line(&sharded, "ADMIT 0,2 5,2 2 50 4");
-        assert!(matches!(r, Response::Admitted { .. }), "{r:?}");
-        let resident: u64 = sharded
-            .shard_plane()
-            .expect("plane installed")
-            .gauges()
-            .iter()
-            .map(|g| g.streams)
-            .sum();
-        assert!(resident > 0, "replayed streams live in the shards");
     }
 
     #[test]

@@ -41,23 +41,21 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The shared body: N client threads fire interleaved traffic, then
-/// the final state must equal both a serial replay of the journal and
-/// a from-scratch offline rebuild. `optimistic` turns on the
-/// validate-then-commit concurrent admission path (with a multi-worker
-/// server so admissions actually overlap).
-fn interleaved_traffic_serializes(optimistic: bool) {
+/// N client threads fire interleaved traffic at a four-worker server
+/// (so writes actually queue on the one write path and reads overlap
+/// them), then the final state must equal both a serial replay of the
+/// journal and a from-scratch offline rebuild.
+#[test]
+fn concurrent_clients_serialize_to_an_identical_replay() {
     const CLIENTS: usize = 8;
     const OPS: usize = 120;
-    let mut svc = AdmissionService::new(Mesh::mesh2d(10, 10));
-    svc.set_optimistic(optimistic);
-    let service = Arc::new(svc);
+    let service = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
     let server = Server::bind_with_config(
         Arc::clone(&service),
         "127.0.0.1:0",
         ServerConfig {
             max_connections: 0,
-            workers: if optimistic { 4 } else { 0 },
+            workers: 4,
         },
     )
     .unwrap();
@@ -171,20 +169,6 @@ fn interleaved_traffic_serializes(optimistic: bool) {
     server_thread.join().unwrap().unwrap();
 }
 
-#[test]
-fn concurrent_clients_serialize_to_an_identical_replay() {
-    interleaved_traffic_serializes(false);
-}
-
-/// Same soundness bar with the optimistic concurrent-admission path
-/// on: admits with disjoint link-set neighborhoods validate under the
-/// shared lock and commit without re-analysis, yet the final state is
-/// still bit-identical to serial replay and a from-scratch rebuild.
-#[test]
-fn optimistic_concurrent_admission_matches_serial_replay() {
-    interleaved_traffic_serializes(true);
-}
-
 /// A [`GroupWal`] wrapped around a *reopened* log must serve the full
 /// history's sequence number, not just this process's appends — the
 /// leader/follower ticket math and snapshot `seq` stamps both build on
@@ -192,7 +176,7 @@ fn optimistic_concurrent_admission_matches_serial_replay() {
 /// records from `Wal::seq`, double-discounting them.)
 #[test]
 fn groupwal_seq_counts_reopened_records() {
-    let dir = std::env::temp_dir().join(format!("rtwc-seq-probe-{}", std::process::id()));
+    let dir = rtwc_server::scratch_dir("seq-probe");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(WAL_FILE);

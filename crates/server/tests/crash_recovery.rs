@@ -140,7 +140,7 @@ proptest! {
         if cut == 0 {
             // An empty file is a fresh log, not a crash artifact.
             let (state, _, _) = result.unwrap();
-            prop_assert!(state.handles.is_empty());
+            prop_assert!(state.handles().is_empty());
         } else if cut < WAL_HEADER_BYTES {
             // A torn header is unrecoverable and must be *reported*,
             // not silently treated as an empty history.
@@ -150,14 +150,7 @@ proptest! {
             let survived = report.wal_records;
             prop_assert!(survived <= acked.len());
             let expected = serial_pairs(&acked[..survived]);
-            let got: Vec<(u64, u64)> = state
-                .handles
-                .iter()
-                .enumerate()
-                .map(|(i, &h)| {
-                    (h, state.ctl.bound(StreamId(i as u32)).value().unwrap())
-                })
-                .collect();
+            let got = state.bounds_by_handle();
             prop_assert_eq!(got, expected, "cut at byte {} of {}", cut, bytes.len());
         }
         std::fs::remove_dir_all(&dir).ok();

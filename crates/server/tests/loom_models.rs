@@ -2,8 +2,8 @@
 //! `RUSTFLAGS="--cfg loom" cargo test -p rtwc-server --test loom_models`.
 //!
 //! Each model drives the *real* production types — [`GroupWal`] over an
-//! in-memory [`MemFile`], [`AdmissionService`] with the optimistic path
-//! on, and the dispatch [`JobQueue`]/[`CompletionQueue`]/[`ConnFifo`]
+//! in-memory [`MemFile`], [`AdmissionService`]'s one write path, and
+//! the dispatch [`JobQueue`]/[`CompletionQueue`]/[`ConnFifo`]
 //! protocol — through every interleaving the checker's preemption
 //! budget allows, asserting the invariants DESIGN.md's "Concurrency
 //! verification" section inventories:
@@ -13,14 +13,15 @@
 //!   device) already preserves that ticket's record;
 //! - **whole-batch rollback**: a failed group sync acks nothing and
 //!   leaves zero unacknowledged records for recovery to find;
-//! - **linearizability**: concurrent optimistic admissions produce a
-//!   journal whose serial replay reproduces the live bounds bit-for-bit;
+//! - **linearizability**: concurrent admissions on the one write path
+//!   produce a journal whose serial replay reproduces the live bounds
+//!   bit-for-bit;
 //! - **no lost wakeup / no double dispatch**: every queued line is
 //!   answered exactly once, in order, with at most one batch in flight.
 //!
 //! Alongside each model sits a `seeded_*` test: a minimal replica of
 //! the protocol with the guard deliberately removed (ack before sync,
-//! commit without revalidation, dispatch without the in-flight gate),
+//! a write derived from a stale read, dispatch without the in-flight gate),
 //! wrapped in `catch_unwind` to prove the checker actually finds the
 //! interleaving that breaks it — the models are load-bearing, not
 //! vacuous.
@@ -173,20 +174,17 @@ fn group_commit_failed_sync_acks_nothing() {
 }
 
 // ---------------------------------------------------------------------
-// Model 3: concurrent optimistic admissions stay linearizable — the
-// journal's serial replay reproduces the live state bit-for-bit.
+// Model 3: concurrent admits on the one write path linearize to journal
+// order — its serial replay reproduces the live state bit-for-bit.
 // ---------------------------------------------------------------------
 
 #[test]
-fn optimistic_admissions_linearize_to_journal_order() {
+fn concurrent_admits_linearize_to_journal_order() {
     loom::model(|| {
-        let mut svc = AdmissionService::new(Mesh::mesh2d(8, 8));
-        svc.set_optimistic(true);
-        let svc = Arc::new(svc);
-        // Same row: the two admissions share links, so one thread's
-        // commit invalidates the other's optimistic component and
-        // forces the serial fallback in some schedules. Both streams
-        // are feasible together in either order.
+        let svc = Arc::new(AdmissionService::new(Mesh::mesh2d(8, 8)));
+        // Same row: the two admissions share links, so whichever takes
+        // the write lock second is analyzed against the first. Both
+        // streams are feasible together in either order.
         let lines = [((0, 0), (5, 0), 2), ((1, 0), (6, 0), 1)];
         let handles: Vec<_> = lines
             .into_iter()
@@ -219,10 +217,10 @@ fn optimistic_admissions_linearize_to_journal_order() {
 }
 
 #[test]
-fn seeded_commit_without_revalidation_is_caught() {
-    // The optimistic path with the staleness check removed: read a
-    // value under the shared lock, then blindly install the derived
-    // result under the exclusive lock. The classic lost update — two
+fn seeded_write_from_a_stale_read_is_caught() {
+    // The write path with the decision moved out of the exclusive
+    // section: read a value under one lock hold, then blindly install
+    // the derived result under another. The classic lost update — two
     // increments, final value 1 — exists in some interleaving.
     assert!(fails(|| {
         let cell = Arc::new(Mutex::new(0u64));
@@ -230,10 +228,10 @@ fn seeded_commit_without_revalidation_is_caught() {
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 thread::spawn(move || {
-                    // "Validate": derive the new state from a snapshot.
+                    // "Decide": derive the new state from a snapshot.
                     let derived = *cell.lock().unwrap() + 1;
-                    // BUG: "commit" without checking the snapshot is
-                    // still current.
+                    // BUG: "apply" under a second lock hold, without
+                    // checking the snapshot is still current.
                     *cell.lock().unwrap() = derived;
                 })
             })
