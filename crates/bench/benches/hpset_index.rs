@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtwc_bench::contended_mesh_set;
-use rtwc_core::{generate_hp_sets_oracle, InterferenceIndex};
+use rtwc_core::{generate_hp_sets_oracle, InterferenceIndex, MessageStream, StreamId};
 
 fn bench_hpset_index(c: &mut Criterion) {
     let mut g = c.benchmark_group("hpset_index");
@@ -25,12 +25,35 @@ fn bench_hpset_index(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("hp_sets_prebuilt", n), &set, |b, s| {
             b.iter(|| index.hp_sets(s))
         });
+    }
+    // Index maintenance at sizes where a removal that touched every row
+    // would show: the admit path's trial insert + rollback, and a
+    // removal from the middle whose stream comes straight back as the
+    // newest one (ids `mid..` rotate, so the population never changes).
+    for &n in &[1_000usize, 5_000] {
+        let set = contended_mesh_set(n);
+        let newest = StreamId(n as u32 - 1);
         g.bench_with_input(BenchmarkId::new("insert_remove_last", n), &set, |b, s| {
             let mut idx = InterferenceIndex::build(s);
-            let last = s.iter().last().expect("nonempty set");
             b.iter(|| {
-                idx.remove_last();
-                idx.insert_last(last);
+                idx.remove(newest);
+                idx.insert_last(s.get(newest));
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("remove_middle", n), &set, |b, s| {
+            let mut idx = InterferenceIndex::build(s);
+            let mid = n / 2;
+            let ring: Vec<MessageStream> = (s.iter().skip(mid))
+                .map(|m| MessageStream {
+                    id: newest,
+                    ..m.clone()
+                })
+                .collect();
+            let mut turn = 0;
+            b.iter(|| {
+                idx.remove(StreamId(mid as u32));
+                idx.insert_last(&ring[turn % ring.len()]);
+                turn += 1;
             })
         });
     }

@@ -10,8 +10,9 @@
 //!
 //! The controller maintains an [`InterferenceIndex`] incrementally:
 //! every trial admit extends the live stream set and index in place
-//! (O(interference neighborhood), not O(n) path comparisons), and a
-//! rejection rolls back exactly what the trial added. The downstream
+//! (O(interference neighborhood), not O(n) path comparisons), a
+//! rejection rolls back exactly what the trial added, and a removal
+//! rewrites only the leaver's neighborhood. The downstream
 //! closure, every HP set, and every BDG of the recomputation are read
 //! off the index as word-parallel bit operations.
 
@@ -131,6 +132,8 @@ pub struct AdmissionController {
     /// Bound recomputations performed over the controller's lifetime
     /// (instrumentation: shows the saving vs full re-analysis).
     recomputations: u64,
+    /// `Cal_U` arena, reused by every admit and remove.
+    scratch: AnalysisScratch,
 }
 
 impl AdmissionController {
@@ -256,7 +259,6 @@ impl AdmissionController {
         // diagnostic (their ids in the trial set equal their current
         // admitted ids, since the candidate takes the last id).
         let mut blocked_by = Vec::new();
-        let mut scratch = AnalysisScratch::new();
         for id in self.index.downstream(new_id) {
             let hp = self.index.hp_set(set, id);
             if id == new_id {
@@ -267,7 +269,9 @@ impl AdmissionController {
                     .map(|e| e.stream)
                     .collect();
             }
-            let bound = scratch.delay_bound_indexed(set, &self.index, &hp, set.get(id).deadline());
+            let bound =
+                self.scratch
+                    .delay_bound_indexed(set, &self.index, &hp, set.get(id).deadline());
             self.recomputations += 1;
             if id != new_id {
                 saved.push((id.index(), self.bounds[id.index()]));
@@ -348,12 +352,12 @@ impl AdmissionController {
                 old
             }
         };
-        let mut scratch = AnalysisScratch::new();
         for old in affected_old {
             let new_id = remap(old);
             let hp = self.index.hp_set(set, new_id);
             let bound =
-                scratch.delay_bound_indexed(set, &self.index, &hp, set.get(new_id).deadline());
+                self.scratch
+                    .delay_bound_indexed(set, &self.index, &hp, set.get(new_id).deadline());
             self.recomputations += 1;
             self.bounds[new_id.index()] = bound;
         }

@@ -17,10 +17,9 @@
 //! * blocking-dependency graphs read edges straight off the adjacency
 //!   rows ([`crate::bdg::BlockingDependencyGraph::build_indexed`]);
 //! * the admission controller maintains the index *incrementally*
-//!   ([`InterferenceIndex::insert_last`], [`InterferenceIndex::remove`],
-//!   [`InterferenceIndex::remove_last`]), so one ADMIT touches only the
-//!   candidate's interference neighborhood instead of rebuilding the
-//!   relation from scratch.
+//!   ([`InterferenceIndex::insert_last`], [`InterferenceIndex::remove`]),
+//!   so one ADMIT or REMOVE touches only that stream's interference
+//!   neighborhood instead of rebuilding the relation from scratch.
 //!
 //! Layout: two flat `u64` matrices with a shared row stride, one for
 //! each direction of the relation (`affects`: row *i* holds everyone
@@ -30,6 +29,15 @@
 //! controller's damage analysis walk them forwards, and transposing a
 //! packed matrix on the fly would cost the O(n²) the index exists to
 //! avoid.
+//!
+//! Rows, columns and every per-stream table are keyed by *slot*, not by
+//! stream id. Dense ids shift down when a stream leaves; slots do not:
+//! the hole is filled by the last slot alone, so a removal rewrites one
+//! stream's neighborhood instead of every row. Two `u32` arrays
+//! (`slot_of[id]`, `id_of[slot]`) are the only state that bears ids, and
+//! every public function takes and returns dense ids, translating at
+//! its edges. After [`InterferenceIndex::build`] the mapping is the
+//! identity.
 
 use crate::hpset::{BlockingMode, HpElement, HpSet};
 use crate::stream::{MessageStream, Priority, StreamId, StreamSet};
@@ -39,20 +47,27 @@ use wormnet_topology::LinkId;
 /// module docs for layout and complexity.
 #[derive(Clone, Debug, Default)]
 pub struct InterferenceIndex {
-    /// Number of streams indexed (rows in both matrices).
+    /// Number of streams indexed: ids and slots are both `0..n`.
     n: usize,
-    /// Row stride in `u64` words; at least `ceil(n / 64)`, grown
-    /// geometrically so incremental inserts re-stride rarely.
+    /// Row stride in `u64` words; at least `ceil(n / 64)`, grown by a
+    /// quarter at a time so incremental inserts re-stride rarely while
+    /// every row union and the resident matrices carry at most 25% of
+    /// slack words.
     stride: usize,
-    /// Cached priorities, indexed by stream id.
+    /// Dense stream id -> slot.
+    slot_of: Vec<u32>,
+    /// Slot -> dense stream id (the inverse permutation).
+    id_of: Vec<u32>,
+    /// Cached priorities, indexed by slot.
     priorities: Vec<Priority>,
-    /// Each stream's channel set in increasing link-id order.
+    /// Each slot's channel set in increasing link-id order.
     stream_links: Vec<Vec<LinkId>>,
-    /// LinkId -> streams whose path uses that channel, in increasing
-    /// id order (ids are appended in order, which keeps it sorted).
-    link_streams: Vec<Vec<StreamId>>,
-    /// `affects[i * stride ..][j]` == 1 iff stream `i` directly affects
-    /// stream `j` (higher-or-equal priority and a shared channel).
+    /// LinkId -> slots whose path uses that channel, in no particular
+    /// order.
+    link_streams: Vec<Vec<u32>>,
+    /// `affects[i * stride ..][j]` == 1 iff the stream in slot `i`
+    /// directly affects the one in slot `j` (higher-or-equal priority
+    /// and a shared channel).
     affects: Vec<u64>,
     /// The transpose: `affected_by[j * stride ..][i]` == 1 iff `i`
     /// directly affects `j`.
@@ -102,39 +117,44 @@ impl InterferenceIndex {
         self.n == 0
     }
 
-    /// The adjacency row of `a`: everyone `a` directly affects, packed
-    /// 64 streams per word.
     #[inline]
-    pub fn affects_row(&self, a: StreamId) -> &[u64] {
-        let s = a.index() * self.stride;
-        &self.affects[s..s + self.stride]
+    fn slot(&self, id: StreamId) -> usize {
+        self.slot_of[id.index()] as usize
     }
 
-    /// The transposed row of `b`: everyone that directly affects `b`.
+    /// The adjacency row of slot `a`: every slot `a` directly affects,
+    /// packed 64 per word.
     #[inline]
-    pub fn affected_by_row(&self, b: StreamId) -> &[u64] {
-        let s = b.index() * self.stride;
-        &self.affected_by[s..s + self.stride]
+    fn affects_row(&self, a: usize) -> &[u64] {
+        &self.affects[a * self.stride..(a + 1) * self.stride]
+    }
+
+    /// The transposed row of slot `b`: every slot that directly affects
+    /// `b`.
+    #[inline]
+    fn affected_by_row(&self, b: usize) -> &[u64] {
+        &self.affected_by[b * self.stride..(b + 1) * self.stride]
     }
 
     /// True when `a` directly affects `b` — one bit test.
     #[inline]
     pub fn directly_affects(&self, a: StreamId, b: StreamId) -> bool {
-        self.affects_row(a)[b.index() >> 6] >> (b.index() & 63) & 1 == 1
+        let b = self.slot(b);
+        self.affects_row(self.slot(a))[b >> 6] >> (b & 63) & 1 == 1
     }
 
-    /// Resident heap footprint in bytes: both bit matrices plus the
-    /// occupancy tables, counted by *capacity* (what the allocator
-    /// actually holds), not length. This is the gauge the sharded
-    /// admission plane reports per shard.
+    /// Resident heap footprint in bytes: both bit matrices, the
+    /// occupancy tables and the per-stream arrays, counted by *capacity*
+    /// (what the allocator actually holds), not length. This is the
+    /// gauge the sharded admission plane reports per shard.
     pub fn memory_bytes(&self) -> usize {
         let word = std::mem::size_of::<u64>();
         let matrices = (self.affects.capacity() + self.affected_by.capacity()) * word;
-        let occupancy = self.link_streams.capacity() * std::mem::size_of::<Vec<StreamId>>()
+        let occupancy = self.link_streams.capacity() * std::mem::size_of::<Vec<u32>>()
             + self
                 .link_streams
                 .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<StreamId>())
+                .map(|v| v.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>();
         let links = self.stream_links.capacity() * std::mem::size_of::<Vec<LinkId>>()
             + self
@@ -142,7 +162,10 @@ impl InterferenceIndex {
                 .iter()
                 .map(|v| v.capacity() * std::mem::size_of::<LinkId>())
                 .sum::<usize>();
-        matrices + occupancy + links + self.priorities.capacity() * std::mem::size_of::<Priority>()
+        let per_stream = (self.slot_of.capacity() + self.id_of.capacity())
+            * std::mem::size_of::<u32>()
+            + self.priorities.capacity() * std::mem::size_of::<Priority>();
+        matrices + occupancy + links + per_stream
     }
 
     /// Matrix bytes a stride compaction could release right now: the
@@ -158,13 +181,11 @@ impl InterferenceIndex {
         held.saturating_sub(minimal)
     }
 
-    /// Streams whose path uses channel `l`, in increasing id order.
+    /// Streams whose path uses channel `l`, in no particular order.
     /// Channels beyond every indexed path are empty.
-    pub fn link_streams(&self, l: LinkId) -> &[StreamId] {
-        self.link_streams
-            .get(l.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn link_streams(&self, l: LinkId) -> impl Iterator<Item = StreamId> + '_ {
+        let occupants = self.link_streams.get(l.index());
+        (occupants.into_iter().flatten()).map(|&s| StreamId(self.id_of[s as usize]))
     }
 
     /// The connected component of the symmetric *shares-a-channel*
@@ -191,12 +212,13 @@ impl InterferenceIndex {
         let mut out: Vec<StreamId> = Vec::new();
         while let Some(l) = frontier.pop() {
             for &s in &self.link_streams[l.index()] {
-                if member[s.index()] {
+                let s = s as usize;
+                if member[s] {
                     continue;
                 }
-                member[s.index()] = true;
-                out.push(s);
-                for &l2 in &self.stream_links[s.index()] {
+                member[s] = true;
+                out.push(StreamId(self.id_of[s]));
+                for &l2 in &self.stream_links[s] {
                     if !link_seen[l2.index()] {
                         link_seen[l2.index()] = true;
                         frontier.push(l2);
@@ -209,18 +231,20 @@ impl InterferenceIndex {
     }
 
     /// Appends the stream with the next dense id (`stream.id` must equal
-    /// [`InterferenceIndex::len`]): pushes its channels into the
-    /// occupancy table and sets its adjacency row and column by walking
-    /// only its channels' occupant lists — O(interference neighborhood),
-    /// not O(n).
+    /// [`InterferenceIndex::len`]) in the next slot: pushes its channels
+    /// into the occupancy table and sets its adjacency row and column by
+    /// walking only its channels' occupant lists — O(interference
+    /// neighborhood), not O(n).
     pub fn insert_last(&mut self, stream: &MessageStream) {
-        let id = self.n;
-        assert_eq!(stream.id.index(), id, "insert_last requires the next id");
-        let needed = (id + 1).div_ceil(64);
+        let slot = self.n;
+        assert_eq!(stream.id.index(), slot, "insert_last requires the next id");
+        let needed = (slot + 1).div_ceil(64);
         if needed > self.stride {
-            self.restride(needed.max(self.stride * 2));
+            self.restride(needed.max(self.stride + self.stride / 4));
         }
         self.n += 1;
+        self.slot_of.push(slot as u32);
+        self.id_of.push(slot as u32);
         self.priorities.push(stream.priority());
         self.affects.resize(self.n * self.stride, 0);
         self.affected_by.resize(self.n * self.stride, 0);
@@ -231,82 +255,88 @@ impl InterferenceIndex {
             if l.index() >= self.link_streams.len() {
                 self.link_streams.resize_with(l.index() + 1, Vec::new);
             }
-            // Occupants all have smaller ids; bit-sets are idempotent,
-            // so streams met on several shared channels cost no extra.
+            // Bit-sets are idempotent, so streams met on several shared
+            // channels cost no extra.
             for k in 0..self.link_streams[l.index()].len() {
-                let o = self.link_streams[l.index()][k];
-                let p_old = self.priorities[o.index()];
+                let o = self.link_streams[l.index()][k] as usize;
+                let p_old = self.priorities[o];
                 if p_new >= p_old {
-                    self.set_edge(StreamId(id as u32), o);
+                    self.set_edge(slot, o);
                 }
                 if p_old >= p_new {
-                    self.set_edge(o, StreamId(id as u32));
+                    self.set_edge(o, slot);
                 }
             }
-            self.link_streams[l.index()].push(StreamId(id as u32));
+            self.link_streams[l.index()].push(slot as u32);
         }
         self.stream_links.push(links);
     }
 
     /// Undoes the most recent [`InterferenceIndex::insert_last`] — the
-    /// admission controller's rollback after a rejected trial. Touches
-    /// only the rolled-back stream's neighborhood.
+    /// admission controller's rollback after a rejected trial.
     pub fn remove_last(&mut self) {
         assert!(self.n > 0, "remove_last on an empty index");
-        let id = StreamId(self.n as u32 - 1);
-        // Clear the column bits in every neighbor's rows. The neighbors
-        // are exactly the set bits of the removed stream's two rows.
-        let (wi, mask) = (id.index() >> 6, !(1u64 << (id.index() & 63)));
-        let mut clear_col = Vec::new();
-        for_each_set_bit(self.affects_row(id), |b| clear_col.push(b));
-        for b in clear_col.drain(..) {
-            self.affected_by[b * self.stride + wi] &= mask;
+        self.remove(StreamId(self.n as u32 - 1));
+    }
+
+    /// Removes stream `id`, shifting every id above it down by one —
+    /// the mirror of `StreamSet`'s dense-id compaction on removal.
+    /// Slots stay put: the leaving slot's column is cleared in its
+    /// neighbors' rows, the last slot moves into the hole, and only the
+    /// two translation arrays are renumbered. O(the two neighborhoods)
+    /// plus one O(n) pass over `u32`s.
+    pub fn remove(&mut self, id: StreamId) {
+        assert!(id.index() < self.n, "unknown stream {id}");
+        let (hole, last) = (self.slot_of.remove(id.index()) as usize, self.n - 1);
+        for i in &mut self.id_of {
+            *i -= u32::from(*i > id.0);
         }
-        for_each_set_bit(self.affected_by_row(id), |b| clear_col.push(b));
-        for b in clear_col {
-            self.affects[b * self.stride + wi] &= mask;
+        self.move_column(hole, None);
+        for l in self.stream_links.swap_remove(hole) {
+            let occupants = &mut self.link_streams[l.index()];
+            let at = occupants.iter().position(|&s| s as usize == hole);
+            occupants.swap_remove(at.expect("a stream occupies its own channels"));
         }
-        for &l in &self.stream_links[id.index()] {
-            let popped = self.link_streams[l.index()].pop();
-            debug_assert_eq!(popped, Some(id), "last id tops every occupant list");
+        self.priorities.swap_remove(hole);
+        self.id_of.swap_remove(hole);
+        if hole != last {
+            // The swap_removes above moved the last slot's entries into
+            // the hole; its column, occupancies and rows follow.
+            self.slot_of[self.id_of[hole] as usize] = hole as u32;
+            self.move_column(last, Some(hole));
+            for &l in &self.stream_links[hole] {
+                let occupants = &mut self.link_streams[l.index()];
+                let at = occupants.iter().position(|&s| s as usize == last);
+                occupants[at.expect("a stream occupies its own channels")] = hole as u32;
+            }
+            let stride = self.stride;
+            for matrix in [&mut self.affects, &mut self.affected_by] {
+                matrix.copy_within(last * stride..(last + 1) * stride, hole * stride);
+            }
         }
-        self.stream_links.pop();
-        self.priorities.pop();
         self.n -= 1;
         self.affects.truncate(self.n * self.stride);
         self.affected_by.truncate(self.n * self.stride);
         self.maybe_shrink();
     }
 
-    /// Removes stream `id`, shifting every id above it down by one —
-    /// the mirror of `StreamSet`'s dense-id compaction on removal.
-    /// Costs O(total occupancy + n · stride): each remaining row has
-    /// one bit deleted by word-level shifts.
-    pub fn remove(&mut self, id: StreamId) {
-        assert!(id.index() < self.n, "unknown stream {id}");
-        if id.index() == self.n - 1 {
-            return self.remove_last();
-        }
-        let i = id.index();
-        self.priorities.remove(i);
-        self.stream_links.remove(i);
-        for occupants in &mut self.link_streams {
-            occupants.retain(|&s| s != id);
-            for s in occupants.iter_mut() {
-                if s.index() > i {
-                    *s = StreamId(s.0 - 1);
-                }
-            }
-        }
+    /// Clears column `from` — and, given `Some(to)`, sets column `to` in
+    /// its place — in every row that can hold it: the neighbors named by
+    /// slot `from`'s own two rows.
+    fn move_column(&mut self, from: usize, to: Option<usize>) {
         let stride = self.stride;
-        for matrix in [&mut self.affects, &mut self.affected_by] {
-            matrix.drain(i * stride..(i + 1) * stride);
-            for row in matrix.chunks_exact_mut(stride) {
-                delete_bit(row, i);
-            }
-        }
-        self.n -= 1;
-        self.maybe_shrink();
+        let own = from * stride..(from + 1) * stride;
+        let rewrite = |named_by: &[u64], matrix: &mut [u64]| {
+            for_each_set_bit(named_by, |b| {
+                let row = &mut matrix[b * stride..(b + 1) * stride];
+                row[from >> 6] &= !(1u64 << (from & 63));
+                if let Some(to) = to {
+                    row[to >> 6] |= 1u64 << (to & 63);
+                }
+            });
+        };
+        rewrite(&self.affects[own.clone()], &mut self.affected_by);
+        rewrite(&self.affected_by[own], &mut self.affects);
     }
 
     /// Builds the HP set of `target` off the adjacency rows: backward
@@ -317,12 +347,13 @@ impl InterferenceIndex {
     pub fn hp_set(&self, set: &StreamSet, target: StreamId) -> HpSet {
         debug_assert_eq!(set.len(), self.n, "index and set out of sync");
         let stride = self.stride.max(1);
-        let target_row = self.affected_by_row(target);
-        // member := transitive closure of affected-by from the target.
-        // The target is never a member (mirroring the oracle, which
-        // skips it during expansion), so its bit is masked out of every
-        // union round.
-        let (twi, tmask) = (target.index() >> 6, !(1u64 << (target.index() & 63)));
+        let t = self.slot(target);
+        let target_row = self.affected_by_row(t);
+        // member := transitive closure of affected-by from the target,
+        // in slot space. The target is never a member (mirroring the
+        // oracle, which skips it during expansion), so its bit is
+        // masked out of every union round.
+        let (twi, tmask) = (t >> 6, !(1u64 << (t & 63)));
         let mut member = target_row.to_vec();
         member[twi] &= tmask;
         let mut frontier = member.clone();
@@ -330,10 +361,7 @@ impl InterferenceIndex {
         loop {
             next.fill(0);
             for_each_set_bit(&frontier, |x| {
-                for (acc, &w) in next
-                    .iter_mut()
-                    .zip(self.affected_by_row(StreamId(x as u32)))
-                {
+                for (acc, &w) in next.iter_mut().zip(self.affected_by_row(x)) {
                     *acc |= w;
                 }
             });
@@ -351,34 +379,34 @@ impl InterferenceIndex {
 
         let mut elements = Vec::new();
         for_each_set_bit(&member, |k| {
-            let k_id = StreamId(k as u32);
             let direct = target_row[k >> 6] >> (k & 63) & 1 == 1;
             let (mode, intermediates) = if direct {
                 (BlockingMode::Direct, Vec::new())
             } else {
                 // Successors one chain-step closer to the target:
                 // everyone k affects that is itself a member. Bit order
-                // is id order, which is the oracle's sort order.
+                // is slot order; the oracle lists them in id order.
                 let mut inter = Vec::new();
-                let row = self.affects_row(k_id);
+                let row = self.affects_row(k);
                 for (wi, (&a, &m)) in row.iter().zip(member.iter()).enumerate() {
                     let mut w = a & m;
                     while w != 0 {
-                        inter.push(StreamId((wi * 64 + w.trailing_zeros() as usize) as u32));
+                        inter.push(StreamId(self.id_of[wi * 64 + w.trailing_zeros() as usize]));
                         w &= w - 1;
                     }
                 }
+                inter.sort_unstable();
                 (BlockingMode::Indirect, inter)
             };
             elements.push(HpElement {
-                stream: k_id,
+                stream: StreamId(self.id_of[k]),
                 mode,
                 intermediates,
             });
         });
         elements.sort_by(|a, b| {
-            self.priorities[b.stream.index()]
-                .cmp(&self.priorities[a.stream.index()])
+            self.priorities[self.slot(b.stream)]
+                .cmp(&self.priorities[self.slot(a.stream)])
                 .then(a.stream.cmp(&b.stream))
         });
         HpSet::from_elements(target, elements)
@@ -395,14 +423,15 @@ impl InterferenceIndex {
     /// forward directly-affects edges, in increasing id order.
     pub fn downstream(&self, changed: StreamId) -> Vec<StreamId> {
         let stride = self.stride.max(1);
+        let c = self.slot(changed);
         let mut member = vec![0u64; stride];
-        member[changed.index() >> 6] |= 1u64 << (changed.index() & 63);
+        member[c >> 6] |= 1u64 << (c & 63);
         let mut frontier = member.clone();
         let mut next = vec![0u64; stride];
         loop {
             next.fill(0);
             for_each_set_bit(&frontier, |x| {
-                for (acc, &w) in next.iter_mut().zip(self.affects_row(StreamId(x as u32))) {
+                for (acc, &w) in next.iter_mut().zip(self.affects_row(x)) {
                     *acc |= w;
                 }
             });
@@ -417,14 +446,16 @@ impl InterferenceIndex {
             }
         }
         let mut out = Vec::new();
-        for_each_set_bit(&member, |b| out.push(StreamId(b as u32)));
+        for_each_set_bit(&member, |s| out.push(StreamId(self.id_of[s])));
+        out.sort_unstable();
         out
     }
 
+    /// Records that the stream in slot `a` directly affects slot `b`.
     #[inline]
-    fn set_edge(&mut self, a: StreamId, b: StreamId) {
-        self.affects[a.index() * self.stride + (b.index() >> 6)] |= 1u64 << (b.index() & 63);
-        self.affected_by[b.index() * self.stride + (a.index() >> 6)] |= 1u64 << (a.index() & 63);
+    fn set_edge(&mut self, a: usize, b: usize) {
+        self.affects[a * self.stride + (b >> 6)] |= 1u64 << (b & 63);
+        self.affected_by[b * self.stride + (a >> 6)] |= 1u64 << (a & 63);
     }
 
     /// Re-lays both matrices out with a different row stride. Growing
@@ -459,16 +490,15 @@ impl InterferenceIndex {
         self.stride = new_stride;
     }
 
-    /// Releases matrix memory after removals. `delete_bit` compacts ids
-    /// within rows but never narrows them, so without this a serve
+    /// Releases matrix memory after removals. Filling holes keeps the
+    /// slots dense but never narrows a row, so without this a serve
     /// process that churned up to n streams and back down would hold
     /// O(n²) bits forever. Policy, with hysteresis so the admit path's
     /// trial-insert/rollback never thrashes:
     ///
     /// * empty index → reset to the pristine zero-capacity state;
-    /// * stride ≥ 4 × `ceil(n / 64)` → restride down to 2 ×, mirroring
-    ///   the doubling growth (grow again only after n doubles, shrink
-    ///   again only after it halves);
+    /// * stride ≥ 4 × `ceil(n / 64)` → restride down to 2 × (grow again
+    ///   only after n doubles, shrink again only after it halves);
     /// * otherwise, if the vectors hold ≥ 4 × their length in capacity
     ///   (truncate/drain never release), give the slack back.
     fn maybe_shrink(&mut self) {
@@ -492,52 +522,47 @@ impl InterferenceIndex {
     }
 }
 
-/// Logical equality: same relation over the same streams, regardless of
-/// stride slack or occupancy-table capacity. This is what the
-/// incremental-vs-fresh property tests compare.
+/// Logical equality: same relation over the same streams by dense id,
+/// regardless of slot assignment, stride slack or occupancy-table
+/// capacity. This is what the incremental-vs-fresh property tests
+/// compare.
 impl PartialEq for InterferenceIndex {
     fn eq(&self, other: &Self) -> bool {
-        if self.n != other.n
-            || self.priorities != other.priorities
-            || self.stream_links != other.stream_links
-        {
+        if self.n != other.n {
             return false;
         }
+        let sorted = |mut ids: Vec<u32>| {
+            ids.sort_unstable();
+            ids
+        };
+        let neighbors = |ix: &Self, row: &[u64]| {
+            let mut ids = Vec::new();
+            for_each_set_bit(row, |s| ids.push(ix.id_of[s]));
+            sorted(ids)
+        };
+        let occupants =
+            |ix: &Self, l: usize| sorted(ix.link_streams(LinkId(l as u32)).map(|s| s.0).collect());
         let max_links = self.link_streams.len().max(other.link_streams.len());
-        for l in 0..max_links {
-            if self.link_streams(LinkId(l as u32)) != other.link_streams(LinkId(l as u32)) {
-                return false;
-            }
-        }
-        let words = self.n.div_ceil(64);
         (0..self.n).all(|i| {
-            let id = StreamId(i as u32);
-            self.affects_row(id)[..words] == other.affects_row(id)[..words]
-                && self.affected_by_row(id)[..words] == other.affected_by_row(id)[..words]
-        })
+            let (a, b) = (self.slot_of[i] as usize, other.slot_of[i] as usize);
+            self.priorities[a] == other.priorities[b]
+                && self.stream_links[a] == other.stream_links[b]
+                && neighbors(self, self.affects_row(a)) == neighbors(other, other.affects_row(b))
+                && neighbors(self, self.affected_by_row(a))
+                    == neighbors(other, other.affected_by_row(b))
+        }) && (0..max_links).all(|l| occupants(self, l) == occupants(other, l))
     }
 }
 
 impl Eq for InterferenceIndex {}
-
-/// Deletes bit `bit` from a packed row, shifting every higher bit down
-/// by one (the id compaction of [`InterferenceIndex::remove`]).
-fn delete_bit(row: &mut [u64], bit: usize) {
-    let (w, b) = (bit >> 6, bit & 63);
-    let low = (1u64 << b) - 1;
-    row[w] = (row[w] & low) | ((row[w] >> 1) & !low);
-    for i in w + 1..row.len() {
-        row[i - 1] |= (row[i] & 1) << 63;
-        row[i] >>= 1;
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hpset::{generate_hp_oracle, generate_hp_sets_oracle};
     use crate::stream::StreamSpec;
-    use wormnet_topology::{Mesh, Topology, XyRouting};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use wormnet_topology::{Mesh, Path, Topology, XyRouting};
 
     fn build_set(specs: &[([u32; 2], [u32; 2], u32)]) -> StreamSet {
         let m = Mesh::mesh2d(10, 10);
@@ -588,18 +613,186 @@ mod tests {
         assert_eq!(index.hp_sets(&set), generate_hp_sets_oracle(&set));
     }
 
-    #[test]
-    fn occupancy_lists_are_sorted_and_complete() {
-        let set = chain();
-        let index = InterferenceIndex::build(&set);
-        for s in set.iter() {
-            for &l in s.path.links() {
-                let occ = index.link_streams(l);
-                assert!(occ.windows(2).all(|w| w[0] < w[1]), "sorted {l:?}");
-                assert!(occ.contains(&s.id), "{l:?} lists {}", s.id);
-            }
+    /// `n` seeded pseudo-random streams on the 10x10 mesh: long X-Y
+    /// routes and five priority levels, so most streams have neighbors
+    /// in both directions of the relation.
+    fn random_parts(n: usize, seed: u64) -> Vec<(StreamSpec, Path)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut node = || [rng.gen_range(0..10u32), rng.gen_range(0..10u32)];
+        let ends: Vec<_> = (0..n).map(|_| (node(), node())).collect();
+        let specs: Vec<_> = (ends.into_iter())
+            .map(|(s, d)| {
+                let d = if s == d { [(s[0] + 1) % 10, s[1]] } else { d };
+                (s, d, rng.gen_range(1..=5u32))
+            })
+            .collect();
+        let set = build_set(&specs);
+        set.iter()
+            .map(|s| (s.spec.clone(), s.path.clone()))
+            .collect()
+    }
+
+    /// Every channel's occupant list names exactly the streams routed
+    /// over it, by dense id.
+    fn assert_occupants_complete(index: &InterferenceIndex, set: &StreamSet) {
+        let links = set.iter().flat_map(|s| s.path.links()).max().unwrap();
+        for l in (0..=links.0 + 1).map(LinkId) {
+            let mut listed: Vec<StreamId> = index.link_streams(l).collect();
+            listed.sort_unstable();
+            let routed: Vec<StreamId> = set
+                .iter()
+                .filter(|s| s.path.links().contains(&l))
+                .map(|s| s.id)
+                .collect();
+            assert_eq!(listed, routed, "{l:?}");
         }
-        assert!(index.link_streams(LinkId(9999)).is_empty());
+    }
+
+    /// Everything the index hands out is in dense-id order whatever the
+    /// slot order: `downstream` is the ascending forward closure of the
+    /// pairwise relation, `link_component` ascends, and HP sets (whose
+    /// intermediates the oracle lists by id) match the oracle exactly.
+    fn assert_output_in_id_order(index: &InterferenceIndex, set: &StreamSet) {
+        for id in set.ids() {
+            let mut closure = vec![id];
+            let mut k = 0;
+            while k < closure.len() {
+                let from = set.get(closure[k]);
+                for s in set.iter() {
+                    if from.directly_affects(s) && !closure.contains(&s.id) {
+                        closure.push(s.id);
+                    }
+                }
+                k += 1;
+            }
+            closure.sort_unstable();
+            assert_eq!(index.downstream(id), closure, "downstream of {id}");
+            let component = index.link_component(set.get(id).path.links());
+            assert!(component.windows(2).all(|w| w[0] < w[1]), "{component:?}");
+            assert!(component.contains(&id));
+            assert_eq!(index.hp_set(set, id), generate_hp_oracle(set, id), "{id}");
+        }
+    }
+
+    /// The index beside the plain list of streams it must describe;
+    /// every step is checked against a fresh build and the oracles.
+    struct Model {
+        index: InterferenceIndex,
+        parts: Vec<(StreamSpec, Path)>,
+    }
+
+    impl Model {
+        fn new(parts: Vec<(StreamSpec, Path)>) -> Self {
+            let index = InterferenceIndex::build(&StreamSet::from_parts(parts.clone()).unwrap());
+            Model { index, parts }
+        }
+
+        fn remove(&mut self, id: usize) {
+            self.index.remove(StreamId(id as u32));
+            self.parts.remove(id);
+            self.check();
+        }
+
+        fn admit(&mut self, part: (StreamSpec, Path)) {
+            self.parts.push(part);
+            let set = StreamSet::from_parts(self.parts.clone()).unwrap();
+            self.index.insert_last(set.iter().last().unwrap());
+            self.check();
+        }
+
+        fn check(&self) {
+            if self.parts.is_empty() {
+                assert!(self.index.is_empty());
+                assert_eq!(self.index.memory_bytes(), 0, "empty index holds no heap");
+                return;
+            }
+            let set = StreamSet::from_parts(self.parts.clone()).unwrap();
+            assert_eq!(self.index, InterferenceIndex::build(&set));
+            assert_occupants_complete(&self.index, &set);
+            assert_output_in_id_order(&self.index, &set);
+        }
+    }
+
+    #[test]
+    fn occupant_lists_stay_complete_when_slots_and_ids_diverge() {
+        let set = chain();
+        let mut index = InterferenceIndex::build(&set);
+        assert_occupants_complete(&index, &set);
+        assert_eq!(index.link_streams(LinkId(9999)).count(), 0);
+        // Removing id 0 moves the last slot into slot 0: ids 0, 1, 2 now
+        // live in slots 1, 2, 0.
+        index.remove(StreamId(0));
+        let parts = set.iter().skip(1).map(|s| (s.spec.clone(), s.path.clone()));
+        let smaller = StreamSet::from_parts(parts.collect()).unwrap();
+        assert_occupants_complete(&index, &smaller);
+    }
+
+    #[test]
+    fn translated_output_is_in_id_order_when_slots_and_ids_diverge() {
+        let mut model = Model::new(random_parts(40, 7));
+        // Low ids leave first, so high slots keep dropping into low ones
+        // and slot order drifts ever further from id order.
+        for victim in [0, 3, 0, 11, 5, 0, 20, 1] {
+            model.remove(victim);
+        }
+        let set = StreamSet::from_parts(model.parts.clone()).unwrap();
+        assert_ne!(model.index.id_of, (0..32).collect::<Vec<u32>>());
+        assert_output_in_id_order(&model.index, &set);
+    }
+
+    #[test]
+    fn remove_first_middle_last_and_down_to_empty() {
+        for order in [
+            [0usize, 0, 0, 0, 0, 0],
+            [5, 4, 3, 2, 1, 0],
+            [2, 3, 0, 1, 1, 0],
+        ] {
+            let mut model = Model::new(random_parts(6, 11));
+            for victim in order {
+                model.remove(victim);
+            }
+            assert!(model.index.is_empty());
+        }
+    }
+
+    #[test]
+    fn admit_after_remove_reuses_the_hole() {
+        let mut pool = random_parts(16, 3);
+        let late = pool.split_off(12);
+        let mut model = Model::new(pool);
+        let full = model.index.matrix_bytes();
+        for (victim, part) in [5, 0, 10, 11].into_iter().zip(late) {
+            model.remove(victim);
+            // The newcomer takes the last id and the last slot; the hole
+            // was already filled by what used to be the last slot.
+            model.admit(part);
+            assert_eq!(model.index.len(), 12);
+            assert_eq!(model.index.id_of.len(), 12);
+        }
+        assert_eq!(model.index.matrix_bytes(), full, "no row was added");
+    }
+
+    #[test]
+    fn churn_at_constant_size_does_not_grow_memory() {
+        let set = StreamSet::from_parts(random_parts(120, 42)).unwrap();
+        let mut index = InterferenceIndex::build(&set);
+        let settled = index.memory_bytes();
+        let mut streams: Vec<MessageStream> = set.iter().cloned().collect();
+        let mut rng = StdRng::seed_from_u64(1998);
+        for step in 0..10_000 {
+            // The leaver comes straight back as the newest stream.
+            let victim = rng.gen_range(0..streams.len());
+            let mut stream = streams.remove(victim);
+            index.remove(StreamId(victim as u32));
+            stream.id = StreamId(streams.len() as u32);
+            index.insert_last(&stream);
+            streams.push(stream);
+            assert_eq!(index.memory_bytes(), settled, "step {step}");
+        }
+        let parts = streams.into_iter().map(|s| (s.spec, s.path)).collect();
+        let set = StreamSet::from_parts(parts).unwrap();
+        assert_eq!(index, InterferenceIndex::build(&set));
+        assert_eq!(index.hp_sets(&set), generate_hp_sets_oracle(&set));
     }
 
     #[test]
@@ -782,16 +975,5 @@ mod tests {
             index.remove_last();
         }
         assert_eq!(index.memory_bytes(), settled, "churn ratcheted memory");
-    }
-
-    #[test]
-    fn delete_bit_shifts_across_words() {
-        let mut row = vec![0u64; 2];
-        row[0] = 1 << 10 | 1 << 63;
-        row[1] = 1 << 0 | 1 << 5;
-        // Delete bit 10: 63 -> 62, 64 -> 63, 69 -> 68.
-        delete_bit(&mut row, 10);
-        assert_eq!(row[0], 1 << 62 | 1 << 63);
-        assert_eq!(row[1], 1 << 4);
     }
 }

@@ -13,9 +13,10 @@
 //! candidate lint**, so every admission decision is made against
 //! exactly the set it will join. The exclusive section is kept minimal:
 //! the candidate is routed *before* the lock (routing is deterministic
-//! and set-independent), the lint borrows the controller's `(spec,
-//! path)` parts instead of cloning and re-routing the admitted set, and
-//! the journal holds `Arc<AcceptedOp>` entries so
+//! and set-independent), the lint reads only the candidate's channel
+//! occupants off the controller's index and borrows their `(spec,
+//! path)` parts instead of scanning, cloning or re-routing the admitted
+//! set, and the journal holds `Arc<AcceptedOp>` entries so
 //! [`AdmissionService::ops`] clones pointers, not specs, under the
 //! shared lock. Metrics are plain atomics outside the lock.
 //!
@@ -86,7 +87,7 @@ use rtwc_core::{
     AdmissionError, AdmitPlan, DelayBound, KeyedRejection, NeighborMember, RegionShard, ShardId,
     ShardMap, StreamId, StreamSet, StreamSpec,
 };
-use rtwc_verifier::{lint_candidate_indexed, lint_candidate_routed, Diagnostic};
+use rtwc_verifier::{lint_candidate_indexed, Diagnostic};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -202,14 +203,25 @@ pub(crate) struct Inner {
     /// sorted ascending — lookups may binary-search it.
     pub(crate) handles: Vec<u64>,
     pub(crate) next_handle: u64,
-    /// The accepted-operation journal. Entries are `Arc`ed so snapshot
-    /// readers clone pointers, not specs.
-    log: Vec<Arc<AcceptedOp>>,
+    /// The accepted-operation journal: the most recent [`JOURNAL_CAP`]
+    /// operations, oldest first. Entries are `Arc`ed so snapshot readers
+    /// clone pointers, not specs.
+    log: VecDeque<Arc<AcceptedOp>>,
+    /// Operations ever journaled — a non-durable service's sequence
+    /// number; `log` holds the last `min(journaled, JOURNAL_CAP)`.
+    journaled: u64,
     /// Idempotency window: request id -> original outcome.
     pub(crate) dedup: HashMap<u64, DedupEntry>,
     /// Eviction order for `dedup` (front = oldest).
     dedup_order: VecDeque<u64>,
 }
+
+/// What the in-memory journal retains. The journal is what the replay
+/// parity harnesses read; nothing on the serving path does (the WAL is
+/// the durable record), so a long-lived server must not pay ~100 bytes
+/// of heap for every write it ever accepted — at 40k writes a second
+/// that was 4 MB/s. 16k operations cover every harness with room.
+pub const JOURNAL_CAP: usize = 1 << 14;
 
 fn unknown_id(handle: u64) -> Response {
     Response::error("unknown_id", format!("unknown stream id {handle}"))
@@ -295,7 +307,11 @@ impl Inner {
                 (dense, entry)
             }
         };
-        self.log.push(Arc::clone(op));
+        if self.log.len() == JOURNAL_CAP {
+            self.log.pop_front();
+        }
+        self.log.push_back(Arc::clone(op));
+        self.journaled += 1;
         if req_id != 0 {
             self.remember(entry);
         }
@@ -680,12 +696,12 @@ impl AdmissionService {
     }
 
     /// Total accepted operations in this service's history (including
-    /// those recovered from disk). Falls back to the journal length for
+    /// those recovered from disk). Falls back to the journal's count for
     /// a non-durable service.
     pub fn seq(&self) -> u64 {
         match &self.durability {
             Some(d) => d.wal.seq(),
-            None => self.read().log.len() as u64,
+            None => self.read().journaled,
         }
     }
 
@@ -738,11 +754,13 @@ impl AdmissionService {
         self.read().handles.len()
     }
 
-    /// The accepted-operation log, in serialization order. O(log
-    /// length) pointer clones under the shared lock — the op payloads
-    /// themselves are never copied.
+    /// The accepted-operation log, in serialization order: the whole
+    /// history while it is at most [`JOURNAL_CAP`] operations long, the
+    /// most recent `JOURNAL_CAP` after that. O(log length) pointer
+    /// clones under the shared lock — the op payloads themselves are
+    /// never copied.
     pub fn ops(&self) -> Vec<Arc<AcceptedOp>> {
-        self.read().log.clone()
+        self.read().log.iter().cloned().collect()
     }
 
     /// The current cached bounds with their stable ids, in dense order.
@@ -1050,7 +1068,7 @@ impl AdmissionService {
                 // re-linted.
                 let warnings = if client {
                     let members = staged.as_ref().map(|s| s.members.as_slice());
-                    self.lint(&inner, members, &spec)?
+                    self.lint(&inner, members, &spec, path.as_ref())?
                 } else {
                     Vec::new()
                 };
@@ -1148,7 +1166,7 @@ impl AdmissionService {
     fn seq_under(&self, inner: &Inner) -> u64 {
         match &self.durability {
             Some(d) => d.wal.seq(),
-            None => inner.log.len() as u64,
+            None => inner.journaled,
         }
     }
 
@@ -1177,7 +1195,7 @@ impl AdmissionService {
                     // least one channel). An unroutable candidate
                     // touches no shard and ends here (W003/W004).
                     if matches!(origin, Origin::Client { .. }) {
-                        self.lint(&inner, Some(&[]), spec)?;
+                        self.lint(&inner, Some(&[]), spec, None)?;
                     }
                     path.clone().ok_or_else(|| {
                         NotApplied::Refused(Response::error("routing", "routing failed"))
@@ -1271,22 +1289,45 @@ impl AdmissionService {
 
     /// The verifier gate: W0xx rules on the candidate against the
     /// admitted set; error findings refuse it, warnings ride along on
-    /// the answer. `members` is `None` on the serial backend (the lint
-    /// borrows the controller's own `(spec, path)` parts — no cloning,
-    /// no re-routing) and the candidate's neighborhood on the shard
-    /// plane, which produces exactly the same findings: the candidate
-    /// id is its would-be dense id, duplicate detection runs over the
-    /// full spec table, and the pairwise rules run over the members
-    /// (every admitted stream sharing a channel with the candidate)
-    /// with their dense ids.
+    /// the answer. Either backend hands the rules the candidate's
+    /// would-be dense id and its neighbors — every admitted stream
+    /// sharing a channel with it, by ascending dense id — which
+    /// produces exactly the findings of a scan over the whole set.
+    /// `members` is `None` on the serial backend, where the neighbors
+    /// are the occupants of the candidate's `path` in the controller's
+    /// index, borrowed from its own `(spec, path)` parts; an exact
+    /// duplicate has the candidate's endpoints, hence its route, so it
+    /// is among them. On the shard plane `members` is the scanned
+    /// neighborhood and duplicate detection runs over the spec table.
     fn lint(
         &self,
         inner: &Inner,
         members: Option<&[NeighborMember]>,
         spec: &StreamSpec,
+        path: Option<&Path>,
     ) -> Result<Vec<Diagnostic>, NotApplied> {
         let findings = match members {
-            None => lint_candidate_routed(&self.mesh, &XyRouting, inner.ctl.parts(), spec),
+            None => {
+                let (index, parts) = (inner.ctl.index(), inner.ctl.parts());
+                let mut ids: Vec<StreamId> = (path.iter())
+                    .flat_map(|p| p.links())
+                    .flat_map(|&l| index.link_streams(l))
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let neighbors: Vec<(u32, &StreamSpec, &Path)> = (ids.iter())
+                    .map(|id| (id.0, &parts[id.index()].0, &parts[id.index()].1))
+                    .collect();
+                let duplicate = neighbors.iter().find(|(_, s, _)| *s == spec);
+                lint_candidate_indexed(
+                    &self.mesh,
+                    &XyRouting,
+                    parts.len() as u32,
+                    duplicate.map(|&(id, ..)| id),
+                    &neighbors,
+                    spec,
+                )
+            }
             Some(members) => {
                 let cand_id = inner.handles.len() as u32;
                 let duplicate_of = inner.specs.iter().position(|s| s == spec).map(|i| i as u32);
@@ -1715,6 +1756,31 @@ mod tests {
         assert_eq!(svc.admitted_count(), 0);
         let r = admit_line(&svc, "QUERY 0");
         assert!(matches!(r, Response::Error { .. }), "{r:?}");
+    }
+
+    #[test]
+    fn journal_keeps_the_most_recent_operations_and_counts_all() {
+        let svc = service();
+        let rounds = JOURNAL_CAP as u64 / 2 + 3;
+        for id in 0..rounds {
+            let r = admit_line(&svc, "ADMIT 0,0 5,0 2 50 4");
+            assert!(
+                matches!(r, Response::Admitted { id: got, .. } if got == id),
+                "{r:?}"
+            );
+            admit_line(&svc, &format!("REMOVE {id}"));
+        }
+        assert_eq!(svc.seq(), 2 * rounds, "every write counts");
+        let ops = svc.ops();
+        assert_eq!(ops.len(), JOURNAL_CAP, "only the newest are kept");
+        let newest = AcceptedOp::Remove { handle: rounds - 1 };
+        assert_eq!(ops.last().map(|op| &**op), Some(&newest));
+        // Six writes over the cap: admits and removes of ids 0..=2 fell off.
+        assert!(
+            matches!(*ops[0], AcceptedOp::Admit { handle: 3, .. }),
+            "{:?}",
+            ops[0]
+        );
     }
 
     #[test]
