@@ -199,7 +199,7 @@ mod tests {
             .iter()
             .filter(|t| t.completed.is_some())
             .map(|t| {
-                let stream = &set.get(sim.worm(t.packet).stream);
+                let stream = set.get(sim.stats().records[t.packet.index()].stream);
                 (
                     t.packet,
                     (stream.max_length() * stream.path.hops() as u64) as usize,

@@ -9,6 +9,7 @@
 //! bandwidth).
 
 use rtwc_core::Priority;
+use std::cmp::Reverse;
 
 /// The three switching disciplines the evaluation compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,18 +69,17 @@ impl Policy {
         }
     }
 
-    /// Orders pending requests for service: most urgent first, then
-    /// earliest request, then lowest packet index (fully deterministic).
-    /// Classic FIFO ignores urgency.
-    pub fn sort_requests(self, requests: &mut [VcRequest]) {
-        match self {
-            Policy::ClassicFifo => {
-                requests.sort_by_key(|r| (r.since, r.packet));
-            }
-            _ => {
-                requests.sort_by_key(|r| (std::cmp::Reverse(r.class), r.since, r.packet));
-            }
-        }
+    /// The service order of pending requests, as a sort key (smallest
+    /// first): most urgent first, then earliest request, then lowest
+    /// packet index, so the key is unique per request and any sort
+    /// gives the same order. Classic FIFO ignores urgency.
+    pub fn request_key(self, r: &VcRequest) -> (Reverse<u32>, u64, u32) {
+        let class = if self == Policy::ClassicFifo {
+            0
+        } else {
+            r.class
+        };
+        (Reverse(class), r.since, r.packet)
     }
 
     /// The VC a granted request occupies, given the free VCs of the
@@ -106,36 +106,51 @@ impl Policy {
         }
     }
 
-    /// Chooses which VC transmits on the physical channel this cycle.
-    /// `ready` lists `(vc, class)` pairs with a flit ready to cross;
-    /// `rr_pointer` is the channel's round-robin cursor (used by
-    /// [`Policy::LiPriorityVc`] and advanced by the caller).
-    pub fn pick_winner(self, ready: &[(usize, u32)], rr_pointer: usize) -> Option<usize> {
-        if ready.is_empty() {
-            return None;
-        }
+    /// The one statement of the channel arbitration order: whether the
+    /// ready VC `a` is served before the ready VC `b`, each a
+    /// `(vc, class)` pair of the same physical channel, whose
+    /// round-robin cursor is `rr_pointer` (the VC served last; only
+    /// [`Policy::LiPriorityVc`] reads it). The order is total and a
+    /// VC's rank does not depend on its rivals, so folding `prefers`
+    /// over the ready VCs in any order finds the same winner.
+    pub fn prefers(self, a: (usize, u32), b: (usize, u32), rr_pointer: usize) -> bool {
         match self {
+            // Highest class wins; ties (impossible when VC = class,
+            // real for the shared pool) break toward the lower VC
+            // index.
             Policy::PreemptivePriority | Policy::SharedPoolPriority => {
-                // Highest class wins; ties (impossible when VC = class,
-                // real for the shared pool) break toward the lower VC
-                // index.
-                ready
-                    .iter()
-                    .max_by_key(|&&(vc, class)| (class, std::cmp::Reverse(vc)))
-                    .map(|&(vc, _)| vc)
+                (a.1, Reverse(a.0)) > (b.1, Reverse(b.0))
             }
+            // Round-robin: the VC closest after the cursor on a ring
+            // of VC indices (the ring size only has to exceed any real
+            // VC count).
             Policy::LiPriorityVc => {
-                // Round-robin: the ready VC closest after the cursor on
-                // a ring of VC indices (the ring size only has to exceed
-                // any real VC count).
                 const RING: usize = 1 << 16;
-                ready
-                    .iter()
-                    .min_by_key(|&&(vc, _)| (vc + RING - (rr_pointer + 1) % RING) % RING)
-                    .map(|&(vc, _)| vc)
+                let after = |vc: usize| (vc + RING - (rr_pointer + 1) % RING) % RING;
+                after(a.0) < after(b.0)
             }
-            Policy::ClassicFifo => ready.first().map(|&(vc, _)| vc),
+            // One VC per dateline layer and no priorities: the lower
+            // layer goes first.
+            Policy::ClassicFifo => a.0 < b.0,
         }
+    }
+
+    /// Chooses which VC transmits on the physical channel this cycle:
+    /// the fold of [`Policy::prefers`] over `ready`, which lists the
+    /// `(vc, class)` pairs with a flit ready to cross. The caller
+    /// advances the cursor to the winner.
+    pub fn pick_winner(self, ready: &[(usize, u32)], rr_pointer: usize) -> Option<usize> {
+        ready
+            .iter()
+            .copied()
+            .reduce(|best, c| {
+                if self.prefers(c, best, rr_pointer) {
+                    c
+                } else {
+                    best
+                }
+            })
+            .map(|(vc, _)| vc)
     }
 }
 
@@ -194,7 +209,7 @@ mod tests {
     #[test]
     fn request_order_priority_then_fcfs() {
         let p = Policy::PreemptivePriority;
-        let mut reqs = vec![
+        let mut reqs = [
             VcRequest {
                 packet: 1,
                 class: 0,
@@ -211,7 +226,7 @@ mod tests {
                 since: 7,
             },
         ];
-        p.sort_requests(&mut reqs);
+        reqs.sort_by_key(|r| p.request_key(r));
         let order: Vec<u32> = reqs.iter().map(|r| r.packet).collect();
         assert_eq!(order, vec![3, 2, 1]);
     }
@@ -219,7 +234,7 @@ mod tests {
     #[test]
     fn classic_order_is_pure_fcfs() {
         let p = Policy::ClassicFifo;
-        let mut reqs = vec![
+        let mut reqs = [
             VcRequest {
                 packet: 1,
                 class: 0,
@@ -236,7 +251,7 @@ mod tests {
                 since: 7,
             },
         ];
-        p.sort_requests(&mut reqs);
+        reqs.sort_by_key(|r| p.request_key(r));
         let order: Vec<u32> = reqs.iter().map(|r| r.packet).collect();
         assert_eq!(order, vec![1, 3, 2]);
     }
@@ -246,6 +261,51 @@ mod tests {
         let p = Policy::PreemptivePriority;
         assert_eq!(p.pick_winner(&[(0, 0), (2, 2), (1, 1)], 0), Some(2));
         assert_eq!(p.pick_winner(&[], 0), None);
+    }
+
+    /// Every ordering of `items` (Heap's algorithm).
+    fn permutations(items: &[(usize, u32)]) -> Vec<Vec<(usize, u32)>> {
+        fn go(k: usize, a: &mut Vec<(usize, u32)>, out: &mut Vec<Vec<(usize, u32)>>) {
+            if k <= 1 {
+                out.push(a.clone());
+                return;
+            }
+            for i in 0..k {
+                go(k - 1, a, out);
+                a.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+            }
+        }
+        let mut out = Vec::new();
+        go(items.len(), &mut items.to_vec(), &mut out);
+        out
+    }
+
+    #[test]
+    fn winner_is_the_fold_of_prefers_in_any_order() {
+        // Distinct VCs, classes with ties (the shared pool's case).
+        let ready = [(0usize, 2u32), (1, 0), (2, 2), (4, 1), (5, 0)];
+        for p in [
+            Policy::PreemptivePriority,
+            Policy::LiPriorityVc,
+            Policy::ClassicFifo,
+            Policy::SharedPoolPriority,
+        ] {
+            for rr in 0..7 {
+                // The winner is the one VC no rival is preferred to.
+                let champion = ready
+                    .iter()
+                    .find(|&&a| ready.iter().all(|&b| a == b || p.prefers(a, b, rr)))
+                    .map(|&(vc, _)| vc);
+                assert!(champion.is_some(), "{p:?} rr={rr}: order is not total");
+                for perm in permutations(&ready) {
+                    assert_eq!(p.pick_winner(&perm, rr), champion, "{p:?} rr={rr} {perm:?}");
+                }
+            }
+            assert!(
+                !p.prefers(ready[0], ready[0], 0),
+                "{p:?}: prefers is strict"
+            );
+        }
     }
 
     #[test]

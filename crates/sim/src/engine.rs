@@ -1,7 +1,8 @@
 //! The cycle-driven flit-level wormhole simulation engine.
 //!
-//! Each cycle has four phases, all decided against the cycle-start
-//! snapshot so that a flit advances at most one hop per cycle (giving
+//! Each cycle has four phases. Every decision of a phase is made before
+//! any of them is applied, so all of them read the state the cycle
+//! started with and a flit advances at most one hop per cycle (giving
 //! exactly the paper's network latency `L = hops + C - 1` on an idle
 //! network):
 //!
@@ -13,43 +14,59 @@
 //!    (priority class then FCFS for the prioritized schemes, pure FCFS
 //!    for classic wormhole).
 //! 3. **Channel arbitration & transmission** — every physical channel
-//!    independently picks one ready VC ([`Policy::pick_winner`]) and
-//!    moves one flit. Under `PreemptivePriority` the highest-priority
-//!    ready VC always wins: this *is* the paper's flit-level preemption.
+//!    independently serves one ready VC, the one [`Policy::prefers`] to
+//!    all others, and moves one flit. Under `PreemptivePriority` the
+//!    highest-priority ready VC always wins: this *is* the paper's
+//!    flit-level preemption.
 //! 4. **Finalize** — drained VCs are released (a VC is held from head
-//!    allocation until the tail has left its downstream buffer),
-//!    completions are recorded, and the stall watchdog advances.
+//!    allocation until the tail has crossed its channel), completions
+//!    are recorded, and the stall watchdog advances.
+//!
+//! The cycle walks the channels each worm in flight holds (a few per
+//! worm), never the links x VCs of the network, and reuses its own
+//! buffers: its cost follows the flits that move, and it allocates
+//! nothing once the buffers have grown to the traffic's high-water mark.
 
 use crate::arbiter::{Policy, VcRequest};
 use crate::config::SimConfig;
 use crate::stats::{MessageRecord, SimStats};
 use crate::trace::Event;
 use crate::traffic::Source;
-use crate::worm::{PacketId, Worm};
+use crate::worm::{Hop, PacketId, Worm};
 use rtwc_core::StreamSet;
 use wormnet_topology::LinkId;
 
-/// One virtual channel of a physical channel: at most one owning packet
-/// (plus the index of the channel within the owner's route), and the
-/// occupancy of its downstream flit buffer. Occupancy is shared state —
-/// flits of a previous owner may still be draining while a successor
-/// owns the VC, exactly as with credit-based flow control.
+/// One virtual channel of a physical channel: at most one owning
+/// packet, and the occupancy of its downstream flit buffer. Occupancy
+/// is shared state — flits of a previous owner may still be draining
+/// while a successor owns the VC, exactly as with credit-based flow
+/// control.
 #[derive(Clone, Copy, Debug, Default)]
 struct Vc {
-    owner: Option<(PacketId, usize)>,
+    owner: Option<PacketId>,
     occupancy: u64,
 }
 
-/// Per-physical-channel state.
-#[derive(Clone, Debug)]
+/// Per-physical-channel arbitration state.
+#[derive(Clone, Copy, Debug, Default)]
 struct LinkState {
-    vcs: Vec<Vc>,
-    /// Round-robin cursor for [`Policy::LiPriorityVc`].
+    /// Round-robin cursor for [`Policy::LiPriorityVc`]: the VC served last.
     rr: usize,
-    /// VCs currently owned — arbitration skips channels with none
-    /// (most channels are idle most cycles; this is the engine's main
-    /// hot-path filter).
-    owned: u32,
+    /// The cycle `best` belongs to; anything older is stale.
+    stamp: u64,
+    /// The ready VC preferred to every other seen so far this cycle.
+    best: Candidate,
+}
+
+/// A VC with a flit ready to cross its channel.
+#[derive(Clone, Copy, Debug, Default)]
+struct Candidate {
+    /// Index of the owning worm in `Simulator::active`.
+    worm: usize,
+    /// Index of the channel within the worm's route.
+    hop: usize,
+    /// The `(vc, class)` pair [`Policy::prefers`] ranks it by.
+    ready: (usize, u32),
 }
 
 /// A flit-level wormhole network simulator bound to a stream set.
@@ -62,9 +79,13 @@ pub struct Simulator<'a> {
     set: &'a StreamSet,
     cfg: SimConfig,
     time: u64,
+    /// Every VC of every channel, channel by channel (`num_vcs *
+    /// num_layers` each).
+    vcs: Vec<Vc>,
     links: Vec<LinkState>,
-    worms: Vec<Worm>,
-    active: Vec<PacketId>,
+    /// The worms in flight, in release order. One that completes
+    /// leaves only its [`MessageRecord`].
+    active: Vec<Worm<'a>>,
     sources: Vec<Source>,
     /// Per-stream dateline layers (one entry per hop; all zero off-torus).
     stream_layers: Vec<Vec<u8>>,
@@ -72,8 +93,15 @@ pub struct Simulator<'a> {
     idle_cycles: u64,
     stats: SimStats,
     trace: Vec<Event>,
-    /// Scratch: request lists per link touched this cycle.
-    pending: Vec<(LinkId, Vec<VcRequest>)>,
+    /// Scratch: this cycle's VC requests as (channel, request, index of
+    /// the requester in `active`).
+    requests: Vec<(LinkId, VcRequest, usize)>,
+    /// Scratch: which VC classes a requester finds free on its layer.
+    projected: Vec<bool>,
+    /// Scratch: channels with a ready VC this cycle.
+    touched: Vec<LinkId>,
+    /// Progress buffers of completed worms, for the next releases.
+    spare_hops: Vec<Vec<Hop>>,
 }
 
 impl<'a> Simulator<'a> {
@@ -168,19 +196,18 @@ impl<'a> Simulator<'a> {
             vc_wait_cycles: vec![0; set.len()],
             ..SimStats::default()
         };
+        let vcs_per_link = cfg.num_vcs * cfg.num_layers;
+        // Worms name a VC by its index in `vcs`, as a `u32`.
+        if u32::try_from(num_links * vcs_per_link).is_err() {
+            return Err(format!(
+                "{num_links} channels x {vcs_per_link} VCs: too many"
+            ));
+        }
         Ok(Simulator {
             set,
-            cfg: cfg.clone(),
             time: 0,
-            links: vec![
-                LinkState {
-                    vcs: vec![Vc::default(); cfg.num_vcs * cfg.num_layers],
-                    rr: 0,
-                    owned: 0,
-                };
-                num_links
-            ],
-            worms: Vec::new(),
+            vcs: vec![Vc::default(); num_links * vcs_per_link],
+            links: vec![LinkState::default(); num_links],
             active: Vec::new(),
             sources,
             stream_layers: layers.to_vec(),
@@ -188,7 +215,11 @@ impl<'a> Simulator<'a> {
             idle_cycles: 0,
             stats,
             trace: Vec::new(),
-            pending: Vec::new(),
+            requests: Vec::new(),
+            projected: Vec::with_capacity(cfg.num_vcs),
+            touched: Vec::new(),
+            spare_hops: Vec::new(),
+            cfg,
         })
     }
 
@@ -216,7 +247,6 @@ impl<'a> Simulator<'a> {
                 break;
             }
         }
-        self.stats.cycles_run = self.time;
         &self.stats
     }
 
@@ -231,214 +261,20 @@ impl<'a> Simulator<'a> {
             }
             self.step();
         }
-        self.stats.cycles_run = self.time;
         &self.stats
     }
 
     /// Advances the simulation by one cycle.
     pub fn step(&mut self) {
         self.time += 1;
+        self.stats.cycles_run = self.time;
         let now = self.time;
-
-        // Phase 1: releases (messages released at r participate from
-        // cycle r + 1).
         if !self.releases_frozen {
-            for si in 0..self.sources.len() {
-                for r in self.sources[si].releases_through(now - 1) {
-                    let stream = self.set.get(self.sources[si].stream);
-                    let id = PacketId(self.worms.len() as u32);
-                    let class = self
-                        .cfg
-                        .policy
-                        .class_of(stream.priority(), self.cfg.num_vcs);
-                    self.worms.push(Worm::new(
-                        id,
-                        stream.id,
-                        class,
-                        stream.max_length(),
-                        stream.path.links().to_vec(),
-                        self.stream_layers[stream.id.index()].clone(),
-                        r,
-                    ));
-                    self.active.push(id);
-                    self.stats.records.push(MessageRecord {
-                        stream: stream.id,
-                        released: r,
-                        completed: None,
-                    });
-                    if self.cfg.trace {
-                        self.trace.push(Event::Released {
-                            time: now,
-                            packet: id,
-                        });
-                    }
-                }
-            }
+            self.release(now);
         }
-
-        // Phase 2: snapshot, then VC allocation.
-        for &id in &self.active {
-            self.worms[id.index()].snapshot();
-        }
-        self.pending.clear();
-        for &id in &self.active {
-            let w = &mut self.worms[id.index()];
-            if w.completed.is_some() || w.next_link().is_none() || !w.head_ready() {
-                continue;
-            }
-            let link = w.next_link().unwrap();
-            let since = *w.requesting_since.get_or_insert(now);
-            match self.pending.iter_mut().find(|(l, _)| *l == link) {
-                Some((_, reqs)) => reqs.push(VcRequest {
-                    packet: id.0,
-                    class: w.class,
-                    since,
-                }),
-                None => self.pending.push((
-                    link,
-                    vec![VcRequest {
-                        packet: id.0,
-                        class: w.class,
-                        since,
-                    }],
-                )),
-            }
-        }
-        // Deterministic link processing order.
-        self.pending.sort_by_key(|(l, _)| *l);
-        let mut pending = std::mem::take(&mut self.pending);
-        for (link, reqs) in &mut pending {
-            self.cfg.policy.sort_requests(reqs);
-            let state = &mut self.links[link.index()];
-            let nl = self.cfg.num_layers;
-            let mut free: Vec<bool> = state.vcs.iter().map(|vc| vc.owner.is_none()).collect();
-            for req in reqs.iter() {
-                let pid = PacketId(req.packet);
-                // Policies see only the requester's dateline layer: one
-                // free slot per priority class.
-                let layer =
-                    self.worms[pid.index()].layers[self.worms[pid.index()].acquired] as usize;
-                let projected: Vec<bool> = (0..self.cfg.num_vcs)
-                    .map(|c| free[c * nl + layer])
-                    .collect();
-                if let Some(class_vc) = self.cfg.policy.pick_vc(req.class, &projected) {
-                    let vc = class_vc * nl + layer;
-                    free[vc] = false;
-                    let w = &mut self.worms[pid.index()];
-                    state.vcs[vc].owner = Some((pid, w.acquired));
-                    state.owned += 1;
-                    w.vcs.push(vc);
-                    w.acquired += 1;
-                    w.requesting_since = None;
-                    if self.cfg.trace {
-                        self.trace.push(Event::VcGranted {
-                            time: now,
-                            packet: pid,
-                            link: *link,
-                            vc,
-                        });
-                    }
-                }
-            }
-        }
-        self.pending = pending;
-
-        // Unserved requesters accumulate VC-wait time (the blocking the
-        // priority-inversion analysis cares about).
-        for &id in &self.active {
-            let w = &self.worms[id.index()];
-            if w.requesting_since.is_some() {
-                self.stats.vc_wait_cycles[w.stream.index()] += 1;
-            }
-        }
-
-        // Phase 3: channel arbitration (decisions on pre-move state),
-        // then apply all moves. `Vc::occupancy` is only mutated in the
-        // apply loop, so reads during arbitration see cycle-start
-        // credit state.
-        let mut moves: Vec<(PacketId, usize, LinkId)> = Vec::new();
-        let depth = self.cfg.buffer_depth as u64;
-        for (li, link) in self.links.iter().enumerate() {
-            if link.owned == 0 {
-                continue;
-            }
-            let mut ready: Vec<(usize, u32)> = Vec::new();
-            for (vi, vc) in link.vcs.iter().enumerate() {
-                if let Some((pid, ri)) = vc.owner {
-                    let w = &self.worms[pid.index()];
-                    // Downstream credit: the flit needs a buffer slot
-                    // unless this is the worm's final hop (ejection).
-                    let has_credit = !w.enters_buffer(ri) || vc.occupancy < depth;
-                    if w.wants_cross(ri) && has_credit {
-                        ready.push((vi, w.class));
-                    }
-                }
-            }
-            if let Some(win) = self.cfg.policy.pick_winner(&ready, link.rr) {
-                let (pid, ri) = link.vcs[win].owner.expect("winner has owner");
-                moves.push((pid, ri, LinkId(li as u32)));
-            }
-        }
-        let moved = !moves.is_empty();
-        for (pid, ri, link) in moves {
-            // Advance the round-robin cursor of the serving channel.
-            let vc_here = self.worms[pid.index()].vcs[ri];
-            self.links[link.index()].rr = vc_here;
-            // Credit bookkeeping: the flit leaves the buffer of the
-            // previous channel and (unless ejected) enters this one's.
-            if ri > 0 {
-                let prev_link = self.worms[pid.index()].route[ri - 1];
-                let prev_vc = self.worms[pid.index()].vcs[ri - 1];
-                let occ = &mut self.links[prev_link.index()].vcs[prev_vc].occupancy;
-                debug_assert!(*occ > 0, "flit departed an empty buffer");
-                *occ -= 1;
-            }
-            if self.worms[pid.index()].enters_buffer(ri) {
-                self.links[link.index()].vcs[vc_here].occupancy += 1;
-            }
-            self.worms[pid.index()].apply_cross(ri);
-            self.stats.flit_hops += 1;
-            self.stats.link_flits[link.index()] += 1;
-            if self.cfg.trace {
-                self.trace.push(Event::FlitCrossed {
-                    time: now,
-                    packet: pid,
-                    link,
-                });
-            }
-        }
-
-        // Phase 4: VC release, completion, watchdog.
-        let mut still_active = Vec::with_capacity(self.active.len());
-        for &id in &self.active {
-            let w = &mut self.worms[id.index()];
-            for i in 0..w.acquired {
-                if w.vc_releasable(i) {
-                    let link = w.route[i];
-                    let vc = w.vcs[i];
-                    let state = &mut self.links[link.index()];
-                    if state.vcs[vc].owner == Some((id, i)) {
-                        state.vcs[vc].owner = None;
-                        state.owned -= 1;
-                    }
-                }
-            }
-            if w.completed.is_none() && w.is_done() {
-                w.completed = Some(now);
-                self.stats.records[id.index()].completed = Some(now);
-                if self.cfg.trace {
-                    self.trace.push(Event::Completed {
-                        time: now,
-                        packet: id,
-                    });
-                }
-            }
-            if w.completed.is_none() {
-                still_active.push(id);
-            }
-        }
-        self.active = still_active;
-
+        self.allocate_vcs(now);
+        let moved = self.transmit(now);
+        self.finalize(now);
         if moved || self.active.is_empty() {
             self.idle_cycles = 0;
         } else {
@@ -447,6 +283,177 @@ impl<'a> Simulator<'a> {
                 self.stats.stalled_at = Some(now);
             }
         }
+    }
+
+    /// Phase 1: messages released at `r` participate from cycle `r + 1`.
+    fn release(&mut self, now: u64) {
+        let (set, cfg) = (self.set, &self.cfg);
+        for (source, stream) in self.sources.iter_mut().zip(set.iter()) {
+            for released in source.releases_through(now - 1) {
+                let id = PacketId(self.stats.records.len() as u32);
+                let class = cfg.policy.class_of(stream.priority(), cfg.num_vcs);
+                self.active.push(Worm::new(
+                    id,
+                    stream.id,
+                    class,
+                    stream.max_length(),
+                    stream.path.links(),
+                    self.spare_hops.pop().unwrap_or_default(),
+                ));
+                self.stats.records.push(MessageRecord {
+                    stream: stream.id,
+                    released,
+                    completed: None,
+                });
+                if cfg.trace {
+                    self.trace.push(Event::Released {
+                        time: now,
+                        packet: id,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Phase 2: every head flit positioned to enter its next channel
+    /// requests a VC there; each channel serves its requests in
+    /// [`Policy::request_key`] order against its VC owners, which the
+    /// grants update as they go. Channels go in ascending order, so the
+    /// trace is deterministic.
+    fn allocate_vcs(&mut self, now: u64) {
+        self.requests.clear();
+        for (k, w) in self.active.iter_mut().enumerate() {
+            if let Some(link) = w.next_link().filter(|_| w.head_ready()) {
+                let request = VcRequest {
+                    packet: w.id.0,
+                    class: w.class,
+                    since: *w.requesting_since.get_or_insert(now),
+                };
+                self.requests.push((link, request, k));
+            }
+        }
+        let policy = self.cfg.policy;
+        self.requests
+            .sort_unstable_by_key(|(link, r, _)| (*link, policy.request_key(r)));
+        let (classes, layers) = (self.cfg.num_vcs, self.cfg.num_layers);
+        for &(link, request, k) in &self.requests {
+            let w = &mut self.active[k];
+            // Policies see only the requester's dateline layer: one
+            // slot per priority class.
+            let layer = self.stream_layers[w.stream.index()][w.acquired] as usize;
+            let first = link.index() * classes * layers;
+            let link_vcs = &mut self.vcs[first..first + classes * layers];
+            self.projected.clear();
+            self.projected
+                .extend((0..classes).map(|c| link_vcs[c * layers + layer].owner.is_none()));
+            match policy.pick_vc(request.class, &self.projected) {
+                Some(class_vc) => {
+                    let vc = class_vc * layers + layer;
+                    link_vcs[vc].owner = Some(w.id);
+                    w.grant((first + vc) as u32);
+                    if self.cfg.trace {
+                        self.trace.push(Event::VcGranted {
+                            time: now,
+                            packet: w.id,
+                            link,
+                            vc,
+                        });
+                    }
+                }
+                // Unserved requesters accumulate VC-wait time (the
+                // blocking the priority-inversion analysis cares about).
+                None => self.stats.vc_wait_cycles[w.stream.index()] += 1,
+            }
+        }
+    }
+
+    /// Phase 3: each channel serves the one ready VC its policy prefers
+    /// and moves one flit; returns whether any flit moved. Arbitration
+    /// folds over the channels the active worms hold, keeping one
+    /// candidate per channel; `Vc::occupancy` and the worms' progress
+    /// are only mutated once every channel is decided, so arbitration
+    /// reads cycle-start credit state.
+    fn transmit(&mut self, now: u64) -> bool {
+        let depth = self.cfg.buffer_depth as u64;
+        let policy = self.cfg.policy;
+        let vcs_per_link = self.cfg.num_vcs * self.cfg.num_layers;
+        self.touched.clear();
+        for (worm, w) in self.active.iter().enumerate() {
+            for (hop, progress) in w.ready_hops() {
+                // Downstream credit: the flit needs a buffer slot
+                // unless this is the worm's final hop (ejection).
+                if w.enters_buffer(hop) && self.vcs[progress.slot as usize].occupancy >= depth {
+                    continue;
+                }
+                let link = w.route[hop];
+                let state = &mut self.links[link.index()];
+                let vc = progress.slot as usize - link.index() * vcs_per_link;
+                let ready = (vc, w.class);
+                if state.stamp != now {
+                    state.stamp = now;
+                    self.touched.push(link);
+                } else if !policy.prefers(ready, state.best.ready, state.rr) {
+                    continue;
+                }
+                state.best = Candidate { worm, hop, ready };
+            }
+        }
+        // The moves commute; only the trace records their order.
+        if self.cfg.trace {
+            self.touched.sort_unstable();
+        }
+        for &link in &self.touched {
+            let state = &mut self.links[link.index()];
+            let Candidate { worm, hop, ready } = state.best;
+            // Advance the round-robin cursor of the serving channel.
+            state.rr = ready.0;
+            let w = &mut self.active[worm];
+            // Credit bookkeeping: the flit leaves the buffer of the
+            // previous channel and (unless ejected) enters this one's.
+            if hop > 0 {
+                let upstream = &mut self.vcs[w.hops[hop - 1].slot as usize];
+                debug_assert!(upstream.occupancy > 0, "flit departed an empty buffer");
+                upstream.occupancy -= 1;
+            }
+            if w.enters_buffer(hop) {
+                self.vcs[w.hops[hop].slot as usize].occupancy += 1;
+            }
+            w.apply_cross(hop);
+            self.stats.link_flits[link.index()] += 1;
+            if self.cfg.trace {
+                self.trace.push(Event::FlitCrossed {
+                    time: now,
+                    packet: w.id,
+                    link,
+                });
+            }
+        }
+        self.stats.flit_hops += self.touched.len() as u64;
+        !self.touched.is_empty()
+    }
+
+    /// Phase 4: VC release and completion. Only the channel at a worm's
+    /// `tail` can have just carried its last flit.
+    fn finalize(&mut self, now: u64) {
+        self.active.retain_mut(|w| {
+            while let Some(hop) = w.advance_tail() {
+                let vc = &mut self.vcs[w.hops[hop].slot as usize];
+                debug_assert_eq!(vc.owner, Some(w.id), "tail passed a VC of another worm");
+                vc.owner = None;
+            }
+            if !w.is_done() {
+                return true;
+            }
+            self.spare_hops.push(std::mem::take(&mut w.hops));
+            self.stats.records[w.id.index()].completed = Some(now);
+            if self.cfg.trace {
+                self.trace.push(Event::Completed {
+                    time: now,
+                    packet: w.id,
+                });
+            }
+            false
+        });
     }
 
     /// Packets currently in flight (diagnostics).
@@ -472,20 +479,18 @@ impl<'a> Simulator<'a> {
         for e in &self.trace {
             if let Event::FlitCrossed { time, packet, .. } = *e {
                 if time >= from && time <= to {
-                    let stream = self.worms[packet.index()].stream;
+                    let stream = self.stats.records[packet.index()].stream;
                     moved[stream.index()][(time - from) as usize] = true;
                 }
             }
         }
         // Per stream, per cycle: was some message in flight?
         let mut in_flight = vec![vec![false; width]; self.set.len()];
-        for w in &self.worms {
-            let start = (w.released + 1).max(from);
-            let end = w.completed.unwrap_or(u64::MAX).min(to);
-            for t in start..=end.min(to) {
-                if t >= from {
-                    in_flight[w.stream.index()][(t - from) as usize] = true;
-                }
+        for r in &self.stats.records {
+            let start = (r.released + 1).max(from);
+            let end = r.completed.unwrap_or(u64::MAX).min(to);
+            for t in start..=end {
+                in_flight[r.stream.index()][(t - from) as usize] = true;
             }
         }
         let mut out = String::new();
@@ -504,11 +509,6 @@ impl<'a> Simulator<'a> {
             out.push('\n');
         }
         out
-    }
-
-    /// Read access to a worm (diagnostics, tests).
-    pub fn worm(&self, id: PacketId) -> &Worm {
-        &self.worms[id.index()]
     }
 }
 
@@ -845,6 +845,81 @@ mod tests {
         let sim =
             Simulator::new(m.num_links(), &set, SimConfig::paper(1).with_cycles(10, 0)).unwrap();
         let _ = sim.render_gantt(1, 5);
+    }
+
+    /// Every VC is owned by exactly the worm that holds it (the channels
+    /// `tail..acquired` of a worm in flight, nothing behind its tail),
+    /// and no buffer is over its depth.
+    fn assert_vc_invariants(sim: &Simulator<'_>) {
+        let mut held = 0;
+        for w in &sim.active {
+            for (i, hop) in w.hops[..w.acquired].iter().enumerate() {
+                let owner = sim.vcs[hop.slot as usize].owner;
+                if i < w.tail {
+                    assert_ne!(owner, Some(w.id), "{:?}: tail passed an owned VC", w.id);
+                } else {
+                    assert_eq!(owner, Some(w.id), "{:?} lost the VC of hop {i}", w.id);
+                    held += 1;
+                }
+            }
+        }
+        let owned = sim.vcs.iter().filter(|vc| vc.owner.is_some()).count();
+        assert_eq!(owned, held, "a VC is owned by a worm that does not hold it");
+        let depth = sim.cfg.buffer_depth as u64;
+        assert!(sim.vcs.iter().all(|vc| vc.occupancy <= depth));
+    }
+
+    #[test]
+    fn tail_never_passes_an_owned_vc() {
+        // Same-class streams queueing for the VCs of two shared rows,
+        // crossed by a column: every policy, starved and roomy buffers.
+        // (Debug builds also assert the owner at every release.)
+        let m = mesh();
+        let set = resolve(
+            &m,
+            &[
+                spec(&m, [0, 0], [7, 0], 1, 30, 12),
+                spec(&m, [1, 0], [8, 0], 1, 30, 12),
+                spec(&m, [2, 0], [9, 0], 3, 45, 6),
+                spec(&m, [0, 1], [6, 1], 2, 25, 9),
+                spec(&m, [1, 1], [7, 1], 2, 25, 9),
+                spec(&m, [4, 0], [4, 5], 3, 20, 5),
+            ],
+        );
+        for cfg in [
+            SimConfig::paper(3),
+            SimConfig::li(3),
+            SimConfig::classic(),
+            SimConfig::shared_pool(2),
+        ] {
+            for depth in [1, 4] {
+                let cfg = cfg.clone().with_buffer_depth(depth);
+                let mut sim = Simulator::new(m.num_links(), &set, cfg).unwrap();
+                for _ in 0..1_500 {
+                    sim.step();
+                    assert_vc_invariants(&sim);
+                }
+                assert!(sim.stats().total_completed() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn stepping_by_hand_counts_cycles() {
+        // `run` and `drain` are not the only drivers: a caller stepping
+        // the simulator itself must read true utilizations too.
+        let m = mesh();
+        let set = resolve(&m, &[spec(&m, [0, 0], [4, 0], 1, 50, 3)]);
+        let mut sim = Simulator::new(m.num_links(), &set, SimConfig::paper(1)).unwrap();
+        for _ in 0..100 {
+            sim.step();
+        }
+        assert_eq!(sim.stats().cycles_run, 100);
+        let (link, util) = sim.stats().hottest_link().expect("flits moved");
+        assert_eq!(util, 0.06, "two messages of three flits in 100 cycles");
+        assert_eq!(sim.stats().link_utilization(link), util);
+        sim.drain(1_000);
+        assert_eq!(sim.stats().cycles_run, sim.time());
     }
 
     #[test]

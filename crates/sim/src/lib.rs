@@ -70,4 +70,4 @@ pub use engine::Simulator;
 pub use stats::{MessageRecord, SimStats};
 pub use trace::Event;
 pub use traffic::Source;
-pub use worm::{PacketId, Worm};
+pub use worm::{Hop, PacketId, Worm};

@@ -10,9 +10,10 @@ pub struct Source {
     /// The stream this source feeds.
     pub stream: StreamId,
     period: u64,
-    phase: u64,
-    /// Index of the next message to release.
-    next_k: u64,
+    /// Release time of the next message.
+    next: u64,
+    /// Messages released so far.
+    released: u64,
 }
 
 impl Source {
@@ -21,29 +22,33 @@ impl Source {
         Source {
             stream: stream.id,
             period: stream.period(),
-            phase,
-            next_k: 0,
+            next: phase,
+            released: 0,
         }
     }
 
     /// The release time of the next message.
     pub fn next_release(&self) -> u64 {
-        self.phase + self.next_k * self.period
+        self.next
     }
 
-    /// Pops every release time `<= now`, in order.
-    pub fn releases_through(&mut self, now: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        while self.next_release() <= now {
-            out.push(self.next_release());
-            self.next_k += 1;
-        }
-        out
+    /// Pops every release time `<= now`, in order, as the iterator is
+    /// advanced (nothing is collected, so a cycle without a release
+    /// costs one comparison).
+    pub fn releases_through(&mut self, now: u64) -> impl Iterator<Item = u64> + '_ {
+        std::iter::from_fn(move || {
+            let release = self.next;
+            (release <= now).then(|| {
+                self.next += self.period;
+                self.released += 1;
+                release
+            })
+        })
     }
 
     /// Messages released so far.
     pub fn released_count(&self) -> u64 {
-        self.next_k
+        self.released
     }
 }
 
@@ -75,7 +80,7 @@ mod tests {
         let set = one_stream(10);
         let mut src = Source::new(set.get(StreamId(0)), 0);
         assert_eq!(src.next_release(), 0);
-        assert_eq!(src.releases_through(25), vec![0, 10, 20]);
+        assert_eq!(src.releases_through(25).collect::<Vec<_>>(), [0, 10, 20]);
         assert_eq!(src.next_release(), 30);
         assert_eq!(src.released_count(), 3);
     }
@@ -84,14 +89,14 @@ mod tests {
     fn phase_shifts_schedule() {
         let set = one_stream(10);
         let mut src = Source::new(set.get(StreamId(0)), 7);
-        assert_eq!(src.releases_through(25), vec![7, 17]);
+        assert_eq!(src.releases_through(25).collect::<Vec<_>>(), [7, 17]);
     }
 
     #[test]
     fn no_releases_before_phase() {
         let set = one_stream(10);
         let mut src = Source::new(set.get(StreamId(0)), 50);
-        assert!(src.releases_through(49).is_empty());
-        assert_eq!(src.releases_through(50), vec![50]);
+        assert_eq!(src.releases_through(49).count(), 0);
+        assert_eq!(src.releases_through(50).collect::<Vec<_>>(), [50]);
     }
 }

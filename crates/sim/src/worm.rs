@@ -15,6 +15,16 @@ impl PacketId {
     }
 }
 
+/// A worm's progress over one channel of its route.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Hop {
+    /// Flits that have crossed the channel.
+    pub crossed: u64,
+    /// The VC held on the channel, as an index into the simulator's
+    /// table of all VCs of all channels (meaningful once acquired).
+    pub slot: u32,
+}
+
 /// One message instance worming through the network.
 ///
 /// Rather than materializing individual flits, a worm tracks how many
@@ -22,11 +32,21 @@ impl PacketId {
 /// flit positions are all derivable from those counters:
 ///
 /// * flits resident in the VC buffer at the downstream end of channel
-///   `i` = `crossed[i] - drained(i+1)`;
+///   `i` = `hops[i].crossed - hops[i + 1].crossed`;
 /// * the head has reached channel `i`'s downstream router iff
-///   `crossed[i] > 0`.
+///   `hops[i].crossed > 0`.
+///
+/// The counters never decrease along the route, so the channels the
+/// whole message has crossed (`crossed == length`) are a prefix of it.
+/// The worm holds a VC on exactly the channels `tail..acquired`: the
+/// engine releases a channel's VC in the cycle its tail flit crosses,
+/// which is when `tail` moves past it.
+///
+/// A cycle's decisions all read the worm before any of them is applied
+/// ([`Worm::apply_cross`] runs after the last), so they see its
+/// cycle-start state and a flit advances at most one hop per cycle.
 #[derive(Clone, Debug)]
-pub struct Worm {
+pub struct Worm<'a> {
     /// Simulator packet index.
     pub id: PacketId,
     /// The stream this message belongs to.
@@ -35,71 +55,50 @@ pub struct Worm {
     pub class: u32,
     /// Message length in flits (`C_i` of the stream).
     pub length: u64,
-    /// The deterministic route, from the stream's path.
-    pub route: Vec<LinkId>,
-    /// Dateline layer per hop (all zero except on tori; see
-    /// `Torus::dateline_layers`).
-    pub layers: Vec<u8>,
-    /// Release (generation) time.
-    pub released: u64,
-    /// Channels `route[0..acquired]` hold a VC owned by this worm.
+    /// The deterministic route: the channels of the stream's path.
+    pub route: &'a [LinkId],
+    /// Channels `route[..tail]` have carried the whole message and
+    /// their VCs are released.
+    pub tail: usize,
+    /// Channels `route[tail..acquired]` hold a VC owned by this worm.
     pub acquired: usize,
-    /// The VC index held on each acquired channel.
-    pub vcs: Vec<usize>,
-    /// Flits that have crossed each channel (current state).
-    pub crossed: Vec<u64>,
-    /// Snapshot of `crossed` at the start of the current cycle; all
-    /// movement decisions read this so that a flit advances at most one
-    /// hop per cycle.
-    pub crossed_prev: Vec<u64>,
-    /// Cycle the tail flit crossed the final channel, once done.
-    pub completed: Option<u64>,
+    /// Progress per channel of the route.
+    pub hops: Vec<Hop>,
     /// When the worm started waiting for its next VC (FCFS tie-break).
     pub requesting_since: Option<u64>,
 }
 
-impl Worm {
+impl<'a> Worm<'a> {
     /// A freshly released message: nothing acquired, nothing crossed.
+    /// `hops` is any buffer to reuse for the per-channel progress.
     pub fn new(
         id: PacketId,
         stream: StreamId,
         class: u32,
         length: u64,
-        route: Vec<LinkId>,
-        layers: Vec<u8>,
-        released: u64,
+        route: &'a [LinkId],
+        mut hops: Vec<Hop>,
     ) -> Self {
         assert!(!route.is_empty(), "worm route must cross a channel");
         assert!(length > 0, "worm must carry at least one flit");
-        assert_eq!(route.len(), layers.len(), "one layer per hop");
-        let hops = route.len();
+        hops.clear();
+        hops.resize(route.len(), Hop::default());
         Worm {
             id,
             stream,
             class,
             length,
             route,
-            layers,
-            released,
+            tail: 0,
             acquired: 0,
-            vcs: Vec::with_capacity(hops),
-            crossed: vec![0; hops],
-            crossed_prev: vec![0; hops],
-            completed: None,
+            hops,
             requesting_since: None,
         }
     }
 
-    /// Number of channels in the route.
-    #[inline]
-    pub fn hops(&self) -> usize {
-        self.route.len()
-    }
-
     /// The next channel whose VC the head must acquire, if any.
     pub fn next_link(&self) -> Option<LinkId> {
-        (self.acquired < self.route.len() && self.completed.is_none())
-            .then(|| self.route[self.acquired])
+        self.route.get(self.acquired).copied()
     }
 
     /// True when the head flit is positioned to request the VC of
@@ -109,29 +108,35 @@ impl Worm {
     pub fn head_ready(&self) -> bool {
         match self.acquired {
             0 => true,
-            i => self.crossed_prev[i - 1] > 0,
+            i => self.hops[i - 1].crossed > 0,
         }
     }
 
-    /// Flits available (as of the cycle-start snapshot) to cross channel
-    /// `i` of the route: uninjected flits for `i == 0`, otherwise flits
-    /// resident upstream of channel `i`.
-    pub fn available_upstream(&self, i: usize) -> u64 {
-        if i == 0 {
-            self.length - self.crossed_prev[0]
-        } else {
-            self.crossed_prev[i - 1] - self.crossed_prev[i]
-        }
+    /// Records the grant of the VC `slot` on the next channel of the
+    /// route.
+    pub fn grant(&mut self, slot: u32) {
+        self.hops[self.acquired].slot = slot;
+        self.acquired += 1;
+        self.requesting_since = None;
     }
 
-    /// True when this worm wants (and is internally able) to cross a
-    /// flit over channel `i` this cycle: the channel's VC is held, the
-    /// message is not yet fully across it, and a flit is available
-    /// upstream. The engine additionally checks downstream buffer
-    /// credit (which is per-VC state shared with previous owners, so it
-    /// lives in the engine, not here).
-    pub fn wants_cross(&self, i: usize) -> bool {
-        i < self.acquired && self.crossed[i] < self.length && self.available_upstream(i) > 0
+    /// The channels this worm wants (and is internally able) to cross a
+    /// flit over this cycle, as `(index in the route, progress)`: those
+    /// whose VC is held and that have a flit upstream (uninjected for
+    /// channel 0, otherwise resident in the previous channel's buffer).
+    /// The engine additionally checks downstream buffer credit (which
+    /// is per-VC state shared with previous owners, so it lives in the
+    /// engine, not here).
+    pub fn ready_hops(&self) -> impl Iterator<Item = (usize, &Hop)> {
+        // Everything before `tail` has carried the whole message, so
+        // `length` flits are (or were) upstream of the first held hop.
+        let mut upstream = self.length;
+        let held = self.tail..self.acquired;
+        held.clone().zip(&self.hops[held]).filter(move |(_, hop)| {
+            let ready = upstream > hop.crossed;
+            upstream = hop.crossed;
+            ready
+        })
     }
 
     /// True when crossing channel `i` deposits the flit into the VC
@@ -143,29 +148,30 @@ impl Worm {
 
     /// Records a flit crossing channel `i` (applied after all decisions).
     pub fn apply_cross(&mut self, i: usize) {
-        debug_assert!(self.crossed[i] < self.length);
-        self.crossed[i] += 1;
+        debug_assert!(self.hops[i].crossed < self.length);
+        self.hops[i].crossed += 1;
     }
 
-    /// True when the VC held on channel `i` can be released: the tail
-    /// flit has been transmitted across the channel. (Residual flits
-    /// still draining from the downstream buffer are accounted by the
-    /// engine's per-VC occupancy counters, exactly like credit-based
-    /// flow control in a real VC router — a successor packet may own
-    /// the VC while the predecessor's tail is still buffered, it just
-    /// cannot overfill the buffer.)
-    pub fn vc_releasable(&self, i: usize) -> bool {
-        i < self.acquired && self.crossed[i] == self.length
+    /// Moves `tail` past the channel it points at if that channel's VC
+    /// can be released, returning the channel's index: the tail flit
+    /// has been transmitted across it. (Residual flits still draining
+    /// from the downstream buffer are accounted by the engine's per-VC
+    /// occupancy counters, exactly like credit-based flow control in a
+    /// real VC router — a successor packet may own the VC while the
+    /// predecessor's tail is still buffered, it just cannot overfill
+    /// the buffer.)
+    pub fn advance_tail(&mut self) -> Option<usize> {
+        let i = self.tail;
+        (i < self.acquired && self.hops[i].crossed == self.length).then(|| {
+            self.tail += 1;
+            i
+        })
     }
 
-    /// True when the tail has crossed the final channel.
+    /// True when the tail has crossed the final channel and `tail` has
+    /// caught up with it.
     pub fn is_done(&self) -> bool {
-        *self.crossed.last().unwrap() == self.length
-    }
-
-    /// Copies current progress into the cycle-start snapshot.
-    pub fn snapshot(&mut self) {
-        self.crossed_prev.copy_from_slice(&self.crossed);
+        self.tail == self.route.len()
     }
 }
 
@@ -173,9 +179,20 @@ impl Worm {
 mod tests {
     use super::*;
 
-    fn worm(hops: usize, len: u64) -> Worm {
-        let route: Vec<LinkId> = (0..hops as u32).map(LinkId).collect();
-        Worm::new(PacketId(0), StreamId(0), 1, len, route, vec![0; hops], 0)
+    const ROUTE: [LinkId; 3] = [LinkId(0), LinkId(1), LinkId(2)];
+
+    fn worm(hops: usize, len: u64) -> Worm<'static> {
+        Worm::new(PacketId(0), StreamId(0), 1, len, &ROUTE[..hops], Vec::new())
+    }
+
+    fn set_crossed(w: &mut Worm<'_>, crossed: &[u64]) {
+        for (hop, &c) in w.hops.iter_mut().zip(crossed) {
+            hop.crossed = c;
+        }
+    }
+
+    fn ready(w: &Worm<'_>) -> Vec<usize> {
+        w.ready_hops().map(|(i, _)| i).collect()
     }
 
     #[test]
@@ -183,28 +200,42 @@ mod tests {
         let w = worm(3, 4);
         assert_eq!(w.next_link(), Some(LinkId(0)));
         assert!(w.head_ready());
-        assert_eq!(w.available_upstream(0), 4);
         assert!(!w.is_done());
     }
 
     #[test]
     fn cannot_cross_unacquired_link() {
         let w = worm(3, 4);
-        assert!(!w.wants_cross(0), "no VC held yet");
+        assert!(ready(&w).is_empty(), "no VC held yet");
+    }
+
+    #[test]
+    fn reused_buffer_starts_clean() {
+        let stale = vec![
+            Hop {
+                crossed: 9,
+                slot: 3
+            };
+            5
+        ];
+        let w = Worm::new(PacketId(0), StreamId(0), 1, 4, &ROUTE[..2], stale);
+        assert_eq!(w.hops, vec![Hop::default(); 2]);
     }
 
     #[test]
     fn pipeline_counters() {
         let mut w = worm(3, 4);
-        w.acquired = 2;
-        w.vcs = vec![0, 0];
-        // Simulate: 3 flits crossed link 0, 1 crossed link 1.
-        w.crossed = vec![3, 1, 0];
-        w.snapshot();
-        assert_eq!(w.available_upstream(1), 2);
-        assert!(w.wants_cross(0));
-        assert!(w.wants_cross(1));
-        assert!(!w.wants_cross(2), "link 2 not acquired");
+        w.grant(0);
+        w.grant(0);
+        // 3 flits crossed link 0, 1 crossed link 1.
+        set_crossed(&mut w, &[3, 1, 0]);
+        assert_eq!(ready(&w), vec![0, 1], "link 2 not acquired");
+        // The buffer between links 0 and 1 drains: nothing upstream of
+        // link 1, one flit still to inject over link 0.
+        set_crossed(&mut w, &[3, 3, 0]);
+        assert_eq!(ready(&w), vec![0]);
+        w.grant(0);
+        assert_eq!(ready(&w), vec![0, 2]);
         assert!(w.enters_buffer(0));
         assert!(w.enters_buffer(1));
         assert!(!w.enters_buffer(2), "final hop ejects");
@@ -213,28 +244,39 @@ mod tests {
     #[test]
     fn head_ready_after_crossing_previous() {
         let mut w = worm(3, 4);
-        w.acquired = 1;
-        w.vcs = vec![0];
+        w.grant(0);
         assert_eq!(w.next_link(), Some(LinkId(1)));
         assert!(!w.head_ready(), "head not yet across link 0");
-        w.crossed = vec![1, 0, 0];
-        w.snapshot();
+        w.apply_cross(0);
         assert!(w.head_ready());
     }
 
     #[test]
     fn release_and_completion() {
         let mut w = worm(2, 3);
-        w.acquired = 2;
-        w.vcs = vec![0, 0];
-        w.crossed = vec![2, 1];
-        assert!(!w.vc_releasable(0), "tail not yet across link 0");
-        w.crossed = vec![3, 2];
-        assert!(w.vc_releasable(0), "tail transmitted across link 0");
-        assert!(!w.vc_releasable(1));
-        w.crossed = vec![3, 3];
-        assert!(w.vc_releasable(1), "tail ejected at destination");
+        w.grant(0);
+        w.grant(0);
+        set_crossed(&mut w, &[2, 1]);
+        assert_eq!(w.advance_tail(), None, "tail not yet across link 0");
+        set_crossed(&mut w, &[3, 2]);
+        assert_eq!(w.advance_tail(), Some(0), "tail transmitted across link 0");
+        assert_eq!(w.advance_tail(), None);
+        assert_eq!(ready(&w), vec![1], "a released link carries nothing more");
+        assert!(!w.is_done());
+        set_crossed(&mut w, &[3, 3]);
+        assert_eq!(w.advance_tail(), Some(1), "tail ejected at destination");
         assert!(w.is_done());
+        assert!(ready(&w).is_empty());
+        assert_eq!(w.next_link(), None);
+    }
+
+    #[test]
+    fn tail_stops_at_the_last_acquired_link() {
+        let mut w = worm(2, 1);
+        w.grant(0);
+        w.apply_cross(0);
+        assert_eq!(w.advance_tail(), Some(0));
+        assert_eq!(w.advance_tail(), None, "link 1 not acquired yet");
     }
 
     #[test]

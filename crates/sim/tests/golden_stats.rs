@@ -293,8 +293,11 @@ fn simulations() -> String {
             for half in 0..2 {
                 let net = &nets[(k + di + 2 * half) % 4];
                 let bits = n.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56;
-                let (seeded, trace, drain) =
-                    (bits & 1 == 1, (bits >> 1) & 3 == 0, (bits >> 3) % 3 == 0);
+                let (seeded, trace, drain) = (
+                    bits & 1 == 1,
+                    (bits >> 1) & 3 == 0,
+                    (bits >> 3).is_multiple_of(3),
+                );
                 out.push_str(&run_case(net, k, depth, seeded, drain, trace));
                 n += 1;
             }

@@ -166,6 +166,12 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Error,
         summary: "classic single-VC wormhole switching configured with more than one VC",
     },
+    RuleInfo {
+        code: "S204",
+        name: "buffer-too-shallow",
+        severity: Severity::Error,
+        summary: "VC buffers under 2 flits halve the pipeline rate, voiding L = hops + C - 1 and every bound built on it",
+    },
 ];
 
 /// Looks a rule up by code.

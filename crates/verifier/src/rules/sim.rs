@@ -2,7 +2,8 @@
 //!
 //! These check a [`SimConfig`] against the resolved stream set it is
 //! about to simulate: enough virtual channels for the chosen policy,
-//! deadlock-free channel dependencies, and a warm-up that leaves
+//! deadlock-free channel dependencies, buffers deep enough for the
+//! latency model the bounds assume, and a warm-up that leaves
 //! statistics behind.
 
 use crate::diag::{Diagnostic, Span};
@@ -94,6 +95,25 @@ pub fn lint_sim_config(
         );
     }
 
+    // S204: with one flit of buffer a VC alternates between receiving
+    // a flit and passing it on (credit turnaround), so a worm advances
+    // every other cycle and even an unblocked message takes about
+    // twice `L`; every `U` is built from `L`. results/sensitivity.txt:
+    // actual/U = 21.1 at depth 1 where depth 2 gives 0.46.
+    if cfg.policy == Policy::PreemptivePriority && cfg.buffer_depth < 2 {
+        diags.push(
+            Diagnostic::new(
+                "S204",
+                Span::Config,
+                format!(
+                    "buffer depth {} cannot sustain one flit per cycle: the network latency L = hops + C - 1 behind every delay bound does not hold",
+                    cfg.buffer_depth
+                ),
+            )
+            .with_suggestion("use a buffer depth of at least 2 flits per virtual channel"),
+        );
+    }
+
     diags
 }
 
@@ -130,6 +150,18 @@ mod tests {
         let cfg = SimConfig::paper(1).with_cycles(500, 500);
         let diags = lint_sim_config(&set, &cfg, None);
         assert_eq!(codes(&diags), vec!["S200", "S202"], "{diags:?}");
+    }
+
+    #[test]
+    fn single_flit_buffers_void_the_latency_model() {
+        let set = xy_set();
+        let cfg = SimConfig::paper(2).with_cycles(10_000, 1_000);
+        let diags = lint_sim_config(&set, &cfg.clone().with_buffer_depth(1), None);
+        assert_eq!(codes(&diags), vec!["S204"], "{diags:?}");
+        assert!(lint_sim_config(&set, &cfg.with_buffer_depth(2), None).is_empty());
+        // The reference policies promise no bound; any depth goes.
+        let li = SimConfig::li(2).with_cycles(10_000, 0).with_buffer_depth(1);
+        assert!(lint_sim_config(&set, &li, None).is_empty());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use rtwc_core::{generate_hp, AnalysisScratch, DelayBound, StreamId, StreamSet, StreamSpec};
+use rtwc_core::{
+    AnalysisScratch, DelayBound, HpSet, InterferenceIndex, StreamId, StreamSet, StreamSpec,
+};
 use wormnet_topology::{Mesh, NodeId, Topology, XyRouting};
 
 /// Parameters of the paper workload generator.
@@ -126,21 +128,19 @@ fn draw_specs(cfg: &PaperWorkloadConfig, mesh: &Mesh, rng: &mut StdRng) -> Vec<S
         .collect()
 }
 
-/// Finds `U` for one stream, doubling the horizon from the stream's
-/// period until the bound is found or the cap is passed. The HP set
-/// depends only on routes and priorities, never the horizon, so it is
-/// built once for the whole doubling loop; the caller's scratch arena
-/// is reused across every probe.
+/// Finds `U` for the target of `hp`, doubling the horizon from the
+/// stream's period until the bound is found or the cap is passed. The
+/// caller's scratch arena is reused across every probe.
 fn bound_with_escalating_horizon(
     scratch: &mut AnalysisScratch,
     set: &StreamSet,
-    id: StreamId,
+    index: &InterferenceIndex,
+    hp: &HpSet,
     cap: u64,
 ) -> DelayBound {
-    let hp = generate_hp(set, id);
-    let mut horizon = set.get(id).period().max(1);
+    let mut horizon = set.get(hp.target).period().max(1);
     loop {
-        match scratch.delay_bound(set, &hp, horizon) {
+        match scratch.delay_bound_indexed(set, index, hp, horizon) {
             DelayBound::Bounded(u) => return DelayBound::Bounded(u),
             DelayBound::Exceeded if horizon >= cap => return DelayBound::Exceeded,
             DelayBound::Exceeded => horizon = (horizon * 2).min(cap),
@@ -180,11 +180,20 @@ pub fn generate(cfg: PaperWorkloadConfig) -> GeneratedWorkload {
     let mut set = StreamSet::resolve(&mesh, &XyRouting, &specs).expect("generated specs are valid");
 
     let mut scratch = AnalysisScratch::new();
+    // Who blocks whom depends on routes and priorities only. Inflation
+    // changes periods and deadlines, so one interference index and one
+    // HP set per stream serve every bound computed below.
+    let index = InterferenceIndex::build(&set);
+    let hp_sets = index.hp_sets(&set);
+    let mut bound_of = |set: &StreamSet, id: StreamId| {
+        let hp = &hp_sets[id.index()];
+        bound_with_escalating_horizon(&mut scratch, set, &index, hp, cfg.horizon_cap)
+    };
 
     // Period inflation, highest priority first.
     if cfg.inflate_periods {
         for id in set.by_decreasing_priority() {
-            let bound = bound_with_escalating_horizon(&mut scratch, &set, id, cfg.horizon_cap);
+            let bound = bound_of(&set, id);
             let t = set.get(id).period();
             let new_t = match bound {
                 DelayBound::Bounded(u) if u > t => u,
@@ -198,10 +207,7 @@ pub fn generate(cfg: PaperWorkloadConfig) -> GeneratedWorkload {
     }
 
     // Final bounds against the inflated set.
-    let bounds: Vec<DelayBound> = set
-        .ids()
-        .map(|id| bound_with_escalating_horizon(&mut scratch, &set, id, cfg.horizon_cap))
-        .collect();
+    let bounds: Vec<DelayBound> = set.ids().map(|id| bound_of(&set, id)).collect();
 
     GeneratedWorkload {
         mesh,
