@@ -18,16 +18,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_shard;
 pub mod commands;
 pub mod jobs;
 pub mod serve;
 pub mod spec;
 
-pub use bench_shard::{
-    render_shard_json, render_shard_summary, run_bench_shard, run_shard_bench, ShardBenchConfig,
-    ShardBenchOutcome, ShardBenchTier,
-};
 pub use commands::{
     analyze, analyze_with, check, deploy, lint, simulate, verify_sim, verify_spec, LintFormat,
     SimOptions,

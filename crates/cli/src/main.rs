@@ -16,7 +16,7 @@ USAGE:
     rtwc check    <SPEC> [--policy preemptive|li|classic|shared] [--cycles N] [--warmup N] [--no-verify]
     rtwc deploy   <JOBS> [--allocator first-fit|clustered|comm|random[:SEED]]
     rtwc serve    <SPEC> [--addr HOST:PORT] [--wal-dir DIR] [--fsync always|never|interval:MS]
-                         [--snapshot-every N] [--max-conns N] [--max-pending N] [--shards N|auto]
+                         [--snapshot-every N] [--max-conns N] [--max-pending N]
                          [--repl-addr HOST:PORT [--lease-ms N]
                           | --follower-of HOST:PORT [--promote-grace-ms N]]
     rtwc client   <ADDR> [--timeout-ms N] [--retries N] [--req-id N] <REQUEST...>
@@ -25,8 +25,6 @@ USAGE:
                      [--wal-sweep | --wal-dir DIR --fsync P [--snapshot-every N]]
     rtwc bench-repl  [--clients N] [--ops N | --duration SECS] [--mesh WxH] [--seed S]
                      [--grace-ms N] [--out FILE]
-    rtwc bench-shard [--mesh WxH] [--ops N] [--shards N,N,...] [--cap N] [--locality N]
-                     [--seed S] [--full] [--min-speedup X] [--out FILE]
     rtwc chaos    [--seed S] [--ops N] [--mesh WxH] [--snapshot-every N] [--dir D]
     rtwc netchaos <TARGET> [--listen HOST:PORT] [--seed S] [--script FILE]
 
@@ -60,11 +58,6 @@ COMMANDS:
                (--wal-sweep adds per-fsync-policy durability costs)
     bench-repl replication bench: leader under load with a live follower,
                then a timed failover; writes results/BENCH_repl.json
-    bench-shard sharded-admission scaling bench: the same deterministic
-               churn through the monolith (serial reference) and each
-               shard count, asserting bit-identical verdicts and bounds;
-               writes results/BENCH_shard.json (--full adds 10x10 and
-               256x256 tiers)
     chaos      fault-injection harness: torn/short writes, fsync errors,
                kill-9 truncation, and network partitions (symmetric,
                one-way blackhole, heal-and-rejoin); asserts recovery is
@@ -131,16 +124,15 @@ fn run() -> Result<bool, String> {
     // takes an address, bench-serve takes no file at all).
     if matches!(
         command,
-        "serve"
-            | "client"
-            | "promote"
-            | "bench-serve"
-            | "bench-repl"
-            | "bench-shard"
-            | "chaos"
-            | "netchaos"
+        "serve" | "client" | "promote" | "bench-serve" | "bench-repl" | "chaos" | "netchaos"
     ) {
         return rtwc_cli::run_service_command(command, rest);
+    }
+    if !matches!(
+        command,
+        "lint" | "analyze" | "simulate" | "check" | "deploy"
+    ) {
+        return Err(format!("unknown command '{command}'\n\n{USAGE}"));
     }
     let (path, flags) = match rest.split_first() {
         Some((p, flags)) if !p.starts_with('-') => (p.clone(), flags.to_vec()),

@@ -12,7 +12,6 @@
 //! closed-loop load generator, and `chaos` runs the fault-injection
 //! harness over every storage failure class.
 
-use crate::bench_shard::{run_bench_shard, ShardBenchConfig, ShardBenchTier};
 use crate::spec::RawSpecFile;
 use rtwc_server::{
     catch_up, recover, render_bench_json, render_chaos_report, render_repl_json, render_response,
@@ -59,11 +58,6 @@ pub struct ServeOptions {
     /// error) once this long has passed without a follower ack round
     /// trip. Requires `--repl-addr`; `None` = never seal.
     pub lease: Option<Duration>,
-    /// Sharded admission plane: `None` = monolithic, `Some(0)` = auto
-    /// (one region per 16x16 tile), `Some(n)` = n link-disjoint region
-    /// shards. Valid on leaders and followers alike — a sharded
-    /// follower routes replicated frames through the same plane.
-    pub shards: Option<usize>,
 }
 
 impl Default for ServeOptions {
@@ -80,7 +74,6 @@ impl Default for ServeOptions {
             follower_of: None,
             promote_grace: None,
             lease: None,
-            shards: None,
         }
     }
 }
@@ -222,11 +215,7 @@ pub fn run_serve(raw: &RawSpecFile, opts: &ServeOptions) -> Result<(), String> {
     if opts.lease.is_some() && opts.repl_addr.is_none() {
         return Err("--lease-ms needs --repl-addr (the lease is fed by follower acks)".to_string());
     }
-    let (mut service, mut startup) = build_service(raw, opts)?;
-    if let Some(requested) = opts.shards {
-        let count = service.enable_sharding(requested);
-        startup = format!("{startup}; {count} admission shard(s)");
-    }
+    let (mut service, startup) = build_service(raw, opts)?;
     service.set_max_pending(opts.max_pending);
     let service = Arc::new(service);
     let mut shipper = None;
@@ -571,7 +560,6 @@ pub fn run_service_command(command: &str, args: &[String]) -> Result<bool, Strin
                         "usage: rtwc serve <SPEC> [--addr HOST:PORT] [--wal-dir DIR] \
                          [--fsync always|never|interval:MS] [--snapshot-every N] \
                          [--max-conns N] [--max-pending N] [--workers N] \
-                         [--shards N|auto] \
                          [--repl-addr HOST:PORT [--lease-ms N] | --follower-of HOST:PORT \
                          [--promote-grace-ms N]]"
                             .to_string(),
@@ -609,18 +597,6 @@ pub fn run_service_command(command: &str, args: &[String]) -> Result<bool, Strin
                         opts.workers = value("--workers")?
                             .parse()
                             .map_err(|e| format!("bad --workers: {e}"))?;
-                    }
-                    "--shards" => {
-                        let v = value("--shards")?;
-                        opts.shards = Some(if v == "auto" {
-                            0
-                        } else {
-                            let n: usize = v.parse().map_err(|e| format!("bad --shards: {e}"))?;
-                            if n == 0 {
-                                return Err("--shards must be >= 1 (or 'auto')".to_string());
-                            }
-                            n
-                        });
                     }
                     "--repl-addr" => opts.repl_addr = Some(value("--repl-addr")?),
                     "--follower-of" => opts.follower_of = Some(value("--follower-of")?),
@@ -784,102 +760,6 @@ pub fn run_service_command(command: &str, args: &[String]) -> Result<bool, Strin
                 );
             }
             print!("{}", run_bench_serve(&cfg, sweep, &out, min_throughput)?);
-            Ok(true)
-        }
-        "bench-shard" => {
-            let mut cfg = ShardBenchConfig::default();
-            let mut tier = cfg.tiers.pop().expect("default has one tier");
-            let mut full = false;
-            let mut out = "results/BENCH_shard.json".to_string();
-            let mut min_speedup = None;
-            let mut it = args.iter();
-            while let Some(flag) = it.next() {
-                let mut value = |what: &str| {
-                    it.next()
-                        .ok_or_else(|| format!("{what} needs a value"))
-                        .cloned()
-                };
-                match flag.as_str() {
-                    "--mesh" => {
-                        let (w, h) = parse_mesh(&value("--mesh")?)?;
-                        tier.width = w;
-                        tier.height = h;
-                    }
-                    "--ops" => {
-                        tier.ops = value("--ops")?
-                            .parse()
-                            .map_err(|e| format!("bad --ops: {e}"))?;
-                    }
-                    "--shards" => {
-                        let v = value("--shards")?;
-                        let counts: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
-                        tier.shard_counts =
-                            counts.map_err(|e| format!("bad --shards '{v}': {e}"))?;
-                        if tier.shard_counts.contains(&0) {
-                            return Err("--shards counts must be >= 1".to_string());
-                        }
-                    }
-                    "--cap" => {
-                        tier.resident_cap = value("--cap")?
-                            .parse()
-                            .map_err(|e| format!("bad --cap: {e}"))?;
-                    }
-                    "--locality" => {
-                        cfg.locality = value("--locality")?
-                            .parse()
-                            .map_err(|e| format!("bad --locality: {e}"))?;
-                    }
-                    "--seed" => {
-                        cfg.seed = value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?;
-                    }
-                    "--full" => full = true,
-                    "--min-speedup" => {
-                        min_speedup = Some(
-                            value("--min-speedup")?
-                                .parse::<f64>()
-                                .map_err(|e| format!("bad --min-speedup: {e}"))?,
-                        );
-                    }
-                    "--out" => out = value("--out")?,
-                    other => return Err(format!("unknown bench-shard flag '{other}'")),
-                }
-            }
-            cfg.tiers = if full {
-                // The paper's 10x10 evaluation mesh, the primary 64x64
-                // tier, and a 256x256 scale point with the same shard
-                // sweep plus its auto count (one shard per 16x16 tile).
-                // The 256x256 cap is w*h/16, not the default quarter: a
-                // denser set percolates into one mesh-wide component
-                // and every phase degenerates to scanning it.
-                vec![
-                    ShardBenchTier {
-                        width: 10,
-                        height: 10,
-                        ops: tier.ops.min(20_000),
-                        shard_counts: vec![1, 4],
-                        resident_cap: 0,
-                    },
-                    tier.clone(),
-                    ShardBenchTier {
-                        width: 256,
-                        height: 256,
-                        ops: tier.ops.min(20_000),
-                        shard_counts: {
-                            let mut c = tier.shard_counts.clone();
-                            c.push(256);
-                            c.sort_unstable();
-                            c.dedup();
-                            c
-                        },
-                        resident_cap: 256 * 256 / 16,
-                    },
-                ]
-            } else {
-                vec![tier]
-            };
-            print!("{}", run_bench_shard(&cfg, &out, min_speedup)?);
             Ok(true)
         }
         "promote" => {

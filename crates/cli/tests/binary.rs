@@ -86,6 +86,27 @@ fn unknown_flag_rejected() {
 }
 
 #[test]
+fn removed_region_plane_options_are_refused() {
+    // A deploy script that still asks for the removed region plane must
+    // fail loudly, not silently serve the one backend.
+    let path = write_temp("removed.streams", STREAMS);
+    let out = rtwc()
+        .arg("serve")
+        .arg(&path)
+        .args(["--addr", "127.0.0.1:0", "--shards", "4"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown serve flag '--shards'"), "{err}");
+
+    let out = rtwc().arg("bench-shard").output().unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command 'bench-shard'"), "{err}");
+}
+
+#[test]
 fn deploy_jobs_file() {
     let path = write_temp(
         "demo.jobs",

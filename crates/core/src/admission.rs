@@ -364,7 +364,7 @@ impl AdmissionController {
     }
 
     // ------------------------------------------------------------------
-    // Shard-plane primitives (crate::shard). The sharded admission plane
+    // Region-shard primitives (crate::shard). `ShardedController`
     // computes true *global* bounds over a link-sharing neighborhood and
     // replicates each member into every shard its route touches; these
     // entry points let it place pre-analyzed streams without re-running

@@ -145,8 +145,7 @@ impl InterferenceIndex {
 
     /// Resident heap footprint in bytes: both bit matrices, the
     /// occupancy tables and the per-stream arrays, counted by *capacity*
-    /// (what the allocator actually holds), not length. This is the
-    /// gauge the sharded admission plane reports per shard.
+    /// (what the allocator actually holds), not length.
     pub fn memory_bytes(&self) -> usize {
         let word = std::mem::size_of::<u64>();
         let matrices = (self.affects.capacity() + self.affected_by.capacity()) * word;
@@ -172,8 +171,7 @@ impl InterferenceIndex {
     /// difference between what the two matrices hold and the minimal
     /// `n * ceil(n/64)`-word layout. Removals shrink the stride with
     /// hysteresis (see [`InterferenceIndex::remove`]), so this stays a
-    /// bounded slack rather than a ratchet; it is surfaced in STATS so
-    /// long-lived serve processes can watch it.
+    /// bounded slack rather than a ratchet.
     pub fn reclaimable_bytes(&self) -> usize {
         let word = std::mem::size_of::<u64>();
         let held = (self.affects.capacity() + self.affected_by.capacity()) * word;
@@ -197,8 +195,8 @@ impl InterferenceIndex {
     /// streams, this component is closed under both HP-set construction
     /// (backward closure) and downstream damage analysis (forward
     /// closure): an admission restricted to the candidate's component
-    /// computes bit-identical bounds to one run over the full set. The
-    /// sharded plane's neighborhood scan keys on this.
+    /// computes bit-identical bounds to one run over the full set.
+    /// [`crate::ShardedController`]'s neighborhood scan keys on this.
     pub fn link_component(&self, seed_links: &[LinkId]) -> Vec<StreamId> {
         let mut member = vec![false; self.n];
         let mut link_seen = vec![false; self.link_streams.len()];

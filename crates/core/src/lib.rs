@@ -96,11 +96,7 @@ pub use modify::{
     modify_diagram, modify_diagram_with, modify_diagram_with_kernel, RemovalStrategy,
 };
 pub use report::{render_analysis, render_diagram};
-pub use shard::{
-    plan_admit, plan_remove, scan_neighborhood, AdmitPlan, KeyedRejection, NeighborMember,
-    Neighborhood, RegionShard, RemovePlan, ShardGauges, ShardId, ShardMap, ShardedAdmit,
-    ShardedController,
-};
+pub use shard::{RegionShard, ShardId, ShardMap, ShardedAdmit, ShardedController};
 pub use stream::{MessageStream, Priority, StreamId, StreamSet, StreamSpec};
 
 /// Common imports for users of the analysis.

@@ -6,9 +6,9 @@
 //! same verdicts, same rejection diagnostics (same blocker/victim ids
 //! in the same order), same cached bounds, same parts.
 //!
-//! This is the property the server's locked plane inherits: its journal
-//! stays bit-identical to a serial order because every individual
-//! decision already is.
+//! The benchmark's ladder times [`ShardedController`] against the
+//! serial controller; this suite is what makes the two rungs answer
+//! the same requests.
 
 use proptest::prelude::*;
 use rtwc_core::{AdmissionController, ShardMap, ShardedController, StreamId, StreamSpec};
@@ -109,7 +109,7 @@ proptest! {
                 for (s, shard) in plane.shards().iter().enumerate() {
                     let sid = rtwc_core::ShardId(s as u32);
                     match shard.member(key) {
-                        Some((_, mpath, b, _)) => {
+                        Some((_, mpath, b)) => {
                             prop_assert!(
                                 owners.contains(&sid),
                                 "stream resident outside its owner shards"

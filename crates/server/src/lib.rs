@@ -14,10 +14,6 @@
 //!   sharing the verifier's diagnostic JSON shape;
 //! - [`service`] — the shared state machine: `RwLock`-guarded
 //!   controller, stable ids, accepted-op journal, offline audit;
-//! - [`shard_plane`] — the sharded admission plane: link-disjoint
-//!   region shards behind per-shard ordered locks, with shard-local
-//!   admissions taking only their region's lock and cross-shard
-//!   admissions a two-phase canonical-order path (see DESIGN.md);
 //! - [`metrics`] — lock-free request counters and a power-of-two
 //!   latency histogram behind `STATS`;
 //! - [`server`] / [`poll`] / [`client`] — the event-driven TCP front
@@ -74,7 +70,6 @@ pub mod recovery;
 pub mod repl;
 pub mod server;
 pub mod service;
-pub mod shard_plane;
 pub mod snapshot;
 pub mod sync;
 pub mod wal;
@@ -97,7 +92,7 @@ pub use netchaos::{NetAction, NetChaos, NetChaosHandle, NetSchedule};
 pub use poll::{PollEvent, Poller};
 pub use protocol::{
     parse_request, render_response, FollowerLag, RejectReason, ReplReport, Request, Response,
-    ShardStats, ShardsReport, SnapshotStream, StatsReport, MAX_LINE_BYTES,
+    SnapshotStream, StatsReport, MAX_LINE_BYTES,
 };
 pub use recovery::{recover, recover_with_file, RecoveredState, RecoveryReport};
 pub use repl::{
@@ -108,6 +103,5 @@ pub use repl::{
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use service::{replay, AcceptedOp, AdmissionService, Durability};
-pub use shard_plane::ShardPlane;
 pub use snapshot::{load_snapshot, parse_snapshot, write_snapshot, DedupEntry, SnapshotData};
 pub use wal::{crc32, FrameIter, FsyncPolicy, Wal, WalOpen, WalRecord};

@@ -41,32 +41,13 @@ pub struct LockClass {
     /// Position in the global acquisition order (strictly increasing
     /// along any nesting chain).
     pub rank: u32,
-    /// Ordered classes hold many parallel lock *instances* (e.g. one
-    /// per admission shard); nesting within the class is legal provided
-    /// instance numbers strictly increase — the canonical order that
-    /// makes cross-instance acquisition deadlock-free.
-    pub ordered: bool,
 }
 
 impl LockClass {
-    /// A new class; `rank` places it in the global order. Instances of
-    /// the class may never nest with each other.
+    /// A new class; `rank` places it in the global order. Two locks of
+    /// one class may never nest.
     pub const fn new(name: &'static str, rank: u32) -> LockClass {
-        LockClass {
-            name,
-            rank,
-            ordered: false,
-        }
-    }
-
-    /// A class whose instances may nest in strictly ascending instance
-    /// order (see [`TrackedRwLock::new_instance`]).
-    pub const fn new_ordered(name: &'static str, rank: u32) -> LockClass {
-        LockClass {
-            name,
-            rank,
-            ordered: true,
-        }
+        LockClass { name, rank }
     }
 }
 
@@ -78,12 +59,6 @@ pub mod classes {
     pub static SERVER_JOBS: LockClass = LockClass::new("server.jobs", 10);
     /// Worker-to-reactor completion list (`dispatch::CompletionQueue`).
     pub static SERVER_COMPLETIONS: LockClass = LockClass::new("server.completions", 20);
-    /// Region shards of the sharded admission plane
-    /// (`shard_plane::ShardPlane`). Ordered: a cross-shard admission
-    /// holds several shard locks at once, always acquired in ascending
-    /// shard-id order. Ranked below `SERVICE_INNER` so the admit path can
-    /// consult the handle table while holding its shards.
-    pub static SHARD: LockClass = LockClass::new_ordered("service.shard", 25);
     /// The admission service's controller + id table
     /// (`service::AdmissionService::inner`).
     pub static SERVICE_INNER: LockClass = LockClass::new("service.inner", 30);
@@ -106,9 +81,8 @@ mod sentinel {
     use std::sync::{Mutex, OnceLock};
 
     thread_local! {
-        /// `(class, instance)` pairs this thread currently holds, in
-        /// acquisition order. Instance is 0 for unordered classes.
-        static HELD: RefCell<Vec<(&'static LockClass, u64)>> = const { RefCell::new(Vec::new()) };
+        /// Classes this thread currently holds, in acquisition order.
+        static HELD: RefCell<Vec<&'static LockClass>> = const { RefCell::new(Vec::new()) };
     }
 
     /// First-observation backtraces of `from -> to` acquisition edges,
@@ -141,29 +115,17 @@ mod sentinel {
         false
     }
 
-    pub fn on_acquire(class: &'static LockClass, instance: u64) {
-        let held: Vec<(&'static LockClass, u64)> = HELD.with(|h| h.borrow().clone());
+    pub fn on_acquire(class: &'static LockClass) {
+        let held: Vec<&'static LockClass> = HELD.with(|h| h.borrow().clone());
         if !held.is_empty() {
             let here = Backtrace::force_capture().to_string();
             let mut edges = graph()
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for &(h, hi) in &held {
-                let same_class = std::ptr::eq(h, class);
+            for &h in &held {
                 // Rank discipline: strictly increasing along any chain,
-                // with one sanctioned exception — parallel instances of
-                // an *ordered* class nest in ascending instance order.
-                let ordered_ok = same_class && class.ordered && hi < instance;
-                if h.rank >= class.rank && !ordered_ok {
-                    assert!(
-                        !(same_class && class.ordered),
-                        "lock-order violation: acquiring \"{}\" instance {instance} while \
-                         holding instance {hi} — parallel instances of an ordered class \
-                         must be acquired in strictly ascending instance order (see the \
-                         lock-rank table in DESIGN.md)\n\
-                         \n--- acquisition attempted here ---\n{here}",
-                        class.name,
-                    );
+                // so two locks of one class never nest.
+                if h.rank >= class.rank {
                     let reverse = edges
                         .get(&(class.name, h.name))
                         .cloned()
@@ -176,12 +138,6 @@ mod sentinel {
                          --- opposite order \"{}\" -> \"{}\" first recorded here ---\n{reverse}",
                         class.name, class.rank, h.name, h.rank, class.name, h.name,
                     );
-                }
-                // Within-class edges of an ordered class carry no
-                // cross-class ordering information; recording them
-                // would self-cycle the graph on the first nesting.
-                if same_class {
-                    continue;
                 }
                 // Order graph: record the edge, refuse one that closes a
                 // cycle (defense in depth should ranks ever stop being a
@@ -204,16 +160,13 @@ mod sentinel {
                     .or_insert_with(|| here.clone());
             }
         }
-        HELD.with(|h| h.borrow_mut().push((class, instance)));
+        HELD.with(|h| h.borrow_mut().push(class));
     }
 
-    pub fn on_release(class: &'static LockClass, instance: u64) {
+    pub fn on_release(class: &'static LockClass) {
         HELD.with(|h| {
             let mut held = h.borrow_mut();
-            if let Some(i) = held
-                .iter()
-                .rposition(|&(c, ci)| std::ptr::eq(c, class) && ci == instance)
-            {
+            if let Some(i) = held.iter().rposition(|&c| std::ptr::eq(c, class)) {
                 held.remove(i);
             }
         });
@@ -225,10 +178,10 @@ mod sentinel {
     use super::LockClass;
 
     #[inline(always)]
-    pub fn on_acquire(_class: &'static LockClass, _instance: u64) {}
+    pub fn on_acquire(_class: &'static LockClass) {}
 
     #[inline(always)]
-    pub fn on_release(_class: &'static LockClass, _instance: u64) {}
+    pub fn on_release(_class: &'static LockClass) {}
 }
 
 /// A [`sync::Mutex`] tagged with a [`LockClass`], enforcing the rank
@@ -250,7 +203,7 @@ impl<T> TrackedMutex<T> {
     /// Acquire. Panics on a rank violation (debug builds) or if a thread
     /// panicked while holding the lock.
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        sentinel::on_acquire(self.class, 0);
+        sentinel::on_acquire(self.class);
         let inner = self
             .inner
             .lock()
@@ -292,7 +245,7 @@ impl<T> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
 impl<T> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.take().is_some() {
-            sentinel::on_release(self.class, 0);
+            sentinel::on_release(self.class);
         }
     }
 }
@@ -317,12 +270,12 @@ impl TrackedCondvar {
     pub fn wait<'a, T>(&self, mut guard: TrackedMutexGuard<'a, T>) -> TrackedMutexGuard<'a, T> {
         let class = guard.class;
         let inner = guard.inner.take().expect("guard taken");
-        sentinel::on_release(class, 0);
+        sentinel::on_release(class);
         let inner = self
             .inner
             .wait(inner)
             .unwrap_or_else(|_| panic!("lock \"{}\" poisoned", class.name));
-        sentinel::on_acquire(class, 0);
+        sentinel::on_acquire(class);
         TrackedMutexGuard {
             class,
             inner: Some(inner),
@@ -358,52 +311,40 @@ impl fmt::Debug for TrackedCondvar {
 /// to complete a deadlock cycle).
 pub struct TrackedRwLock<T> {
     class: &'static LockClass,
-    instance: u64,
     inner: sync::RwLock<T>,
 }
 
 impl<T> TrackedRwLock<T> {
     /// A new rwlock belonging to `class`.
     pub fn new(class: &'static LockClass, value: T) -> TrackedRwLock<T> {
-        Self::new_instance(class, 0, value)
-    }
-
-    /// A new rwlock belonging to an [ordered](LockClass::new_ordered)
-    /// class, carrying its position in the class's canonical
-    /// acquisition order (ascending instance numbers — e.g. the shard
-    /// id for the admission plane's per-shard locks).
-    pub fn new_instance(class: &'static LockClass, instance: u64, value: T) -> TrackedRwLock<T> {
         TrackedRwLock {
             class,
-            instance,
             inner: sync::RwLock::new(value),
         }
     }
 
     /// Shared acquire.
     pub fn read(&self) -> TrackedRwLockReadGuard<'_, T> {
-        sentinel::on_acquire(self.class, self.instance);
+        sentinel::on_acquire(self.class);
         let inner = self
             .inner
             .read()
             .unwrap_or_else(|_| panic!("lock \"{}\" poisoned", self.class.name));
         TrackedRwLockReadGuard {
             class: self.class,
-            instance: self.instance,
             inner: Some(inner),
         }
     }
 
     /// Exclusive acquire.
     pub fn write(&self) -> TrackedRwLockWriteGuard<'_, T> {
-        sentinel::on_acquire(self.class, self.instance);
+        sentinel::on_acquire(self.class);
         let inner = self
             .inner
             .write()
             .unwrap_or_else(|_| panic!("lock \"{}\" poisoned", self.class.name));
         TrackedRwLockWriteGuard {
             class: self.class,
-            instance: self.instance,
             inner: Some(inner),
         }
     }
@@ -420,7 +361,6 @@ impl<T> fmt::Debug for TrackedRwLock<T> {
 /// Shared guard for [`TrackedRwLock`].
 pub struct TrackedRwLockReadGuard<'a, T> {
     class: &'static LockClass,
-    instance: u64,
     inner: Option<sync::RwLockReadGuard<'a, T>>,
 }
 
@@ -434,7 +374,7 @@ impl<T> std::ops::Deref for TrackedRwLockReadGuard<'_, T> {
 impl<T> Drop for TrackedRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.take().is_some() {
-            sentinel::on_release(self.class, self.instance);
+            sentinel::on_release(self.class);
         }
     }
 }
@@ -442,7 +382,6 @@ impl<T> Drop for TrackedRwLockReadGuard<'_, T> {
 /// Exclusive guard for [`TrackedRwLock`].
 pub struct TrackedRwLockWriteGuard<'a, T> {
     class: &'static LockClass,
-    instance: u64,
     inner: Option<sync::RwLockWriteGuard<'a, T>>,
 }
 
@@ -462,7 +401,7 @@ impl<T> std::ops::DerefMut for TrackedRwLockWriteGuard<'_, T> {
 impl<T> Drop for TrackedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.take().is_some() {
-            sentinel::on_release(self.class, self.instance);
+            sentinel::on_release(self.class);
         }
     }
 }
@@ -477,7 +416,6 @@ mod tests {
     static HIGH: LockClass = LockClass::new("test.high", 2);
     static A: LockClass = LockClass::new("test.a", 7);
     static B: LockClass = LockClass::new("test.b", 7);
-    static ORD: LockClass = LockClass::new_ordered("test.ord", 5);
 
     #[test]
     fn ascending_acquisition_is_allowed() {
@@ -515,59 +453,26 @@ mod tests {
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "sentinel is debug-only")]
     fn equal_ranks_cannot_nest() {
-        let a = TrackedMutex::new(&A, ());
-        let b = TrackedMutex::new(&B, ());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let nest = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("equal-rank nesting must panic");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        // Two classes of one rank.
+        let (a, b) = (TrackedMutex::new(&A, ()), TrackedMutex::new(&B, ()));
+        let msg = nest(&|| {
             let _g1 = a.lock();
             let _g2 = b.lock();
-        }))
-        .expect_err("equal-rank nesting must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        });
         assert!(msg.contains("lock-order violation"), "{msg}");
-    }
-
-    #[test]
-    fn ordered_class_nests_in_ascending_instance_order() {
-        let s0 = TrackedRwLock::new_instance(&ORD, 0, 1u32);
-        let s2 = TrackedRwLock::new_instance(&ORD, 2, 2u32);
-        let s5 = TrackedRwLock::new_instance(&ORD, 5, 3u32);
-        // Ascending instances (with gaps) nest freely, and a higher
-        // rank may still be taken on top.
-        let g0 = s0.write();
-        let g2 = s2.write();
-        let g5 = s5.read();
-        let above = TrackedMutex::new(&A, 4u32);
-        let ga = above.lock();
-        assert_eq!(*g0 + *g2 + *g5 + *ga, 10);
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "sentinel is debug-only")]
-    fn ordered_class_rejects_descending_instances() {
-        let s1 = TrackedRwLock::new_instance(&ORD, 1, ());
-        let s3 = TrackedRwLock::new_instance(&ORD, 3, ());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g3 = s3.write();
-            let _g1 = s1.write();
-        }))
-        .expect_err("descending instance acquisition must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("ascending instance order"), "{msg}");
-        assert!(msg.contains("test.ord"), "{msg}");
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "sentinel is debug-only")]
-    fn ordered_class_rejects_self_nesting() {
-        let s1a = TrackedRwLock::new_instance(&ORD, 1, ());
-        let s1b = TrackedRwLock::new_instance(&ORD, 1, ());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ga = s1a.read();
-            let _gb = s1b.read();
-        }))
-        .expect_err("equal instance numbers must not nest");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("ascending instance order"), "{msg}");
+        // Two locks of the same class.
+        let (first, second) = (TrackedRwLock::new(&A, ()), TrackedRwLock::new(&A, ()));
+        let msg = nest(&|| {
+            let _g1 = first.read();
+            let _g2 = second.write();
+        });
+        assert!(msg.contains("lock-order violation"), "{msg}");
+        assert!(msg.contains("holding \"test.a\""), "{msg}");
     }
 
     #[test]

@@ -276,36 +276,6 @@ pub struct ReplReport {
     pub fence_events: u64,
 }
 
-/// One region shard's gauges in a [`ShardsReport`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Streams resident in this shard (cross-shard streams count in
-    /// every shard their route touches).
-    pub streams: u64,
-    /// Resident streams whose route spans more than one shard.
-    pub cross: u64,
-    /// Resident interference-index memory, bytes.
-    pub index_bytes: u64,
-}
-
-/// Sharded-admission-plane gauges, included in `STATS` when the
-/// service runs with `--shards`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardsReport {
-    /// Number of region shards.
-    pub count: u64,
-    /// Committed cross-shard (two-phase) admissions.
-    pub cross_admits: u64,
-    /// Cross-shard admissions rejected by the analysis.
-    pub cross_aborts: u64,
-    /// Total resident index memory across shards, bytes.
-    pub index_bytes: u64,
-    /// Total shrinkable slack across shards, bytes.
-    pub reclaimable_bytes: u64,
-    /// Per-shard breakdown, by shard id.
-    pub per_shard: Vec<ShardStats>,
-}
-
 /// The `STATS` payload: counters plus the service-side latency
 /// histogram summary (microseconds, bucketed to powers of two).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -357,9 +327,6 @@ pub struct StatsReport {
     pub service_p99_us: u64,
     /// Worst service time, microseconds.
     pub service_max_us: u64,
-    /// Sharded-plane gauges; `None` when the admission plane is
-    /// monolithic (the `shards` key is then omitted from the JSON).
-    pub shards: Option<ShardsReport>,
     /// Replication gauges; `None` when replication is not configured
     /// (the `replication` key is then omitted from the JSON).
     pub repl: Option<ReplReport>,
@@ -592,24 +559,6 @@ pub fn render_response(r: &Response) -> String {
                 ",\"admitted\":{},\"rejected\":{},\"removed\":{},\"replayed\":{},\"errors\":{},\"shed\":{},\"streams\":{},\"recomputations\":{}",
                 s.admitted, s.rejected, s.removed, s.replayed, s.errors, s.shed, s.streams, s.recomputations
             );
-            if let Some(sh) = &s.shards {
-                let _ = write!(
-                    out,
-                    ",\"shards\":{{\"count\":{},\"cross_admits\":{},\"cross_aborts\":{},\"index_bytes\":{},\"reclaimable_bytes\":{},\"per_shard\":[",
-                    sh.count, sh.cross_admits, sh.cross_aborts, sh.index_bytes, sh.reclaimable_bytes
-                );
-                for (i, p) in sh.per_shard.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"streams\":{},\"cross\":{},\"index_bytes\":{}}}",
-                        p.streams, p.cross, p.index_bytes
-                    );
-                }
-                out.push_str("]}");
-            }
             if let Some(repl) = &s.repl {
                 let _ = write!(
                     out,
@@ -854,60 +803,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_render() {
-        // Monolithic plane: the key is absent, so the pre-sharding
-        // STATS shape is unchanged.
-        let plain = render_response(&Response::Stats(Box::default()));
-        assert!(!plain.contains("shards"), "{plain}");
-
-        let report = StatsReport {
-            shards: Some(ShardsReport {
-                count: 4,
-                cross_admits: 3,
-                cross_aborts: 1,
-                index_bytes: 2048,
-                reclaimable_bytes: 128,
-                per_shard: vec![
-                    ShardStats {
-                        streams: 5,
-                        cross: 2,
-                        index_bytes: 1024,
-                    },
-                    ShardStats {
-                        streams: 3,
-                        cross: 1,
-                        index_bytes: 1024,
-                    },
-                ],
-            }),
-            ..StatsReport::default()
-        };
-        let line = render_response(&Response::Stats(Box::new(report)));
-        assert!(
-            line.contains(
-                "\"shards\":{\"count\":4,\"cross_admits\":3,\"cross_aborts\":1,\"index_bytes\":2048,\"reclaimable_bytes\":128,\"per_shard\":["
-            ),
-            "{line}"
-        );
-        assert!(
-            line.contains("{\"streams\":5,\"cross\":2,\"index_bytes\":1024},{\"streams\":3,\"cross\":1,\"index_bytes\":1024}]}"),
-            "{line}"
-        );
-        // The shard block sits between the counters and the histograms.
-        let shards_at = line.find("\"shards\"").unwrap();
-        assert!(
-            line.find("\"recomputations\"").unwrap() < shards_at,
-            "{line}"
-        );
-        assert!(shards_at < line.find("\"queue_us\"").unwrap(), "{line}");
-    }
-
-    #[test]
     fn replication_stats_and_promotion_render() {
         // Without replication configured the key is absent, so the
-        // pre-replication STATS shape is unchanged.
+        // pre-replication STATS shape is unchanged. The removed region
+        // plane's key never appears either: the counters run straight
+        // into the histograms.
         let plain = render_response(&Response::Stats(Box::default()));
         assert!(!plain.contains("replication"), "{plain}");
+        assert!(!plain.contains("\"shards\""), "{plain}");
+        assert!(
+            plain.contains("\"recomputations\":0,\"queue_us\""),
+            "{plain}"
+        );
         assert!(plain.contains("\"promote\":0"), "{plain}");
 
         let mut report = StatsReport {

@@ -27,14 +27,11 @@
 //! original answer), takes the next handle and is linted; a leader
 //! frame is ticketed by its sequence number (at or below the local one
 //! is a no-op, a gap an error), carries its handle and is not
-//! re-linted. It differs by **backend** in where the analysis runs: the
-//! serial controller decides under the service lock (mutate, roll back
-//! if the WAL refuses the record); the shard plane (`--shards`) decides
-//! before it, under the owning shard locks, and applies its plan once
-//! the record is ticketed. The steps run once, in this order: plane
-//! decision, service lock, ticket check, lint, serial decision, WAL
-//! append, bookkeeping, backend apply, snapshot cadence, unlock,
-//! durability wait, metrics.
+//! re-linted. Either way the one backend, the serial controller,
+//! decides under the service lock: it mutates, and rolls back if the
+//! WAL refuses the record. The steps run once, in this order: service
+//! lock, ticket check, lint, decision, WAL append, bookkeeping,
+//! snapshot cadence, unlock, durability wait, metrics.
 //!
 //! ## Soundness
 //!
@@ -70,29 +67,26 @@
 //! answered `busy` without touching the lock.
 
 use crate::group_commit::GroupWal;
-use crate::lock_order::{classes, TrackedRwLock, TrackedRwLockReadGuard, TrackedRwLockWriteGuard};
+use crate::lock_order::{classes, TrackedRwLock, TrackedRwLockReadGuard};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestKind};
 use crate::protocol::{
-    parse_request, render_response, RejectReason, Request, Response, ShardStats, ShardsReport,
-    SnapshotStream, StatsReport,
+    parse_request, render_response, RejectReason, Request, Response, SnapshotStream, StatsReport,
 };
 use crate::repl::ReplHub;
-use crate::shard_plane::ShardPlane;
 use crate::snapshot::{write_snapshot, DedupEntry, SnapshotData};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::Instant;
 use crate::wal::FsyncPolicy;
 use rtwc_core::{
-    determine_feasibility, plan_admit, plan_remove, scan_neighborhood, AdmissionController,
-    AdmissionError, AdmitPlan, DelayBound, KeyedRejection, NeighborMember, RegionShard, ShardId,
-    ShardMap, StreamId, StreamSet, StreamSpec,
+    determine_feasibility, AdmissionController, AdmissionError, DelayBound, StreamId, StreamSet,
+    StreamSpec,
 };
 use rtwc_verifier::{lint_candidate_indexed, Diagnostic};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use wormnet_topology::{LinkId, Mesh, Path, Routing, Topology, XyRouting};
+use wormnet_topology::{Mesh, Path, Routing, Topology, XyRouting};
 
 /// Most request ids remembered for idempotent replay. Oldest entries
 /// are evicted first; a client retrying within this window gets its
@@ -192,12 +186,6 @@ impl NotApplied {
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
     pub(crate) ctl: AdmissionController,
-    /// Sharded mode only: admitted specs parallel to `handles`, so
-    /// reads (`QUERY`, `SNAPSHOT`, audit) never touch a shard lock.
-    /// Empty in monolithic mode, where `ctl` holds the parts.
-    specs: Vec<StreamSpec>,
-    /// Sharded mode only: cached bounds parallel to `handles`.
-    bounds: Vec<u64>,
     /// Stable ids, parallel to the controller's dense ids. Assigned
     /// monotonically and removed in place, so the vector is always
     /// sorted ascending — lookups may binary-search it.
@@ -239,20 +227,11 @@ fn route_of(mesh: &Mesh, op: &AcceptedOp) -> Result<Option<Path>, String> {
 }
 
 impl Inner {
-    /// The admitted spec and cached bound at dense index `i`, from
-    /// whichever backend's table holds them: `specs`/`bounds` under the
-    /// shard plane, the controller otherwise (`specs` stays empty).
+    /// The admitted spec and cached bound at dense index `i`.
     fn stream(&self, i: usize) -> (&StreamSpec, u64) {
-        match self.specs.get(i) {
-            Some(spec) => (spec, self.bounds[i]),
-            None => (
-                &self.ctl.parts()[i].0,
-                self.ctl
-                    .bound(StreamId(i as u32))
-                    .value()
-                    .expect("admitted bound is bounded"),
-            ),
-        }
+        let bound = self.ctl.bound(StreamId(i as u32));
+        let bound = bound.value().expect("admitted bound is bounded");
+        (&self.ctl.parts()[i].0, bound)
     }
 
     /// Every admitted stream in dense order: `(handle, spec, bound)`.
@@ -273,8 +252,8 @@ impl Inner {
         self.dedup.insert(entry.req_id, entry);
     }
 
-    /// The bookkeeping every accepted, ticketed op gets, whichever
-    /// backend decided it: handle table, journal, dedup window. `bound`
+    /// The bookkeeping every accepted, ticketed op gets: handle table,
+    /// journal, dedup window. `bound`
     /// is the admitted stream's (ignored for removals). Returns the
     /// op's dense index — the new last one, or the one just vacated.
     fn record(&mut self, req_id: u64, op: &Arc<AcceptedOp>, bound: u64) -> usize {
@@ -295,7 +274,7 @@ impl Inner {
                 let dense = self
                     .handles
                     .binary_search(handle)
-                    .expect("the backend checked the victim is live");
+                    .expect("apply checked the victim is live");
                 self.handles.remove(dense);
                 let entry = DedupEntry {
                     req_id,
@@ -318,8 +297,8 @@ impl Inner {
         dense
     }
 
-    /// The serial backend: how an accepted op changes the controller
-    /// and the tables around it. `ticket` runs between the decision and
+    /// How an accepted op changes the controller and the tables around
+    /// it. `ticket` runs between the decision and
     /// the bookkeeping (the WAL append of a live write); when it
     /// refuses, the decision is rolled back and the state is untouched —
     /// an acked op can never be one the log does not hold. Returns the
@@ -386,110 +365,6 @@ impl Inner {
     }
 }
 
-/// The shard plane's half of a write, between
-/// [`AdmissionService::stage`] and [`Staged::commit`]: the touched
-/// shards locked, the op planned against its neighborhood.
-struct Staged<'a> {
-    plane: &'a ShardPlane,
-    /// Write guards on `touched`, parallel to it (ascending shard id).
-    guards: Vec<TrackedRwLockWriteGuard<'a, RegionShard>>,
-    touched: Vec<ShardId>,
-    /// The op's complete link-sharing neighborhood.
-    members: Vec<NeighborMember>,
-    /// The shards the written stream itself is resident in.
-    owners: Vec<ShardId>,
-    /// The written stream's route.
-    path: Path,
-    /// An admit spanning several shards (two-phase; counted once it is
-    /// durable, or as an abort when the plan rejects it).
-    cross_admit: bool,
-    /// What to write where. (A removal's is an admit plan without a
-    /// candidate: refreshed member bounds only.)
-    plan: Result<AdmitPlan, KeyedRejection>,
-}
-
-impl Staged<'_> {
-    /// The shard-plane backend: [`Inner::apply`]'s counterpart. The
-    /// decision was made in `stage`; this tickets it, records it and
-    /// writes the planned bounds into the owning shards and the
-    /// service's bound table.
-    #[allow(clippy::result_large_err)] // the Err is the refusal sent on the wire
-    fn commit(
-        &mut self,
-        inner: &mut Inner,
-        req_id: u64,
-        op: &Arc<AcceptedOp>,
-        ticket: impl FnOnce() -> Result<Option<u64>, Response>,
-    ) -> Result<(Option<u64>, u64), Response> {
-        let plan = match &self.plan {
-            Ok(plan) => plan,
-            Err(e) => {
-                if self.cross_admit {
-                    self.plane.count_cross_abort();
-                }
-                let e = AdmissionService::keyed_to_dense(&inner.handles, e.clone());
-                return Err(AdmissionService::rejection(&e, &inner.handles));
-            }
-        };
-        self.plane.add_recomputations(plan.recomputed);
-        // Nothing has been applied yet, so a refused ticket leaves
-        // every shard untouched.
-        let ticket = ticket()?;
-        let dense = inner.record(req_id, op, plan.candidate_bound);
-        let cross = self.owners.len() > 1;
-        for sid in &self.owners {
-            let pos = self
-                .touched
-                .binary_search(sid)
-                .expect("owner shards are locked");
-            match op.as_ref() {
-                AcceptedOp::Admit { handle, spec } => self.guards[pos].insert_member(
-                    *handle,
-                    spec.clone(),
-                    self.path.clone(),
-                    DelayBound::Bounded(plan.candidate_bound),
-                    cross,
-                ),
-                AcceptedOp::Remove { handle } => self.guards[pos].remove_member(*handle),
-            }
-        }
-        match op.as_ref() {
-            AcceptedOp::Admit { spec, .. } => {
-                inner.specs.push(spec.clone());
-                inner.bounds.push(plan.candidate_bound);
-            }
-            AcceptedOp::Remove { .. } => {
-                inner.specs.remove(dense);
-                inner.bounds.remove(dense);
-            }
-        }
-        for &(key, bound) in &plan.updates {
-            let member = self
-                .members
-                .iter()
-                .find(|m| m.key == key)
-                .expect("update targets a neighborhood member");
-            let dense = inner
-                .handles
-                .binary_search(&key)
-                .expect("member handle is live");
-            inner.bounds[dense] = bound.value().expect("surviving member bounds are bounded");
-            for sid in self
-                .plane
-                .map()
-                .shards_of(member.path.links().iter().copied())
-            {
-                let pos = self
-                    .touched
-                    .binary_search(&sid)
-                    .expect("neighborhood shards are locked");
-                self.guards[pos].set_member_bound(key, bound);
-            }
-        }
-        Ok((ticket, plan.candidate_bound))
-    }
-}
-
 /// The shared admission-control service behind `rtwc serve`.
 #[derive(Debug)]
 pub struct AdmissionService {
@@ -508,10 +383,6 @@ pub struct AdmissionService {
     pending_writes: AtomicU64,
     /// Shed writes beyond this many pending (0 = never shed).
     max_pending: u64,
-    /// The sharded admission plane (`--shards`). When present, `ADMIT`
-    /// and `REMOVE` run two-phase over per-shard locks and `inner.ctl`
-    /// stays empty; reads serve from `inner.specs`/`inner.bounds`.
-    plane: Option<ShardPlane>,
     /// Replication state, when this node participates in replication.
     /// Set once at startup ([`AdmissionService::attach_repl`]); absent
     /// on a standalone node, whose request paths stay untouched.
@@ -544,65 +415,8 @@ impl AdmissionService {
             degraded: AtomicBool::new(false),
             pending_writes: AtomicU64::new(0),
             max_pending: 0,
-            plane: None,
             repl: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Splits the admission plane into region shards (`0` = auto: one
-    /// region per 16x16 mesh tile) and migrates any recovered state
-    /// into them. Call before sharing the service across threads —
-    /// writes then run two-phase over per-shard locks, and reads serve
-    /// from the spec table without touching a shard. Returns the
-    /// actual shard count (the mesh extents can cap the request).
-    pub fn enable_sharding(&mut self, shards: usize) -> usize {
-        let map = if shards == 0 {
-            ShardMap::auto(&self.mesh)
-        } else {
-            ShardMap::regions(&self.mesh, shards)
-        };
-        let plane = ShardPlane::new(map);
-        // Drain the monolithic controller first, then seed the plane
-        // without `inner` held: shard locks rank below the service
-        // lock, so they must never be acquired under it.
-        let (parts, bounds, handles) = {
-            let mut inner = self.inner.write();
-            let parts = inner.ctl.parts().to_vec();
-            let bounds: Vec<u64> = inner
-                .ctl
-                .bounds()
-                .iter()
-                .map(|b| b.value().expect("admitted bounds are bounded"))
-                .collect();
-            inner.ctl = AdmissionController::new();
-            (parts, bounds, inner.handles.clone())
-        };
-        for (i, (spec, path)) in parts.iter().enumerate() {
-            let owners = plane.map().shards_of(path.links().iter().copied());
-            let cross = owners.len() > 1;
-            for guard in &mut plane.write_set(&owners) {
-                guard.insert_member(
-                    handles[i],
-                    spec.clone(),
-                    path.clone(),
-                    DelayBound::Bounded(bounds[i]),
-                    cross,
-                );
-            }
-        }
-        {
-            let mut inner = self.inner.write();
-            inner.specs = parts.into_iter().map(|(s, _)| s).collect();
-            inner.bounds = bounds;
-        }
-        let n = plane.shard_count();
-        self.plane = Some(plane);
-        n
-    }
-
-    /// The sharded admission plane, when enabled.
-    pub fn shard_plane(&self) -> Option<&ShardPlane> {
-        self.plane.as_ref()
     }
 
     /// Attaches the replication hub (leader or follower role). Call
@@ -937,9 +751,8 @@ impl AdmissionService {
 
     /// Applies one replicated WAL frame on a follower, through
     /// [`Self::write`]: persisted locally first (ticket-before-apply,
-    /// like a live write), then applied by the same backend the leader
-    /// used — so a promoted sharded follower serves sharded writes with
-    /// no migration step. A frame at or below the local sequence is a
+    /// like a live write), then applied by the same controller a live
+    /// write uses. A frame at or below the local sequence is a
     /// duplicate delivery and a no-op. A gap, a refusal (the leader
     /// accepted this op; a standby that cannot has diverged) or a WAL
     /// error is reported, so the session tears down, reconnects and
@@ -1027,29 +840,16 @@ impl AdmissionService {
     }
 
     /// The one write path: every state change — a client's or the
-    /// leader's, on the serial controller or the shard plane — is
-    /// decided, ticketed, recorded and acknowledged here, in the step
-    /// order the module docs give. `Ok` is the acknowledgement of a
-    /// write that is applied and durable.
+    /// leader's — is decided, ticketed, recorded and acknowledged here,
+    /// in the step order the module docs give. `Ok` is the
+    /// acknowledgement of a write that is applied and durable.
     fn write(&self, origin: Origin, op: Op) -> Result<Response, NotApplied> {
         let (client, req_id) = match origin {
             Origin::Client { req_id } => (true, req_id),
             Origin::Leader { req_id, .. } => (false, req_id),
         };
-        // Backend decision, shard plane: the analysis runs under the
-        // shard guards only, before the service lock (their rank is
-        // below it), and the guards stay held *across* the bookkeeping —
-        // so journal order equals analysis order for every pair of
-        // conflicting operations and a serial replay of the journal
-        // reproduces this exact state.
-        let mut staged = match &self.plane {
-            Some(plane) => Some(self.stage(plane, origin, &op)?),
-            None => None,
-        };
         let mut inner = self.inner.write();
 
-        // Ticket check (authoritative even after the plane's precheck:
-        // a racing duplicate may have landed in between).
         self.already_applied(&inner, origin, &op)?;
         if let Origin::Leader { seq, .. } = origin {
             let cur = self.seq_under(&inner);
@@ -1067,8 +867,7 @@ impl AdmissionService {
                 // admission itself. A frame the leader accepted is not
                 // re-linted.
                 let warnings = if client {
-                    let members = staged.as_ref().map(|s| s.members.as_slice());
-                    self.lint(&inner, members, &spec, path.as_ref())?
+                    self.lint(&inner, &spec, path.as_ref())?
                 } else {
                     Vec::new()
                 };
@@ -1086,27 +885,19 @@ impl AdmissionService {
         };
         let accepted = Arc::new(accepted);
 
-        // Decision (serial), WAL append, bookkeeping, backend apply.
-        // Ticket before acknowledging: if the WAL refuses the record
-        // nothing stays applied and the client is told "not admitted".
-        let append = || self.persist(req_id, &accepted);
-        let (ticket, bound) = match &mut staged {
-            None => inner.apply(req_id, &accepted, path, append),
-            Some(staged) => staged.commit(&mut inner, req_id, &accepted, append),
-        }
-        .map_err(NotApplied::Refused)?;
+        // Decision, WAL append, bookkeeping. Ticket before
+        // acknowledging: if the WAL refuses the record nothing stays
+        // applied and the client is told "not admitted".
+        let (ticket, bound) = inner
+            .apply(req_id, &accepted, path, || self.persist(req_id, &accepted))
+            .map_err(NotApplied::Refused)?;
         self.maybe_snapshot(&mut inner);
         drop(inner);
-        let cross_admit = staged.as_ref().filter(|s| s.cross_admit).map(|s| s.plane);
-        drop(staged);
 
         // The durability wait runs outside every lock: other writes
         // keep deciding and committing while this batch syncs.
         if let Some(refusal) = self.await_durable(ticket) {
             return Err(NotApplied::Refused(refusal));
-        }
-        if let Some(plane) = cross_admit {
-            plane.count_cross_admit();
         }
         // Fresh admissions/removals are counted here, at the
         // state-change point, so a dedup replay (which returns the same
@@ -1170,188 +961,39 @@ impl AdmissionService {
         }
     }
 
-    /// The shard plane's half of [`Self::write`], run before the
-    /// service lock: locks the shards the op's route touches (two-phase
-    /// when there are several), scans the link-sharing neighborhood and
-    /// plans the op against it.
-    fn stage<'a>(
-        &'a self,
-        plane: &'a ShardPlane,
-        origin: Origin,
-        op: &Op,
-    ) -> Result<Staged<'a>, NotApplied> {
-        let path = {
-            let inner = self.read();
-            // Cheap ticket precheck, keeping duplicate floods off the
-            // shard locks.
-            self.already_applied(&inner, origin, op)?;
-            match op {
-                Op::Admit { spec, path, .. } => {
-                    // Error gate before any shard lock. Error findings
-                    // (W002-W007) are properties of the candidate alone,
-                    // so they cannot appear or vanish before the
-                    // authoritative lint — and a candidate that passes
-                    // is sane enough for `plan_admit` (it traverses at
-                    // least one channel). An unroutable candidate
-                    // touches no shard and ends here (W003/W004).
-                    if matches!(origin, Origin::Client { .. }) {
-                        self.lint(&inner, Some(&[]), spec, None)?;
-                    }
-                    path.clone().ok_or_else(|| {
-                        NotApplied::Refused(Response::error("routing", "routing failed"))
-                    })?
-                }
-                // The victim's route (and so its owner shards) is
-                // re-derived deterministically from the spec table.
-                Op::Remove { handle } => {
-                    let idx = inner
-                        .handles
-                        .binary_search(handle)
-                        .map_err(|_| NotApplied::Refused(unknown_id(*handle)))?;
-                    let spec = &inner.specs[idx];
-                    XyRouting
-                        .route(&self.mesh, spec.source, spec.dest)
-                        .map_err(|e| {
-                            let text = format!("routing failed: {e}");
-                            NotApplied::Refused(Response::error("routing", text))
-                        })?
-                }
-            }
-        };
-        let seed: Vec<LinkId> = path.sorted_links().to_vec();
-        let owners = plane.map().shards_of(seed.iter().copied());
-        let (guards, touched, nb) = Self::converge_shards(plane, &seed, owners.clone());
-        // Plan with only the shard guards held: the neighborhood cannot
-        // change under them, and disjoint writes keep analyzing
-        // concurrently.
-        let plan = match op {
-            Op::Admit { spec, .. } => plan_admit(&nb.members, spec, &path),
-            Op::Remove { handle } => {
-                // A racing client may have removed the victim between
-                // the lookup above and the shard locks; under its
-                // (locked) owner shards, residency is authoritative.
-                if !nb.members.iter().any(|m| m.key == *handle) {
-                    drop(guards);
-                    self.already_applied(&self.read(), origin, op)?;
-                    return Err(NotApplied::Refused(unknown_id(*handle)));
-                }
-                let p = plan_remove(&nb.members, *handle);
-                Ok(AdmitPlan {
-                    candidate_bound: 0,
-                    updates: p.updates,
-                    recomputed: p.recomputed,
-                })
-            }
-        };
-        Ok(Staged {
-            plane,
-            guards,
-            touched,
-            members: nb.members,
-            cross_admit: owners.len() > 1 && matches!(op, Op::Admit { .. }),
-            owners,
-            path,
-            plan,
-        })
-    }
-
-    /// Write-locks every shard in `touched` (canonical ascending
-    /// order) and scans the candidate's link-sharing neighborhood to
-    /// its fixpoint, re-acquiring from scratch with a widened shard
-    /// set whenever the closure escapes the held one. Returns the
-    /// guards, the final shard set, and the complete neighborhood.
-    fn converge_shards<'a>(
-        plane: &'a ShardPlane,
-        seed: &[LinkId],
-        mut touched: Vec<ShardId>,
-    ) -> (
-        Vec<TrackedRwLockWriteGuard<'a, RegionShard>>,
-        Vec<ShardId>,
-        rtwc_core::Neighborhood,
-    ) {
-        loop {
-            let guards = plane.write_set(&touched);
-            let held: Vec<(ShardId, &RegionShard)> = touched
-                .iter()
-                .zip(guards.iter())
-                .map(|(&s, g)| (s, &**g))
-                .collect();
-            let nb = scan_neighborhood(plane.map(), &held, seed);
-            drop(held);
-            if nb.missing.is_empty() {
-                return (guards, touched, nb);
-            }
-            touched.extend(nb.missing.iter().copied());
-            touched.sort_unstable();
-            touched.dedup();
-        }
-    }
-
     /// The verifier gate: W0xx rules on the candidate against the
     /// admitted set; error findings refuse it, warnings ride along on
-    /// the answer. Either backend hands the rules the candidate's
-    /// would-be dense id and its neighbors — every admitted stream
-    /// sharing a channel with it, by ascending dense id — which
-    /// produces exactly the findings of a scan over the whole set.
-    /// `members` is `None` on the serial backend, where the neighbors
-    /// are the occupants of the candidate's `path` in the controller's
-    /// index, borrowed from its own `(spec, path)` parts; an exact
-    /// duplicate has the candidate's endpoints, hence its route, so it
-    /// is among them. On the shard plane `members` is the scanned
-    /// neighborhood and duplicate detection runs over the spec table.
+    /// the answer. The rules get the candidate's would-be dense id and
+    /// its neighbors — the occupants of the candidate's `path` in the
+    /// controller's index, by ascending dense id, borrowed from its own
+    /// `(spec, path)` parts — which produces exactly the findings of a
+    /// scan over the whole set. An exact duplicate has the candidate's
+    /// endpoints, hence its route, so it is among them.
     fn lint(
         &self,
         inner: &Inner,
-        members: Option<&[NeighborMember]>,
         spec: &StreamSpec,
         path: Option<&Path>,
     ) -> Result<Vec<Diagnostic>, NotApplied> {
-        let findings = match members {
-            None => {
-                let (index, parts) = (inner.ctl.index(), inner.ctl.parts());
-                let mut ids: Vec<StreamId> = (path.iter())
-                    .flat_map(|p| p.links())
-                    .flat_map(|&l| index.link_streams(l))
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                let neighbors: Vec<(u32, &StreamSpec, &Path)> = (ids.iter())
-                    .map(|id| (id.0, &parts[id.index()].0, &parts[id.index()].1))
-                    .collect();
-                let duplicate = neighbors.iter().find(|(_, s, _)| *s == spec);
-                lint_candidate_indexed(
-                    &self.mesh,
-                    &XyRouting,
-                    parts.len() as u32,
-                    duplicate.map(|&(id, ..)| id),
-                    &neighbors,
-                    spec,
-                )
-            }
-            Some(members) => {
-                let cand_id = inner.handles.len() as u32;
-                let duplicate_of = inner.specs.iter().position(|s| s == spec).map(|i| i as u32);
-                let indexed: Vec<(u32, &StreamSpec, &Path)> = members
-                    .iter()
-                    .map(|m| {
-                        let dense = inner
-                            .handles
-                            .binary_search(&m.key)
-                            .expect("member handle is live")
-                            as u32;
-                        (dense, &m.spec, &m.path)
-                    })
-                    .collect();
-                lint_candidate_indexed(
-                    &self.mesh,
-                    &XyRouting,
-                    cand_id,
-                    duplicate_of,
-                    &indexed,
-                    spec,
-                )
-            }
-        };
+        let (index, parts) = (inner.ctl.index(), inner.ctl.parts());
+        let mut ids: Vec<StreamId> = (path.iter())
+            .flat_map(|p| p.links())
+            .flat_map(|&l| index.link_streams(l))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let neighbors: Vec<(u32, &StreamSpec, &Path)> = (ids.iter())
+            .map(|id| (id.0, &parts[id.index()].0, &parts[id.index()].1))
+            .collect();
+        let duplicate = neighbors.iter().find(|(_, s, _)| *s == spec);
+        let findings = lint_candidate_indexed(
+            &self.mesh,
+            &XyRouting,
+            parts.len() as u32,
+            duplicate.map(|&(id, ..)| id),
+            &neighbors,
+            spec,
+        );
         if findings.iter().any(Diagnostic::is_error) {
             let errors = findings.iter().filter(|d| d.is_error()).count();
             return Err(NotApplied::Refused(Response::Rejected {
@@ -1364,42 +1006,6 @@ impl AdmissionService {
             }));
         }
         Ok(findings)
-    }
-
-    /// Translates a plane rejection (blockers/victims by stable
-    /// handle) into the [`AdmissionError`] shape, so the wire response
-    /// is byte-identical to the monolithic path's.
-    fn keyed_to_dense(handles: &[u64], e: KeyedRejection) -> AdmissionError {
-        let dense = |keys: Vec<u64>| -> Vec<StreamId> {
-            keys.into_iter()
-                .map(
-                    |k| StreamId(handles.binary_search(&k).expect("blocker handle is live") as u32),
-                )
-                .collect()
-        };
-        match e {
-            KeyedRejection::CandidateInfeasible {
-                bound,
-                source,
-                dest,
-                blocked_by,
-            } => AdmissionError::CandidateInfeasible {
-                bound,
-                source,
-                dest,
-                blocked_by: dense(blocked_by),
-            },
-            KeyedRejection::BreaksExisting {
-                source,
-                dest,
-                victims,
-            } => AdmissionError::BreaksExisting {
-                source,
-                dest,
-                victims: dense(victims),
-            },
-            KeyedRejection::Invalid(msg) => AdmissionError::Invalid(msg),
-        }
     }
 
     /// Maps an analysis rejection onto the wire shape, translating the
@@ -1546,7 +1152,7 @@ impl AdmissionService {
 
     fn query(&self, handle: u64) -> Response {
         let inner = self.read();
-        let Some(idx) = inner.handles.iter().position(|&h| h == handle) else {
+        let Ok(idx) = inner.handles.binary_search(&handle) else {
             return unknown_id(handle);
         };
         let (spec, bound) = inner.stream(idx);
@@ -1590,33 +1196,7 @@ impl AdmissionService {
 
     fn stats(&self) -> Response {
         let m = self.metrics.snapshot();
-        let (streams, recomputations) = {
-            let inner = self.read();
-            match &self.plane {
-                Some(plane) => (inner.handles.len(), plane.recomputations()),
-                None => inner.ctl.stats(),
-            }
-        };
-        // Shard gauges are collected with no other lock held: shard
-        // locks rank below the service lock.
-        let shards = self.plane.as_ref().map(|plane| {
-            let gauges = plane.gauges();
-            ShardsReport {
-                count: plane.shard_count() as u64,
-                cross_admits: plane.cross_admits(),
-                cross_aborts: plane.cross_aborts(),
-                index_bytes: gauges.iter().map(|g| g.index_bytes).sum(),
-                reclaimable_bytes: gauges.iter().map(|g| g.reclaimable_bytes).sum(),
-                per_shard: gauges
-                    .iter()
-                    .map(|g| ShardStats {
-                        streams: g.streams,
-                        cross: g.cross,
-                        index_bytes: g.index_bytes,
-                    })
-                    .collect(),
-            }
-        });
+        let (streams, recomputations) = self.read().ctl.stats();
         let repl = self.repl.get().map(|hub| {
             let synced = self.wal_synced_seq();
             hub.report(synced, self.ship_frontier().unwrap_or(synced))
@@ -1645,7 +1225,6 @@ impl AdmissionService {
             service_p90_us: m.service_p90_us,
             service_p99_us: m.service_p99_us,
             service_max_us: m.service_max_us,
-            shards,
             repl,
         }))
     }
@@ -1659,25 +1238,11 @@ impl AdmissionService {
         if inner.handles.is_empty() {
             return Ok(0);
         }
-        // The controller keeps its routes; the shard plane's spec table
-        // is re-routed deterministically.
-        let parts = if inner.specs.is_empty() {
-            inner.ctl.parts().to_vec()
-        } else {
-            let mut parts = Vec::with_capacity(inner.specs.len());
-            for spec in &inner.specs {
-                let path = XyRouting
-                    .route(&self.mesh, spec.source, spec.dest)
-                    .map_err(|e| format!("admitted stream no longer routes: {e}"))?;
-                parts.push((spec.clone(), path));
-            }
-            parts
-        };
-        let set = StreamSet::from_parts(parts)
+        let set = StreamSet::from_parts(inner.ctl.parts().to_vec())
             .map_err(|e| format!("admitted set no longer resolves: {e}"))?;
         let fresh = determine_feasibility(&set);
         for id in set.ids() {
-            let served = DelayBound::Bounded(inner.stream(id.index()).1);
+            let served = inner.ctl.bound(id);
             if fresh.bound(id) != served {
                 return Err(format!(
                     "stream id {} (dense {id}): served bound {served} != offline bound {}",
@@ -1804,6 +1369,49 @@ mod tests {
         // A fresh admit gets a fresh id, not a recycled one.
         let r = admit_line(&svc, "ADMIT 0,4 5,4 1 50 4");
         assert!(matches!(r, Response::Admitted { id: 3, .. }), "{r:?}");
+
+        // Handles made non-contiguous by removals in the middle: each
+        // queried id answers with its own spec and bound.
+        for y in 5..9u64 {
+            let r = admit_line(&svc, &format!("ADMIT 0,{y} {y},{y} 2 {} 3", 40 + y));
+            assert!(matches!(r, Response::Admitted { .. }), "{r:?}");
+        }
+        admit_line(&svc, "REMOVE 4");
+        admit_line(&svc, "REMOVE 6");
+        let bounds = svc.bounds_by_handle();
+        assert_eq!(
+            bounds.iter().map(|&(h, _)| h).collect::<Vec<_>>(),
+            [0, 2, 3, 5, 7]
+        );
+        for (id, bound) in bounds {
+            let (priority, period, length) = match id {
+                0 | 2 | 3 => (1, 50, 4),
+                _ => (2, 41 + id, 3),
+            };
+            let want = Response::Query {
+                id,
+                bound,
+                deadline: period,
+                slack: period - bound,
+                priority,
+                period,
+                length,
+            };
+            assert_eq!(admit_line(&svc, &format!("QUERY {id}")), want);
+        }
+        for gone in [1, 4, 6, 8] {
+            let r = admit_line(&svc, &format!("QUERY {gone}"));
+            assert!(
+                matches!(
+                    r,
+                    Response::Error {
+                        code: "unknown_id",
+                        ..
+                    }
+                ),
+                "{r:?}"
+            );
+        }
     }
 
     #[test]
@@ -2088,15 +1696,8 @@ mod tests {
         assert!(warnings.iter().any(|d| d.code == "W001"), "{warnings:?}");
     }
 
-    fn sharded_service(shards: usize) -> AdmissionService {
-        let mut svc = service();
-        let got = svc.enable_sharding(shards);
-        assert_eq!(got, shards, "10x10 supports {shards} region shards");
-        svc
-    }
-
-    /// A workload that exercises every response shape: shard-local and
-    /// region-spanning admits, an idempotent replay, a lint rejection,
+    /// A workload that exercises every response shape: quadrant-local
+    /// and mesh-spanning admits, an idempotent replay, a lint rejection,
     /// an infeasible candidate, a breaks-existing candidate, a
     /// duplicate-warning admit, removal, query, snapshot.
     const PARITY_WORKLOAD: &[&str] = &[
@@ -2125,22 +1726,8 @@ mod tests {
         Leader,
     }
 
-    /// The write-path matrix: origin x backend (0 = the serial
-    /// controller, else that many region shards).
-    const CELLS: [(From, usize); 4] = [
-        (From::Client, 0),
-        (From::Client, 4),
-        (From::Leader, 0),
-        (From::Leader, 4),
-    ];
-
-    fn cell_service(shards: usize) -> AdmissionService {
-        if shards == 0 {
-            service()
-        } else {
-            sharded_service(shards)
-        }
-    }
+    /// The write-path matrix: every origin, on the one backend.
+    const CELLS: [From; 2] = [From::Client, From::Leader];
 
     /// The `@REQID` prefix of a request line (0 = none).
     fn req_id_of(line: &str) -> u64 {
@@ -2155,9 +1742,9 @@ mod tests {
 
     #[test]
     fn write_path_parity_matrix() {
-        // The reference is a client on the serial backend: its answers,
-        // journal and bounds are what every cell must reproduce, and
-        // the frames it would ship are what the leader cells replay.
+        // The reference is a client: its answers, journal and bounds are
+        // what every cell must reproduce, and the frames it would ship
+        // are what the leader cell replays.
         let reference = service();
         let mut answers = Vec::new();
         let mut frames: Vec<(u64, Arc<AcceptedOp>)> = Vec::new();
@@ -2172,10 +1759,18 @@ mod tests {
         assert!(frames.iter().any(|&(req_id, _)| req_id == req_id_of(retry)));
         let original = render_line(&reference, retry);
 
-        let mut plane_counters = Vec::new();
-        for (from, shards) in CELLS {
-            let cell = format!("{from:?} x {shards} shard(s)");
-            let svc = cell_service(shards);
+        // The journal replays serially to bit-identical bounds.
+        let replayed = replay(reference.mesh(), &reference.ops()).unwrap();
+        let live = reference.bounds_by_handle();
+        assert_eq!(replayed.len(), live.len());
+        for (i, &(_, bound)) in live.iter().enumerate() {
+            let id = StreamId(i as u32);
+            assert_eq!(replayed.bound(id), DelayBound::Bounded(bound), "{i}");
+        }
+
+        for from in CELLS {
+            let cell = format!("{from:?}");
+            let svc = service();
             match from {
                 From::Client => {
                     for (line, want) in PARITY_WORKLOAD.iter().zip(&answers) {
@@ -2206,13 +1801,6 @@ mod tests {
                 "{cell}"
             );
             assert_eq!(svc.audit().unwrap(), svc.admitted_count(), "{cell}");
-            if shards > 0 {
-                let Response::Stats(s) = admit_line(&svc, "STATS") else {
-                    panic!("{cell}: no stats")
-                };
-                let plane = s.shards.as_ref().expect("shard gauges present");
-                plane_counters.push((s.recomputations, plane.cross_admits));
-            }
 
             // Exactly-once across failover: the promoted follower (like
             // the leader it replaces) answers a retried request id with
@@ -2230,27 +1818,19 @@ mod tests {
                 reference.ops(),
                 "{cell}: a replay changes nothing"
             );
-            // Promotion serves writes immediately, on the same backend —
-            // no restart, no migration step.
+            // Promotion serves writes immediately: no restart, no
+            // migration step.
             let r = admit_line(&svc, "ADMIT 0,2 5,2 2 50 4");
             assert!(matches!(r, Response::Admitted { .. }), "{cell}: {r:?}");
-            if let Some(plane) = svc.shard_plane() {
-                let resident: u64 = plane.gauges().iter().map(|g| g.streams).sum();
-                assert!(resident > 0, "{cell}: replayed streams live in the shards");
-            }
         }
-        // One write function, one accounting: a sharded follower reports
-        // the recomputations and cross-shard admits its leader does.
-        assert_eq!(plane_counters[0], plane_counters[1]);
-        assert!(plane_counters[0].0 > 0 && plane_counters[0].1 > 0);
     }
 
     #[test]
     fn wal_refusal_leaves_no_trace_in_any_cell() {
         use crate::faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState};
         let mesh = Mesh::mesh2d(10, 10);
-        for (from, shards) in CELLS {
-            let cell = format!("{from:?} x {shards} shard(s)");
+        for from in CELLS {
+            let cell = format!("{from:?}");
             let dir = scratch_dir("wal-refusal");
             std::fs::create_dir_all(&dir).unwrap();
             // Append #1 is the WAL header, #2-#4 the three residents;
@@ -2262,17 +1842,14 @@ mod tests {
             let fault = Arc::new(FaultState::default());
             let path = dir.join(crate::wal::WAL_FILE);
             let file = Box::new(FailpointFile::open(&path, plan, Arc::clone(&fault)).unwrap());
-            let mut svc =
+            let svc =
                 crate::chaos::durable_service(&mesh, &dir, FsyncPolicy::Never, 0, file).unwrap();
-            if shards > 0 {
-                svc.enable_sharding(shards);
-            }
             let hub = Arc::new(ReplHub::follower("leader:1"));
             if from == From::Leader {
                 svc.attach_repl(Arc::clone(&hub));
             }
-            // A client sends the line; a leader serves it on a serial
-            // reference and ships the frame it journals.
+            // A client sends the line; a leader serves it on a reference
+            // service and ships the frame it journals.
             let leader = service();
             let send = |line: &str| -> Result<(), String> {
                 if from == From::Client {
@@ -2303,22 +1880,17 @@ mod tests {
             let trace = |svc: &AdmissionService| {
                 let mut dedup: Vec<u64> = svc.read().dedup.keys().copied().collect();
                 dedup.sort_unstable();
-                let resident: Vec<u64> = svc
-                    .shard_plane()
-                    .map(|p| p.gauges().iter().map(|g| g.streams).collect())
-                    .unwrap_or_default();
                 (
                     svc.ops(),
                     svc.admitted_count(),
                     svc.bounds_by_handle(),
                     dedup,
-                    resident,
                     hub.applied_seq(),
                 )
             };
             let before = trace(&svc);
-            // Shares row 0 with a resident, so a serial decision that was
-            // not rolled back would show in the resident's bound.
+            // Shares row 0 with a resident, so a decision that was not
+            // rolled back would show in the resident's bound.
             let err = send("@99 ADMIT 1,0 6,0 1 100 4").unwrap_err();
             assert!(err.contains("WAL"), "{cell}: {err}");
             assert!(svc.is_degraded(), "{cell}: a WAL refusal degrades");
@@ -2342,74 +1914,6 @@ mod tests {
             drop(svc);
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn sharded_journal_replays_bit_identical() {
-        let svc = sharded_service(4);
-        for line in PARITY_WORKLOAD {
-            admit_line(&svc, line);
-        }
-        let replayed = replay(svc.mesh(), &svc.ops()).unwrap();
-        let live = svc.bounds_by_handle();
-        assert_eq!(replayed.len(), live.len());
-        for (i, &(_, bound)) in live.iter().enumerate() {
-            assert_eq!(
-                replayed.bound(StreamId(i as u32)),
-                DelayBound::Bounded(bound),
-                "stream {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn enable_sharding_migrates_admitted_streams() {
-        let mut svc = service();
-        admit_line(&svc, "ADMIT 0,0 9,9 2 200 6"); // will span all four shards
-        admit_line(&svc, "ADMIT 0,1 3,1 1 60 4 55");
-        let before = svc.bounds_by_handle();
-        assert_eq!(svc.enable_sharding(4), 4);
-        assert_eq!(svc.bounds_by_handle(), before);
-        assert_eq!(svc.audit().unwrap(), 2);
-        // The migrated index keeps interfering with fresh candidates.
-        let r = admit_line(&svc, "ADMIT 1,0 6,0 1 100 8 12");
-        assert!(
-            matches!(
-                r,
-                Response::Rejected {
-                    reason: RejectReason::CandidateInfeasible,
-                    ..
-                }
-            ),
-            "{r:?}"
-        );
-        let plane = svc.shard_plane().expect("plane installed");
-        let streams: u64 = plane.gauges().iter().map(|g| g.streams).sum();
-        assert!(streams >= 3, "cross-shard stream resident in both owners");
-    }
-
-    #[test]
-    fn sharded_stats_surface_the_plane_gauges() {
-        let svc = sharded_service(4);
-        admit_line(&svc, "ADMIT 0,0 3,0 3 60 4"); // local
-        admit_line(&svc, "ADMIT 0,0 9,9 2 200 6"); // crosses all four
-        admit_line(&svc, "ADMIT 6,6 9,6 2 50 4"); // local
-        let r = admit_line(&svc, "STATS");
-        let Response::Stats(s) = r else {
-            panic!("{r:?}")
-        };
-        let sh = s.shards.as_ref().expect("shard gauges present");
-        assert_eq!(sh.count, 4);
-        assert_eq!(sh.per_shard.len(), 4);
-        assert_eq!(sh.cross_admits, 1);
-        assert_eq!(sh.cross_aborts, 0);
-        assert!(sh.index_bytes > 0);
-        // The spanning stream is resident in every quadrant it touches.
-        let resident: u64 = sh.per_shard.iter().map(|p| p.streams).sum();
-        assert!(resident > s.streams, "{sh:?}");
-        assert!(sh.per_shard.iter().all(|p| p.cross <= p.streams), "{sh:?}");
-        let line = crate::protocol::render_response(&Response::Stats(s));
-        assert!(line.contains("\"shards\":{\"count\":4"), "{line}");
     }
 
     #[test]

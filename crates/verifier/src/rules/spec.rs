@@ -288,25 +288,26 @@ where
 
 /// [`lint_candidate_routed`] with **caller-supplied stream ids**.
 ///
-/// The sharded admission plane lints a candidate against only the
-/// streams resident in the shards its route touches — a subset of the
-/// admitted set whose dense ids are not contiguous. This entry point
-/// takes each admitted stream as an explicit `(id, spec, path)` triple
-/// plus the candidate's own id, so the findings carry the same stream
-/// ids a monolithic lint over the full set would produce.
+/// The admission service lints a candidate against only its index
+/// neighbours — the admitted streams that occupy one of the
+/// candidate's channels in the controller's interference index — a
+/// subset of the admitted set whose dense ids are not contiguous. This
+/// entry point takes each admitted stream as an explicit
+/// `(id, spec, path)` triple plus the candidate's own id, so the
+/// findings carry the same stream ids a lint over the full set would
+/// produce.
 ///
-/// Contract (the sharded caller upholds it, the monolithic wrapper
-/// satisfies it trivially):
+/// Contract (the service's index-neighbour lint upholds it,
+/// [`lint_candidate_routed`] satisfies it trivially):
 ///
 /// * `admitted` is sorted by ascending id — `W008` findings come out in
-///   that order, matching the monolithic full scan;
+///   that order, matching the full scan;
 /// * every admitted stream sharing a directed channel with the
-///   candidate is present (true for shard-local members: any stream
-///   sharing link `l` with the candidate is resident in `l`'s shard,
-///   which the candidate touches);
+///   candidate is present (the index lists every occupant of every
+///   channel);
 /// * `duplicate_of` is the id of the *first* exact duplicate across the
-///   **whole** admitted set, or `None` — duplicate detection needs no
-///   path and must not be restricted to the candidate's shards.
+///   **whole** admitted set, or `None` (an exact duplicate has the
+///   candidate's endpoints, hence its route, so it is a neighbour).
 pub fn lint_candidate_indexed<T, R>(
     topo: &T,
     routing: &R,
