@@ -24,7 +24,7 @@ pub mod harness;
 pub mod hpset_load;
 pub mod table;
 
-pub use diagram_load::contended_line_set;
+pub use diagram_load::{benchmark_region, contended_line_set};
 pub use harness::{
     aggregate, measure_workload, run_experiment, ExperimentConfig, PriorityRow, StreamMeasurement,
 };

@@ -269,9 +269,7 @@ impl AdmissionController {
                     .map(|e| e.stream)
                     .collect();
             }
-            let bound =
-                self.scratch
-                    .delay_bound_indexed(set, &self.index, &hp, set.get(id).deadline());
+            let bound = self.scratch.delay_bound(set, &hp, set.get(id).deadline());
             self.recomputations += 1;
             if id != new_id {
                 saved.push((id.index(), self.bounds[id.index()]));
@@ -355,9 +353,9 @@ impl AdmissionController {
         for old in affected_old {
             let new_id = remap(old);
             let hp = self.index.hp_set(set, new_id);
-            let bound =
-                self.scratch
-                    .delay_bound_indexed(set, &self.index, &hp, set.get(new_id).deadline());
+            let bound = self
+                .scratch
+                .delay_bound(set, &hp, set.get(new_id).deadline());
             self.recomputations += 1;
             self.bounds[new_id.index()] = bound;
         }

@@ -1,8 +1,11 @@
-//! Blocking dependency graphs (paper Fig. 5/8) and the order in which
-//! `Modify_Diagram` must process indirect HP elements.
+//! Blocking dependency graphs (paper Fig. 5/8).
+//!
+//! `Modify_Diagram` does not build one: its processing order is read
+//! off the HP set's `IN` fields ([`HpSet::processing_order`]). The
+//! graph serves the verifier, whose chain and cycle rules need edges
+//! between arbitrary HP elements.
 
 use crate::hpset::HpSet;
-use crate::interference::InterferenceIndex;
 use crate::stream::{StreamId, StreamSet};
 use std::collections::VecDeque;
 
@@ -20,29 +23,15 @@ pub struct BlockingDependencyGraph {
 
 impl BlockingDependencyGraph {
     /// Builds the BDG for `hp` over `set` by pairwise directly-affects
-    /// tests (sorted-merge channel overlap per pair). Identical to
-    /// [`BlockingDependencyGraph::build_indexed`]; callers holding an
-    /// [`InterferenceIndex`] should prefer that, which reads each edge
-    /// as one bit test.
+    /// tests (sorted-merge channel overlap per pair).
     pub fn build(set: &StreamSet, hp: &HpSet) -> Self {
-        Self::build_with(hp, |a, b| set.get(a).directly_affects(set.get(b)))
-    }
-
-    /// Builds the BDG off an interference index: every edge is a single
-    /// bit probe of the directly-affects adjacency instead of a path
-    /// comparison.
-    pub fn build_indexed(index: &InterferenceIndex, hp: &HpSet) -> Self {
-        Self::build_with(hp, |a, b| index.directly_affects(a, b))
-    }
-
-    fn build_with(hp: &HpSet, edge: impl Fn(StreamId, StreamId) -> bool) -> Self {
         let mut nodes: Vec<StreamId> = hp.elements().iter().map(|e| e.stream).collect();
         nodes.push(hp.target);
         let n = nodes.len();
         let mut adj = vec![vec![false; n]; n];
         for (i, &a) in nodes.iter().enumerate() {
             for (j, &b) in nodes.iter().enumerate() {
-                if i != j && edge(a, b) {
+                if i != j && set.get(a).directly_affects(set.get(b)) {
                     adj[i][j] = true;
                 }
             }
@@ -87,45 +76,6 @@ impl BlockingDependencyGraph {
             }
         }
         dist
-    }
-
-    /// The order in which `Modify_Diagram` processes *indirect* HP
-    /// elements: an element is handled only after every one of its
-    /// intermediates that is itself indirect has been handled (the
-    /// paper's `vc[ni] == indegree` bookkeeping). Among ready elements,
-    /// nearer-to-target (smaller BFS distance) first, ties by id, which
-    /// keeps the procedure deterministic; any leftover elements that a
-    /// mutual-blocking cycle makes permanently "unready" are appended in
-    /// BFS-distance order so the pass always terminates.
-    pub fn indirect_processing_order(&self, hp: &HpSet) -> Vec<StreamId> {
-        let indirect: Vec<StreamId> = hp
-            .elements()
-            .iter()
-            .filter(|e| !e.is_direct())
-            .map(|e| e.stream)
-            .collect();
-        if indirect.is_empty() {
-            return Vec::new();
-        }
-        let dist = self.distance_from_target();
-        let dist_of = |s: StreamId| -> u32 { dist[self.pos(s)].unwrap_or(u32::MAX) };
-        let mut pending: Vec<StreamId> = indirect.clone();
-        pending.sort_by_key(|&s| (dist_of(s), s));
-        let mut done: Vec<StreamId> = Vec::new();
-        while !pending.is_empty() {
-            let ready_pos = pending.iter().position(|&s| {
-                let elem = hp.element(s).expect("indirect element in HP");
-                elem.intermediates.iter().all(|&im| {
-                    // Intermediates that are direct need no processing.
-                    hp.element(im).is_none_or(|e| e.is_direct()) || done.contains(&im)
-                })
-            });
-            // Cycle fallback: take the nearest pending element.
-            let pos = ready_pos.unwrap_or(0);
-            let s = pending.remove(pos);
-            done.push(s);
-        }
-        done
     }
 }
 
@@ -202,24 +152,8 @@ mod tests {
     fn processing_order_respects_intermediates() {
         let set = chain();
         let hp = generate_hp(&set, StreamId(0));
-        let g = BlockingDependencyGraph::build(&set, &hp);
-        let order = g.indirect_processing_order(&hp);
         // X (via direct Y) first, then W (via X).
-        assert_eq!(order, vec![StreamId(2), StreamId(3)]);
-    }
-
-    #[test]
-    fn indexed_build_matches_pairwise() {
-        let set = chain();
-        let index = InterferenceIndex::build(&set);
-        for id in set.ids() {
-            let hp = generate_hp(&set, id);
-            assert_eq!(
-                BlockingDependencyGraph::build(&set, &hp),
-                BlockingDependencyGraph::build_indexed(&index, &hp),
-                "{id}"
-            );
-        }
+        assert_eq!(hp.processing_order(), vec![StreamId(2), StreamId(3)]);
     }
 
     #[test]
@@ -229,8 +163,7 @@ mod tests {
             ([1, 0], [5, 0], 2), // direct only
         ]);
         let hp = generate_hp(&set, StreamId(0));
-        let g = BlockingDependencyGraph::build(&set, &hp);
-        assert!(g.indirect_processing_order(&hp).is_empty());
+        assert!(hp.processing_order().is_empty());
     }
 
     #[test]
@@ -260,7 +193,7 @@ mod tests {
         assert!(g.edge(StreamId(3), StreamId(4)));
         assert!(!g.edge(StreamId(0), StreamId(4)));
         assert!(!g.edge(StreamId(1), StreamId(4)));
-        let order = g.indirect_processing_order(&hp4);
+        let order = hp4.processing_order();
         assert_eq!(order.len(), 2);
         assert!(order.contains(&StreamId(0)) && order.contains(&StreamId(1)));
     }

@@ -3,7 +3,7 @@
 
 use crate::diagram::{AnalysisScratch, RemovedInstances, TimingDiagram};
 use crate::hpset::{generate_hp, HpSet};
-use crate::modify::modify_diagram;
+use crate::modify::{removal_set, RemovalStrategy};
 use crate::stream::{StreamId, StreamSet};
 use std::fmt;
 
@@ -79,7 +79,9 @@ pub struct CalUAnalysis {
 /// timing diagram treating every element as direct, run
 /// `Modify_Diagram` if any element is indirect, then accumulate free
 /// slots in the (implicit) target row until the target's network
-/// latency `L` is reached.
+/// latency `L` is reached. The removal set comes from the same
+/// [`AnalysisScratch`] loop [`cal_u`] runs; the final diagram is
+/// generated once, from that set.
 pub fn cal_u_detailed(set: &StreamSet, target: StreamId, horizon: u64) -> CalUAnalysis {
     let hp = generate_hp(set, target);
     cal_u_with_hp(set, hp, horizon)
@@ -88,20 +90,19 @@ pub fn cal_u_detailed(set: &StreamSet, target: StreamId, horizon: u64) -> CalUAn
 /// [`cal_u_detailed`] with a pre-computed HP set (the outer
 /// `Determine-Feasibility` loop builds all HP sets once).
 pub fn cal_u_with_hp(set: &StreamSet, hp: HpSet, horizon: u64) -> CalUAnalysis {
-    let target = hp.target;
     let initial = TimingDiagram::generate(set, &hp, horizon, &RemovedInstances::none());
-    let (finalized, removed) = if hp.has_indirect() {
-        modify_diagram(set, &hp, horizon)
+    let removed = removal_set(set, &hp, horizon, RemovalStrategy::InstanceSpan);
+    let finalized = if removed.is_empty() {
+        initial.clone()
     } else {
-        (initial.clone(), RemovedInstances::none())
+        TimingDiagram::generate(set, &hp, horizon, &removed)
     };
-    let needed = set.get(target).latency;
-    let bound = match finalized.accumulate_free(needed) {
+    let bound = match finalized.accumulate_free(set.get(hp.target).latency) {
         Some(u) => DelayBound::Bounded(u),
         None => DelayBound::Exceeded,
     };
     CalUAnalysis {
-        target,
+        target: hp.target,
         horizon,
         hp,
         initial,
@@ -218,9 +219,8 @@ mod tests {
 
     #[test]
     fn scratch_fast_path_matches_detailed() {
-        // `cal_u` now runs through the bound-only arena; the detailed
-        // path still builds full diagrams. One scratch reused across
-        // every stream and several horizons must agree exactly.
+        // One scratch reused across every stream and several horizons
+        // must agree exactly with fresh runs and the detailed path.
         let set = two_streams();
         let mut scratch = AnalysisScratch::new();
         for id in set.ids() {

@@ -54,7 +54,6 @@ pub use occupancy::AnalysisScratch;
 
 use crate::hpset::HpSet;
 use crate::stream::{StreamId, StreamSet};
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// State of one (row, time-slot) cell, exactly the paper's four values.
@@ -132,24 +131,32 @@ pub struct Row {
 }
 
 /// Instances deleted by `Modify_Diagram`, keyed by (stream, instance
-/// number).
+/// number) and kept sorted, so a lookup is a binary search.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RemovedInstances(HashSet<(StreamId, usize)>);
+pub struct RemovedInstances(Vec<(StreamId, usize)>);
 
 impl RemovedInstances {
     /// No removals (the initial diagram).
     pub fn none() -> Self {
-        RemovedInstances(HashSet::new())
+        RemovedInstances(Vec::new())
+    }
+
+    /// Wraps entries that are already sorted and free of duplicates.
+    pub(crate) fn from_sorted(entries: Vec<(StreamId, usize)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0] < w[1]));
+        RemovedInstances(entries)
     }
 
     /// Marks instance `index` of `stream` as removed.
     pub fn insert(&mut self, stream: StreamId, index: usize) {
-        self.0.insert((stream, index));
+        if let Err(at) = self.0.binary_search(&(stream, index)) {
+            self.0.insert(at, (stream, index));
+        }
     }
 
     /// True when instance `index` of `stream` is removed.
     pub fn contains(&self, stream: StreamId, index: usize) -> bool {
-        self.0.contains(&(stream, index))
+        self.0.binary_search(&(stream, index)).is_ok()
     }
 
     /// Number of removed instances.
@@ -162,16 +169,14 @@ impl RemovedInstances {
         self.0.is_empty()
     }
 
-    /// Drops all removals, keeping the allocation (arena reuse).
+    /// Drops all removals, keeping the allocation.
     pub fn clear(&mut self) {
         self.0.clear();
     }
 
     /// All removed (stream, instance) pairs, sorted.
     pub fn entries(&self) -> Vec<(StreamId, usize)> {
-        let mut v: Vec<_> = self.0.iter().copied().collect();
-        v.sort();
-        v
+        self.0.clone()
     }
 }
 

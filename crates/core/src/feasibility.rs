@@ -58,7 +58,7 @@ pub fn determine_feasibility_indexed(
     for id in set.by_decreasing_priority() {
         let stream = set.get(id);
         let hp = index.hp_set(set, id);
-        let bound = scratch.delay_bound_indexed(set, index, &hp, stream.deadline());
+        let bound = scratch.delay_bound(set, &hp, stream.deadline());
         bounds[id.index()] = bound;
         if !bound.meets(stream.deadline()) {
             infeasible.push(id);
@@ -102,8 +102,7 @@ pub fn determine_feasibility_parallel(set: &StreamSet, threads: usize) -> Feasib
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&id) = ids.get(i) else { break };
                         let hp = index.hp_set(set, id);
-                        let bound =
-                            scratch.delay_bound_indexed(set, index, &hp, set.get(id).deadline());
+                        let bound = scratch.delay_bound(set, &hp, set.get(id).deadline());
                         local.push((id, bound));
                     }
                     local
@@ -140,7 +139,7 @@ pub fn delay_bounds(
     set.ids()
         .map(|id| {
             let hp = index.hp_set(set, id);
-            scratch.delay_bound_indexed(set, &index, &hp, horizon_of(set, id))
+            scratch.delay_bound(set, &hp, horizon_of(set, id))
         })
         .collect()
 }

@@ -92,6 +92,89 @@ impl HpSet {
     pub fn row_of(&self, stream: StreamId) -> Option<usize> {
         self.elements.iter().position(|e| e.stream == stream)
     }
+
+    /// The order in which `Modify_Diagram` processes the *indirect*
+    /// elements: an element only after every one of its intermediates
+    /// that is itself indirect (the paper's `vc[ni] == indegree`
+    /// bookkeeping). Among ready elements, the one nearest the target
+    /// in the blocking dependency graph goes first, ties by id; when a
+    /// mutual-blocking cycle leaves none ready, the nearest pending one
+    /// goes, so the pass always terminates.
+    pub fn processing_order(&self) -> Vec<StreamId> {
+        let (mut dist, mut done, mut order) = (Vec::new(), Vec::new(), Vec::new());
+        self.order_rows(|s| self.row_of(s), &mut dist, &mut done, &mut order);
+        order.into_iter().map(|r| self.elements[r].stream).collect()
+    }
+
+    /// [`HpSet::processing_order`] as row indices into `order`, with
+    /// the row lookup and the work buffers supplied by the caller (the
+    /// analysis arena keeps them across streams).
+    ///
+    /// No graph is built. The BDG's edges out of an indirect element
+    /// are exactly its `IN` field, and a direct element's edge to the
+    /// target makes its distance 1, so the BFS distance from the target
+    /// is `1 + min` over the `IN` field, settled level by level.
+    pub(crate) fn order_rows(
+        &self,
+        row_of: impl Fn(StreamId) -> Option<usize>,
+        dist: &mut Vec<u32>,
+        done: &mut Vec<bool>,
+        order: &mut Vec<usize>,
+    ) {
+        let n = self.elements.len();
+        dist.clear();
+        dist.extend(
+            self.elements
+                .iter()
+                .map(|e| if e.is_direct() { 1 } else { u32::MAX }),
+        );
+        let mut level = 1;
+        loop {
+            let mut grew = false;
+            for r in 0..n {
+                if dist[r] == u32::MAX
+                    && self.elements[r]
+                        .intermediates
+                        .iter()
+                        .any(|&im| row_of(im).is_some_and(|x| dist[x] == level))
+                {
+                    dist[r] = level + 1;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+            level += 1;
+        }
+
+        // A stream listed twice is handled through its first row, as a
+        // lookup by stream finds it.
+        order.clear();
+        order.extend(
+            self.elements
+                .iter()
+                .filter(|e| !e.is_direct())
+                .filter_map(|e| row_of(e.stream)),
+        );
+        order.sort_by_key(|&r| (dist[r], self.elements[r].stream));
+        done.clear();
+        done.resize(n, false);
+        // `order[..placed]` is final; the rest is pending, nearest first.
+        for placed in 0..order.len() {
+            let ready = order[placed..].iter().position(|&r| {
+                self.elements[r]
+                    .intermediates
+                    .iter()
+                    .all(|&im| row_of(im).is_none_or(|x| self.elements[x].is_direct() || done[x]))
+            });
+            // Cycle fallback: the nearest pending element.
+            let pos = placed + ready.unwrap_or(0);
+            let r = order[pos];
+            order[placed..=pos].rotate_right(1);
+            done[r] = true;
+        }
+    }
 }
 
 /// Builds the HP set of `target`: the transitive closure of the

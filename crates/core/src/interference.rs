@@ -14,8 +14,6 @@
 //!   backward BFS as row unions and extracts intermediate sets as row
 //!   intersections, bit-identical to the legacy
 //!   [`crate::hpset::generate_hp_oracle`];
-//! * blocking-dependency graphs read edges straight off the adjacency
-//!   rows ([`crate::bdg::BlockingDependencyGraph::build_indexed`]);
 //! * the admission controller maintains the index *incrementally*
 //!   ([`InterferenceIndex::insert_last`], [`InterferenceIndex::remove`]),
 //!   so one ADMIT or REMOVE touches only that stream's interference

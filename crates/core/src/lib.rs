@@ -92,9 +92,7 @@ pub use hpset::{
 pub use interference::InterferenceIndex;
 pub use latency::network_latency;
 pub use load::{channel_loads, hottest_channel, oversubscribed_channels};
-pub use modify::{
-    modify_diagram, modify_diagram_with, modify_diagram_with_kernel, RemovalStrategy,
-};
+pub use modify::{modify_diagram, modify_diagram_with, RemovalStrategy};
 pub use report::{render_analysis, render_diagram};
 pub use shard::{RegionShard, ShardId, ShardMap, ShardedAdmit, ShardedController};
 pub use stream::{MessageStream, Priority, StreamId, StreamSet, StreamSpec};

@@ -11,20 +11,25 @@
 //! paper's "update T_d consistently"; its worked example notes "the
 //! first instance of M3 is compacted").
 //!
-//! Elements are processed in the order dictated by the blocking
-//! dependency graph — an element only after its intermediates — and the
-//! diagram is regenerated after each element so later activity tests see
-//! the compacted schedule. This instance-span interpretation of the
-//! paper's loosely-specified pseudocode (free slots of an indirect row
-//! where "all intermediate rows are FREE or BUSY", lifted from slots to
-//! whole instances) is validated by reproducing *both* Figure 6
-//! (`U = 22`) and the worked example's published bounds
-//! `U = (7, 8, 26, 20, 33)` exactly (see `tests/paper_example.rs`).
+//! Elements are processed in the order [`HpSet::processing_order`]
+//! gives — an element only after its indirect intermediates — and each
+//! element's instances are tested against the diagram as compacted
+//! after every earlier element's removals. This instance-span
+//! interpretation of the paper's loosely-specified pseudocode (free
+//! slots of an indirect row where "all intermediate rows are FREE or
+//! BUSY", lifted from slots to whole instances) is validated by
+//! reproducing *both* Figure 6 (`U = 22`) and the worked example's
+//! published bounds `U = (7, 8, 26, 20, 33)` exactly (see
+//! `tests/paper_example.rs`).
+//!
+//! The loop itself lives in [`AnalysisScratch`], which every `Cal_U`
+//! runs; this module names the removal rules and builds the full
+//! [`TimingDiagram`] of the loop's final removal set.
 
-use crate::bdg::BlockingDependencyGraph;
-use crate::diagram::{DiagramKernel, RemovedInstances, TimingDiagram};
+use crate::diagram::{AnalysisScratch, RemovedInstances, TimingDiagram};
 use crate::hpset::HpSet;
 use crate::stream::StreamSet;
+use std::cell::RefCell;
 
 /// How `Modify_Diagram` decides that an indirect instance's blocking
 /// chain is broken. The paper's pseudocode is ambiguous; the strategies
@@ -60,76 +65,38 @@ pub fn modify_diagram(
 }
 
 /// [`modify_diagram`] with an explicit removal strategy (for the
-/// interpretation ablation; see EXPERIMENTS.md).
+/// interpretation ablation; see EXPERIMENTS.md): runs the arena's loop,
+/// then generates the diagram of its removal set once.
 pub fn modify_diagram_with(
     set: &StreamSet,
     hp: &HpSet,
     horizon: u64,
     strategy: RemovalStrategy,
 ) -> (TimingDiagram, RemovedInstances) {
-    modify_diagram_with_kernel(set, hp, horizon, strategy, DiagramKernel::default())
+    let removed = removal_set(set, hp, horizon, strategy);
+    (TimingDiagram::generate(set, hp, horizon, &removed), removed)
 }
 
-/// [`modify_diagram_with`] with an explicit diagram kernel (the
-/// randomized kernel-equivalence suite runs the whole
-/// `Modify_Diagram` loop through both kernels and compares).
-pub fn modify_diagram_with_kernel(
+/// The instances `Modify_Diagram` removes from `hp`'s diagram, found by
+/// the loop in [`AnalysisScratch`] on an arena kept per thread, so a
+/// detailed `Cal_U` (a library `QUERY`) allocates no arena of its own.
+/// Empty without an indirect element.
+pub(crate) fn removal_set(
     set: &StreamSet,
     hp: &HpSet,
     horizon: u64,
     strategy: RemovalStrategy,
-    kernel: DiagramKernel,
-) -> (TimingDiagram, RemovedInstances) {
-    let mut removed = RemovedInstances::none();
-    let mut diagram = TimingDiagram::generate_with(set, hp, horizon, &removed, kernel);
-    if !hp.has_indirect() || strategy == RemovalStrategy::Disabled {
-        return (diagram, removed);
+) -> RemovedInstances {
+    thread_local! {
+        static ARENA: RefCell<AnalysisScratch> = RefCell::default();
     }
-
-    let bdg = BlockingDependencyGraph::build(set, hp);
-    for elem_id in bdg.indirect_processing_order(hp) {
-        let elem = hp
-            .element(elem_id)
-            .expect("processing order yields HP members");
-        let row = diagram
-            .row_of(elem_id)
-            .expect("HP member has a diagram row");
-
-        // Collect this element's removable instances against the
-        // *current* (already partially compacted) diagram.
-        let mut new_removals = Vec::new();
-        for inst in &diagram.rows()[row].instances {
-            if inst.removed {
-                continue;
-            }
-            // The instance occupies the network over its active span;
-            // the chain is alive iff some intermediate is present in
-            // the probed slots.
-            let probe_end = match strategy {
-                RemovalStrategy::InstanceSpan => inst.active_end(),
-                RemovalStrategy::InstanceWindow => inst.window_end,
-                RemovalStrategy::Disabled => unreachable!("returned early"),
-            };
-            let chain_alive = elem.intermediates.iter().any(|&im| {
-                diagram
-                    .row_of(im)
-                    .map(|im_row| diagram.row_active_in(im_row, inst.window_start, probe_end))
-                    .unwrap_or(false)
-            });
-            if !chain_alive {
-                new_removals.push(inst.index);
-            }
-        }
-
-        if !new_removals.is_empty() {
-            for k in new_removals {
-                removed.insert(elem_id, k);
-            }
-            // Re-compact: regenerate with the enlarged removal set.
-            diagram = TimingDiagram::generate_with(set, hp, horizon, &removed, kernel);
-        }
+    if strategy == RemovalStrategy::Disabled || !hp.has_indirect() {
+        return RemovedInstances::none();
     }
-    (diagram, removed)
+    ARENA.with_borrow_mut(|arena| {
+        arena.delay_bound_with(set, hp, horizon, strategy);
+        arena.removed()
+    })
 }
 
 #[cfg(test)]

@@ -398,8 +398,7 @@ fn plan_admit(
                 .map(|e| members[e.stream.index()].key)
                 .collect();
         }
-        let bound =
-            scratch.delay_bound_indexed(&mini_set, &mini_index, &hp, mini_set.get(id).deadline());
+        let bound = scratch.delay_bound(&mini_set, &hp, mini_set.get(id).deadline());
         let meets = bound.meets(mini_set.get(id).deadline());
         if id == new_id {
             if meets {
@@ -477,8 +476,7 @@ fn plan_remove(members: &[NeighborMember], victim: u64) -> Vec<(u64, DelayBound)
         let new_pos = if old > vpos { old - 1 } else { old };
         let nid = StreamId(new_pos as u32);
         let hp = post_index.hp_set(&post_set, nid);
-        let bound =
-            scratch.delay_bound_indexed(&post_set, &post_index, &hp, post_set.get(nid).deadline());
+        let bound = scratch.delay_bound(&post_set, &hp, post_set.get(nid).deadline());
         updates.push((members[old].key, bound));
     }
     updates

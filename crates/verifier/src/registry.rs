@@ -113,12 +113,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "the bitset and legacy diagram kernels disagree on instances or sampled cells",
     },
     RuleInfo {
-        code: "A106",
-        name: "bound-divergence",
-        severity: Severity::Error,
-        summary: "the scratch-arena and full-diagram bound computations disagree",
-    },
-    RuleInfo {
         code: "A107",
         name: "recovery-divergence",
         severity: Severity::Error,

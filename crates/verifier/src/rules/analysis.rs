@@ -10,8 +10,8 @@
 
 use crate::diag::{Diagnostic, Span};
 use rtwc_core::{
-    cal_u_with_hp, determine_feasibility, generate_hp, AnalysisScratch, BlockingDependencyGraph,
-    DelayBound, HpSet, RemovedInstances, StreamId, StreamSet, TimingDiagram,
+    determine_feasibility, generate_hp, BlockingDependencyGraph, DelayBound, HpSet,
+    RemovedInstances, StreamId, StreamSet, TimingDiagram,
 };
 
 /// Default cap on the per-stream diagram horizon used by the `A1xx`
@@ -172,9 +172,9 @@ pub fn lint_hp_set(set: &StreamSet, hp: &HpSet) -> Vec<Diagnostic> {
     diags
 }
 
-/// `A104`–`A106`: generates the timing diagram for `hp`'s target over a
-/// capped horizon and checks structural invariants, bitset/legacy
-/// kernel agreement, and scratch/full bound agreement.
+/// `A104`/`A105`: generates the timing diagram for `hp`'s target over a
+/// capped horizon and checks structural invariants and bitset/legacy
+/// kernel agreement.
 pub fn lint_diagram(set: &StreamSet, hp: &HpSet, horizon_cap: u64) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let target = hp.target;
@@ -199,20 +199,6 @@ pub fn lint_diagram(set: &StreamSet, hp: &HpSet, horizon_cap: u64) -> Vec<Diagno
     // kernel must agree on every instance and on sampled cells.
     let legacy = TimingDiagram::generate_legacy(set, hp, horizon, &none);
     diags.extend(kernel_divergence(&d, &legacy, horizon, span));
-
-    // A106: the bound-only scratch arena must agree with the full
-    // diagram pipeline on the final bound.
-    let full = cal_u_with_hp(set, hp.clone(), horizon).bound;
-    let fast = AnalysisScratch::new().delay_bound(set, hp, horizon);
-    if full != fast {
-        diags.push(Diagnostic::new(
-            "A106",
-            span,
-            format!(
-                "bound divergence for {target}: full diagram pipeline says {full}, scratch arena says {fast}"
-            ),
-        ));
-    }
 
     diags
 }

@@ -134,13 +134,12 @@ fn draw_specs(cfg: &PaperWorkloadConfig, mesh: &Mesh, rng: &mut StdRng) -> Vec<S
 fn bound_with_escalating_horizon(
     scratch: &mut AnalysisScratch,
     set: &StreamSet,
-    index: &InterferenceIndex,
     hp: &HpSet,
     cap: u64,
 ) -> DelayBound {
     let mut horizon = set.get(hp.target).period().max(1);
     loop {
-        match scratch.delay_bound_indexed(set, index, hp, horizon) {
+        match scratch.delay_bound(set, hp, horizon) {
             DelayBound::Bounded(u) => return DelayBound::Bounded(u),
             DelayBound::Exceeded if horizon >= cap => return DelayBound::Exceeded,
             DelayBound::Exceeded => horizon = (horizon * 2).min(cap),
@@ -187,7 +186,7 @@ pub fn generate(cfg: PaperWorkloadConfig) -> GeneratedWorkload {
     let hp_sets = index.hp_sets(&set);
     let mut bound_of = |set: &StreamSet, id: StreamId| {
         let hp = &hp_sets[id.index()];
-        bound_with_escalating_horizon(&mut scratch, set, &index, hp, cfg.horizon_cap)
+        bound_with_escalating_horizon(&mut scratch, set, hp, cfg.horizon_cap)
     };
 
     // Period inflation, highest priority first.
