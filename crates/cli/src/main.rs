@@ -16,7 +16,7 @@ USAGE:
     rtwc check    <SPEC> [--policy preemptive|li|classic|shared] [--cycles N] [--warmup N] [--no-verify]
     rtwc deploy   <JOBS> [--allocator first-fit|clustered|comm|random[:SEED]]
     rtwc serve    <SPEC> [--addr HOST:PORT] [--wal-dir DIR] [--fsync always|never|interval:MS]
-                         [--snapshot-every N] [--max-conns N] [--max-pending N]
+                         [--snapshot-every N] [--max-conns N]
                          [--repl-addr HOST:PORT [--lease-ms N]
                           | --follower-of HOST:PORT [--promote-grace-ms N]]
     rtwc client   <ADDR> [--timeout-ms N] [--retries N] [--req-id N] <REQUEST...>

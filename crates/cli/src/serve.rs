@@ -38,11 +38,6 @@ pub struct ServeOptions {
     pub snapshot_every: u64,
     /// Connection cap (0 = unlimited).
     pub max_connections: usize,
-    /// Pending-write shedding threshold (0 = never shed).
-    pub max_pending: u64,
-    /// Worker threads executing admission work off the reactor
-    /// (0 = one per core, capped at 8).
-    pub workers: usize,
     /// Replication listen address: serve as a leader shipping WAL
     /// frames to followers from here. Requires `--wal-dir`.
     pub repl_addr: Option<String>,
@@ -68,8 +63,6 @@ impl Default for ServeOptions {
             fsync: FsyncPolicy::Always,
             snapshot_every: 1024,
             max_connections: 0,
-            max_pending: 0,
-            workers: 0,
             repl_addr: None,
             follower_of: None,
             promote_grace: None,
@@ -202,9 +195,9 @@ fn build_follower(
 }
 
 /// `rtwc serve <SPEC> [--addr HOST:PORT] [--wal-dir DIR] [--fsync P]
-/// [--snapshot-every N] [--max-conns N] [--max-pending N]
-/// [--workers N]` — seeds (or recovers) the service and blocks serving
-/// requests until a client sends `SHUTDOWN`.
+/// [--snapshot-every N] [--max-conns N]` — seeds (or recovers) the
+/// service and blocks serving requests until a client sends
+/// `SHUTDOWN`.
 pub fn run_serve(raw: &RawSpecFile, opts: &ServeOptions) -> Result<(), String> {
     if opts.repl_addr.is_some() && opts.follower_of.is_some() {
         return Err("--repl-addr and --follower-of are mutually exclusive".to_string());
@@ -215,8 +208,7 @@ pub fn run_serve(raw: &RawSpecFile, opts: &ServeOptions) -> Result<(), String> {
     if opts.lease.is_some() && opts.repl_addr.is_none() {
         return Err("--lease-ms needs --repl-addr (the lease is fed by follower acks)".to_string());
     }
-    let (mut service, startup) = build_service(raw, opts)?;
-    service.set_max_pending(opts.max_pending);
+    let (service, startup) = build_service(raw, opts)?;
     let service = Arc::new(service);
     let mut shipper = None;
     if let Some(repl_addr) = &opts.repl_addr {
@@ -237,7 +229,6 @@ pub fn run_serve(raw: &RawSpecFile, opts: &ServeOptions) -> Result<(), String> {
         &opts.addr,
         ServerConfig {
             max_connections: opts.max_connections,
-            workers: opts.workers,
         },
     )
     .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
@@ -306,7 +297,7 @@ pub fn run_client(
 }
 
 /// `rtwc bench-serve [--clients N] [--ops N | --duration SECS]
-/// [--warmup-ms N] [--pipeline N] [--workers N] [--mesh WxH] [--seed S]
+/// [--warmup-ms N] [--pipeline N] [--mesh WxH] [--seed S]
 /// [--wal-sweep | --wal-dir DIR --fsync P] [--min-throughput OPS]
 /// [--out FILE]` — runs the closed-loop load generator and writes the
 /// JSON artifact. With `--duration` each client sends as many pipelined
@@ -392,7 +383,7 @@ pub fn run_bench_serve(
 }
 
 /// `rtwc bench-repl [--clients N] [--ops N | --duration SECS]
-/// [--warmup-ms N] [--pipeline N] [--workers N] [--mesh WxH]
+/// [--warmup-ms N] [--pipeline N] [--mesh WxH]
 /// [--seed S] [--fsync P] [--snapshot-every N] [--grace-ms N]
 /// [--dir D] [--out FILE]` — runs
 /// the replication bench (leader under load with a live follower, then
@@ -559,7 +550,7 @@ pub fn run_service_command(command: &str, args: &[String]) -> Result<bool, Strin
                     return Err(
                         "usage: rtwc serve <SPEC> [--addr HOST:PORT] [--wal-dir DIR] \
                          [--fsync always|never|interval:MS] [--snapshot-every N] \
-                         [--max-conns N] [--max-pending N] [--workers N] \
+                         [--max-conns N] \
                          [--repl-addr HOST:PORT [--lease-ms N] | --follower-of HOST:PORT \
                          [--promote-grace-ms N]]"
                             .to_string(),
@@ -587,16 +578,6 @@ pub fn run_service_command(command: &str, args: &[String]) -> Result<bool, Strin
                         opts.max_connections = value("--max-conns")?
                             .parse()
                             .map_err(|e| format!("bad --max-conns: {e}"))?;
-                    }
-                    "--max-pending" => {
-                        opts.max_pending = value("--max-pending")?
-                            .parse()
-                            .map_err(|e| format!("bad --max-pending: {e}"))?;
-                    }
-                    "--workers" => {
-                        opts.workers = value("--workers")?
-                            .parse()
-                            .map_err(|e| format!("bad --workers: {e}"))?;
                     }
                     "--repl-addr" => opts.repl_addr = Some(value("--repl-addr")?),
                     "--follower-of" => opts.follower_of = Some(value("--follower-of")?),
@@ -710,11 +691,6 @@ pub fn run_service_command(command: &str, args: &[String]) -> Result<bool, Strin
                             .parse()
                             .map_err(|e| format!("bad --pipeline: {e}"))?;
                     }
-                    "--workers" => {
-                        cfg.server_workers = value("--workers")?
-                            .parse()
-                            .map_err(|e| format!("bad --workers: {e}"))?;
-                    }
                     "--min-throughput" => {
                         min_throughput = Some(
                             value("--min-throughput")?
@@ -817,11 +793,6 @@ pub fn run_service_command(command: &str, args: &[String]) -> Result<bool, Strin
                         cfg.pipeline = value("--pipeline")?
                             .parse()
                             .map_err(|e| format!("bad --pipeline: {e}"))?;
-                    }
-                    "--workers" => {
-                        cfg.server_workers = value("--workers")?
-                            .parse()
-                            .map_err(|e| format!("bad --workers: {e}"))?;
                     }
                     "--mesh" => {
                         let (w, h) = parse_mesh(&value("--mesh")?)?;

@@ -107,6 +107,36 @@ fn removed_region_plane_options_are_refused() {
 }
 
 #[test]
+fn removed_worker_pool_options_are_refused() {
+    // Every request runs on the reactor: there is no pool to size and
+    // no queue of pending writes to shed from.
+    let path = write_temp("pool.streams", STREAMS);
+    for flag in [["--workers", "2"], ["--max-pending", "8"]] {
+        let out = rtwc()
+            .arg("serve")
+            .arg(&path)
+            .args(["--addr", "127.0.0.1:0"])
+            .args(flag)
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown serve flag '{}'", flag[0]);
+        assert!(err.contains(&want), "{err}");
+    }
+    let out = rtwc()
+        .args(["bench-serve", "--workers", "2"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown bench-serve flag '--workers'"),
+        "{err}"
+    );
+}
+
+#[test]
 fn deploy_jobs_file() {
     let path = write_temp(
         "demo.jobs",

@@ -4,7 +4,7 @@
 //! N concurrent client connections (each a closed loop: next request
 //! only after the previous response), and reports client-side observed
 //! latency with **exact** percentiles — unlike the server's own `STATS`
-//! histogram, which buckets to powers of two. The final server `STATS`
+//! histograms, whose buckets are up to 12.5% wide. The final server `STATS`
 //! line is embedded in the report so both views land in one artifact,
 //! and the admitted set is audited against a fresh offline analysis
 //! before shutdown.
@@ -17,7 +17,7 @@ use crate::recovery::recover;
 use crate::repl::follower::{Follower, FollowerConfig};
 use crate::repl::ship::{Shipper, ShipperConfig};
 use crate::repl::ReplHub;
-use crate::server::{Server, ServerConfig};
+use crate::server::Server;
 use crate::service::{AdmissionService, Durability};
 use crate::wal::FsyncPolicy;
 use std::io;
@@ -44,8 +44,6 @@ pub struct BenchConfig {
     /// Requests each client keeps in flight per burst (1 = classic
     /// closed loop; >1 pipelines over one connection).
     pub pipeline: usize,
-    /// Server worker threads (0 = one per core).
-    pub server_workers: usize,
     /// Mesh width.
     pub width: u32,
     /// Mesh height.
@@ -79,7 +77,6 @@ impl Default for BenchConfig {
             duration: None,
             warmup: Duration::from_millis(500),
             pipeline: 1,
-            server_workers: 0,
             width: 10,
             height: 10,
             locality: 0,
@@ -424,14 +421,7 @@ fn drive_clients(addr: &str, cfg: &BenchConfig) -> io::Result<(Vec<WorkerLog>, D
 /// shutdown.
 pub fn run_bench(cfg: &BenchConfig) -> io::Result<BenchOutcome> {
     let service = Arc::new(bench_service(cfg)?);
-    let server = Server::bind_with_config(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: 0,
-            workers: cfg.server_workers,
-        },
-    )?;
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0")?;
     let addr = server.local_addr()?.to_string();
     let server_thread = thread::spawn(move || server.run());
     let (logs, elapsed) = drive_clients(&addr, cfg)?;
@@ -936,14 +926,7 @@ pub fn run_bench_repl(
     follow_cfg.promote_grace = Some(grace);
     let follower_loop = Follower::spawn(Arc::clone(&follower), follow_cfg)?;
 
-    let leader_server = Server::bind_with_config(
-        Arc::clone(&leader),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: 0,
-            workers: cfg.server_workers,
-        },
-    )?;
+    let leader_server = Server::bind(Arc::clone(&leader), "127.0.0.1:0")?;
     let leader_addr = leader_server.local_addr()?.to_string();
     let leader_thread = thread::spawn(move || leader_server.run());
     let follower_server = Server::bind(Arc::clone(&follower), "127.0.0.1:0")?;

@@ -232,8 +232,8 @@ impl Client {
     }
 
     /// Sends `requests` as one pipelined burst — a single TCP write,
-    /// then the matching responses in request order. The server's
-    /// per-connection FIFO guarantees ordering; pipelining amortizes
+    /// then the matching responses in request order. The server answers
+    /// each connection in arrival order; pipelining amortizes
     /// the syscall and wake-up cost of a round trip over the window.
     /// The deadline covers the whole burst.
     pub fn send_pipelined(&mut self, requests: &[String]) -> Result<Vec<String>, ClientError> {

@@ -1,337 +1,334 @@
-//! The reactor's dispatch plumbing, separated from the sockets so the
-//! loom models can drive it directly: the reactor-to-worker job queue,
-//! the worker-to-reactor completion queue, and the per-connection FIFO
-//! state machine that enforces **at-most-one-batch-in-flight** with
-//! ordered responses.
+//! The reactor's per-connection state machine, separated from the
+//! sockets so tests can drive it byte by byte: the line splitter, the
+//! response-order queue, and the hold a durable write puts on it.
 //!
-//! `server.rs` owns the epoll loop and the TCP byte shuffling; this
-//! module owns the protocol between the reactor thread and the worker
-//! pool. The split is what makes the protocol model-checkable: a loom
-//! model instantiates [`JobQueue`], [`CompletionQueue`] (with a no-op
-//! [`Wake`]), and [`ConnFifo`] and explores every interleaving of
-//! pump/dispatch/complete — no sockets required. The invariants the
-//! models check (see `tests/loom_models.rs`):
+//! `server.rs` owns the epoll loop and the TCP byte shuffling; a
+//! [`Session`] owns everything between bytes in and bytes out. The
+//! reactor thread runs every request to completion: [`Session::run`]
+//! parses each queued line, calls the service and renders the response
+//! into the connection's write buffer, in arrival order. The invariants
+//! (checked by this module's tests):
 //!
-//! - every pushed line is answered exactly once, in push order
-//!   (no lost wakeup, no double dispatch);
-//! - at most one batch per connection is ever in flight;
-//! - an [`Pending::Immediate`] response queued behind a line never
-//!   overtakes that line's response.
+//! - every request line is answered exactly once, in arrival order;
+//! - an overlong line's `too_long` answer never overtakes an earlier
+//!   line's response;
+//! - under `--fsync always`, a write's acknowledgement — and every line
+//!   the connection sent after it — waits until the reactor's
+//!   end-of-pass group sync covers the write's WAL ticket
+//!   ([`Session::release`]).
 
-use crate::lock_order::{classes, TrackedCondvar, TrackedMutex};
+use crate::protocol::{render_response, Response, MAX_LINE_BYTES};
+use crate::service::AdmissionService;
 use crate::sync::Instant;
 use std::collections::VecDeque;
 
-/// Most request lines dispatched to a worker as one batch job. Batching
-/// amortizes the reactor->worker->reactor hand-off (two thread wakes)
-/// over a whole pipelined burst; the cap keeps one huge burst from
-/// monopolizing a worker while other connections wait.
-pub const MAX_BATCH_LINES: usize = 64;
-
-/// A batch of parsed request lines (one connection, arrival order)
-/// waiting for a worker.
-pub struct Job {
-    /// The connection's reactor token.
-    pub token: u64,
-    /// The lines with their enqueue instants (queue-wait metrics).
-    pub lines: Vec<(String, Instant)>,
+/// One entry in a session's response-order queue.
+enum Pending {
+    /// A request line awaiting dispatch, with the instant the splitter
+    /// cut it (queue-wait metrics).
+    Line { text: String, split: Instant },
+    /// An answer decided by the splitter (`too_long`) that must wait its
+    /// turn behind earlier requests.
+    Immediate(Response),
 }
 
-/// The rendered responses of one batch on their way back to the
-/// reactor, concatenated in request order.
-pub struct Completion {
-    /// The connection's reactor token.
-    pub token: u64,
-    /// Concatenated newline-terminated responses, request order.
-    pub bytes: Vec<u8>,
-    /// The batch contained a `SHUTDOWN`.
-    pub stop: bool,
-}
-
+/// Per-connection request state: the line splitter, the queue of
+/// not-yet-answered entries, and the write held for a group sync.
 #[derive(Default)]
-struct JobState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-/// The reactor-to-worker hand-off: a mutex-and-condvar queue, poisoned
-/// by `close` so idle workers exit at shutdown.
-pub struct JobQueue {
-    state: TrackedMutex<JobState>,
-    cond: TrackedCondvar,
-}
-
-impl JobQueue {
-    /// An open, empty queue.
-    pub fn new() -> JobQueue {
-        JobQueue {
-            state: TrackedMutex::new(&classes::SERVER_JOBS, JobState::default()),
-            cond: TrackedCondvar::new(),
-        }
-    }
-
-    /// Enqueue a batch and wake one worker.
-    pub fn push(&self, job: Job) {
-        self.state.lock().jobs.push_back(job);
-        self.cond.notify_one();
-    }
-
-    /// Blocks for the next batch; `None` once the queue is closed and
-    /// drained — the worker's exit signal.
-    pub fn pop(&self) -> Option<Job> {
-        let mut s = self.state.lock();
-        loop {
-            if let Some(j) = s.jobs.pop_front() {
-                return Some(j);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.cond.wait(s);
-        }
-    }
-
-    /// Closes the queue: blocked and future `pop`s return `None` once
-    /// the backlog drains.
-    pub fn close(&self) {
-        self.state.lock().closed = true;
-        self.cond.notify_all();
-    }
-}
-
-impl Default for JobQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// How a [`CompletionQueue`] nudges the reactor out of its poll wait.
-/// The real server writes one byte into a pipe registered with epoll; a
-/// loom model uses a no-op (the model's reactor thread drains the queue
-/// unconditionally, which is exactly the lost-wakeup-freedom argument:
-/// the wake is an optimization, never load-bearing).
-pub trait Wake {
-    /// Signal the reactor that a completion is ready.
-    fn wake(&self);
-}
-
-/// The worker-to-reactor hand-off. Workers push finished responses and
-/// fire the [`Wake`]; the reactor drains every pass.
-pub struct CompletionQueue<W: Wake> {
-    done: TrackedMutex<Vec<Completion>>,
-    wake: W,
-}
-
-impl<W: Wake> CompletionQueue<W> {
-    /// An empty queue signalling through `wake`.
-    pub fn new(wake: W) -> CompletionQueue<W> {
-        CompletionQueue {
-            done: TrackedMutex::new(&classes::SERVER_COMPLETIONS, Vec::new()),
-            wake,
-        }
-    }
-
-    /// Publish one finished batch and nudge the reactor.
-    pub fn push(&self, c: Completion) {
-        self.done.lock().push(c);
-        // The wake may be lossy (a full pipe drops the byte): the
-        // reactor drains completions every pass, so a missing nudge
-        // delays a response by at most one poll tick, never loses it.
-        self.wake.wake();
-    }
-
-    /// Take everything published so far.
-    pub fn drain(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.done.lock())
-    }
-}
-
-/// One entry in a connection's response-order FIFO.
-pub enum Pending {
-    /// A parsed request line awaiting dispatch.
-    Line {
-        /// The request text (no trailing newline).
-        text: String,
-        /// When the reactor queued it (queue-wait metrics).
-        enqueued: Instant,
-    },
-    /// An already-rendered response (e.g. `too_long`) that must wait
-    /// its turn behind earlier requests.
-    Immediate {
-        /// The newline-terminated rendered response.
-        bytes: Vec<u8>,
-    },
-}
-
-/// The per-connection dispatch state machine: a FIFO of not-yet-served
-/// entries plus the **at-most-one-batch-in-flight** flag. The reactor
-/// pushes entries as bytes arrive, [`ConnFifo::pump`]s after every
-/// event, and calls [`ConnFifo::complete`] when the worker's responses
-/// come back; the FIFO guarantees responses leave in request order.
-pub struct ConnFifo {
+pub struct Session {
+    /// Bytes of the current (incomplete) request line.
+    rbuf: Vec<u8>,
+    /// Skipping the tail of an overlong line until its newline.
+    discarding: bool,
+    /// Entries not yet answered, in arrival order.
     queue: VecDeque<Pending>,
-    in_flight: bool,
+    /// A write served under `--fsync always` whose acknowledgement waits
+    /// for its WAL ticket; nothing behind it moves until
+    /// [`Session::release`].
+    held: Option<(u64, Response)>,
 }
 
-impl ConnFifo {
-    /// An idle, empty FIFO.
-    pub fn new() -> ConnFifo {
-        ConnFifo {
-            queue: VecDeque::new(),
-            in_flight: false,
+fn push_response(out: &mut Vec<u8>, response: &Response) {
+    out.extend_from_slice(render_response(response).as_bytes());
+    out.push(b'\n');
+}
+
+impl Session {
+    /// An empty session.
+    pub fn new() -> Session {
+        Session::default()
+    }
+
+    /// The line splitter. At most [`MAX_LINE_BYTES`] (+1 sentinel byte
+    /// to detect overflow) accumulate per request; an overlong line
+    /// queues a `too_long` answer in its slot and discards through the
+    /// next newline, keeping the connection.
+    pub fn ingest(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let newline = data.iter().position(|&b| b == b'\n');
+            if self.discarding {
+                match newline {
+                    Some(p) => {
+                        self.discarding = false;
+                        data = &data[p + 1..];
+                        continue;
+                    }
+                    None => return,
+                }
+            }
+            let end = newline.unwrap_or(data.len());
+            let room = (MAX_LINE_BYTES + 1).saturating_sub(self.rbuf.len());
+            self.rbuf.extend_from_slice(&data[..end.min(room)]);
+            let Some(p) = newline else {
+                if self.rbuf.len() > MAX_LINE_BYTES {
+                    // Overflow mid-line: answer in order, skip to the
+                    // newline.
+                    self.push_too_long();
+                    self.rbuf.clear();
+                    self.discarding = true;
+                }
+                return;
+            };
+            if self.rbuf.len() > MAX_LINE_BYTES {
+                self.push_too_long();
+            } else {
+                let text = String::from_utf8_lossy(&self.rbuf);
+                let request = text.trim();
+                if !request.is_empty() {
+                    self.queue.push_back(Pending::Line {
+                        text: request.to_string(),
+                        split: Instant::now(),
+                    });
+                }
+            }
+            self.rbuf.clear();
+            data = &data[p + 1..];
         }
     }
 
-    /// Queue a parsed request line.
-    pub fn push_line(&mut self, text: String) {
-        self.queue.push_back(Pending::Line {
-            text,
-            enqueued: Instant::now(),
-        });
+    fn push_too_long(&mut self) {
+        self.queue.push_back(Pending::Immediate(Response::error(
+            "too_long",
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        )));
     }
 
-    /// Queue an already-rendered (error) response in FIFO position.
-    pub fn push_immediate(&mut self, bytes: Vec<u8>) {
-        self.queue.push_back(Pending::Immediate { bytes });
+    /// Answers queued entries in order into `out` until the queue is
+    /// empty or a write's acknowledgement must wait for its WAL sync.
+    /// Returns whether a `SHUTDOWN` was served.
+    pub fn run(&mut self, service: &AdmissionService, out: &mut Vec<u8>) -> bool {
+        let mut stop = false;
+        while self.held.is_none() {
+            match self.queue.pop_front() {
+                None => break,
+                Some(Pending::Immediate(response)) => push_response(out, &response),
+                Some(Pending::Line { text, split }) => {
+                    let queue_ns = split.elapsed().as_nanos() as u64;
+                    let served = service.dispatch_queued(&text, queue_ns);
+                    stop |= served.shutdown;
+                    match served.ticket {
+                        Some(ticket) => self.held = Some((ticket, served.response)),
+                        None => push_response(out, &served.response),
+                    }
+                }
+            }
+        }
+        stop
     }
 
-    /// A worker currently owns this connection's head-of-line batch.
-    pub fn in_flight(&self) -> bool {
-        self.in_flight
+    /// A write's acknowledgement is waiting for a group sync.
+    pub fn is_held(&self) -> bool {
+        self.held.is_some()
     }
 
-    /// Nothing queued and nothing in flight.
+    /// Lands the held acknowledgement in `out` once its ticket is
+    /// durable — the first release after a pass runs the one group sync
+    /// that covers every write appended so far — or the `wal` refusal if
+    /// that sync failed. Call [`Session::run`] afterwards to serve what
+    /// queued up behind it.
+    pub fn release(&mut self, service: &AdmissionService, out: &mut Vec<u8>) {
+        if let Some((ticket, ack)) = self.held.take() {
+            push_response(out, &service.settle(ack, Some(ticket)));
+        }
+    }
+
+    /// Nothing queued and nothing held.
     pub fn is_idle(&self) -> bool {
-        !self.in_flight && self.queue.is_empty()
-    }
-
-    /// Advances the FIFO: already-rendered responses at the head go
-    /// straight to `wbuf`, then the run of request lines behind them is
-    /// dispatched as **one batch job** (the worker serves the batch in
-    /// order and returns one concatenated response block, so a whole
-    /// pipelined burst costs a single reactor->worker->reactor round
-    /// trip). Nothing moves while a batch is in flight — a queued
-    /// `Immediate` behind it must not overtake its responses.
-    pub fn pump(&mut self, token: u64, jobs: &JobQueue, wbuf: &mut Vec<u8>) {
-        if self.in_flight {
-            return;
-        }
-        while matches!(self.queue.front(), Some(Pending::Immediate { .. })) {
-            let Some(Pending::Immediate { bytes }) = self.queue.pop_front() else {
-                unreachable!()
-            };
-            wbuf.extend_from_slice(&bytes);
-        }
-        let mut lines = Vec::new();
-        while lines.len() < MAX_BATCH_LINES
-            && matches!(self.queue.front(), Some(Pending::Line { .. }))
-        {
-            let Some(Pending::Line { text, enqueued }) = self.queue.pop_front() else {
-                unreachable!()
-            };
-            lines.push((text, enqueued));
-        }
-        if !lines.is_empty() {
-            self.in_flight = true;
-            jobs.push(Job { token, lines });
-        }
-    }
-
-    /// The worker's batch came back: clear the in-flight flag and land
-    /// its responses. The caller pumps again afterwards to dispatch
-    /// whatever queued up behind the batch.
-    pub fn complete(&mut self, bytes: &[u8], wbuf: &mut Vec<u8>) {
-        debug_assert!(self.in_flight, "completion without a batch in flight");
-        self.in_flight = false;
-        wbuf.extend_from_slice(bytes);
-    }
-}
-
-impl Default for ConnFifo {
-    fn default() -> Self {
-        Self::new()
+        self.held.is_none() && self.queue.is_empty()
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::chaos::durable_service;
+    use crate::faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState};
+    use crate::recovery::recover;
+    use crate::wal::{FsyncPolicy, WAL_FILE};
+    use std::path::PathBuf;
+    use std::sync::Arc;
+    use wormnet_topology::Mesh;
 
-    struct NoWake;
-    impl Wake for NoWake {
-        fn wake(&self) {}
+    /// A `--fsync always` service over a WAL with `plan`'s faults.
+    fn always_service(tag: &str, plan: FaultPlan) -> (AdmissionService, Arc<FaultState>, PathBuf) {
+        let dir = scratch_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fault = Arc::new(FaultState::default());
+        let file = FailpointFile::open(&dir.join(WAL_FILE), plan, Arc::clone(&fault)).unwrap();
+        let svc = durable_service(
+            &Mesh::mesh2d(10, 10),
+            &dir,
+            FsyncPolicy::Always,
+            0,
+            Box::new(file),
+        )
+        .unwrap();
+        (svc, fault, dir)
     }
 
-    #[test]
-    fn fifo_batches_lines_and_orders_immediates() {
-        let jobs = JobQueue::new();
-        let mut fifo = ConnFifo::new();
-        let mut wbuf = Vec::new();
-        fifo.push_line("A".into());
-        fifo.push_line("B".into());
-        fifo.pump(7, &jobs, &mut wbuf);
-        assert!(fifo.in_flight());
-        // Queued behind the in-flight batch: must not overtake it.
-        fifo.push_immediate(b"ERR\n".to_vec());
-        fifo.pump(7, &jobs, &mut wbuf);
-        assert!(wbuf.is_empty(), "immediate must wait for the batch");
-        let job = jobs.pop().unwrap();
-        assert_eq!(job.token, 7);
-        let texts: Vec<&str> = job.lines.iter().map(|(t, _)| t.as_str()).collect();
-        assert_eq!(texts, ["A", "B"]);
-        fifo.complete(b"a\nb\n", &mut wbuf);
-        fifo.pump(7, &jobs, &mut wbuf);
-        assert_eq!(wbuf, b"a\nb\nERR\n");
-        assert!(fifo.is_idle());
+    fn lines(out: &[u8]) -> Vec<String> {
+        String::from_utf8_lossy(out)
+            .lines()
+            .map(str::to_string)
+            .collect()
     }
 
-    #[test]
-    fn batch_cap_splits_oversized_bursts() {
-        let jobs = JobQueue::new();
-        let mut fifo = ConnFifo::new();
-        let mut wbuf = Vec::new();
-        for i in 0..MAX_BATCH_LINES + 3 {
-            fifo.push_line(format!("L{i}"));
+    /// One connection as the reactor sees it: a session and the bytes
+    /// it has answered.
+    #[derive(Default)]
+    struct Conn {
+        session: Session,
+        out: Vec<u8>,
+    }
+
+    /// One reactor pass: every connection with input ingests its chunk
+    /// and runs, then the held writes are released (one group sync) and
+    /// their connections run on — the order `Reactor` uses. Returns
+    /// whether a `SHUTDOWN` was served.
+    fn pass(svc: &AdmissionService, conns: &mut [Conn], chunks: &[Option<&[u8]>]) -> bool {
+        let mut stop = false;
+        for (c, chunk) in conns.iter_mut().zip(chunks) {
+            if let Some(bytes) = chunk {
+                c.session.ingest(bytes);
+                stop |= c.session.run(svc, &mut c.out);
+            }
         }
-        fifo.pump(1, &jobs, &mut wbuf);
-        let first = jobs.pop().unwrap();
-        assert_eq!(first.lines.len(), MAX_BATCH_LINES);
-        // The remainder waits for the completion.
-        fifo.complete(b"", &mut wbuf);
-        fifo.pump(1, &jobs, &mut wbuf);
-        let second = jobs.pop().unwrap();
-        assert_eq!(second.lines.len(), 3);
-        assert_eq!(second.lines[0].0, format!("L{MAX_BATCH_LINES}"));
+        for c in conns.iter_mut().filter(|c| c.session.is_held()) {
+            c.session.release(svc, &mut c.out);
+            stop |= c.session.run(svc, &mut c.out);
+        }
+        stop
     }
 
     #[test]
-    fn completion_queue_drains_everything_pushed() {
-        let cq = CompletionQueue::new(NoWake);
-        cq.push(Completion {
-            token: 1,
-            bytes: b"x\n".to_vec(),
-            stop: false,
-        });
-        cq.push(Completion {
-            token: 2,
-            bytes: b"y\n".to_vec(),
-            stop: true,
-        });
-        let drained = cq.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(drained[1].stop);
-        assert!(cq.drain().is_empty());
+    fn interleaved_bursts_are_answered_once_in_order_per_connection() {
+        let (svc, _, dir) = always_service("order", FaultPlan::default());
+        let long = "x".repeat(MAX_LINE_BYTES + 10);
+        // Connection 0 sends a write, a read of it and the head of an
+        // overlong line in one chunk, so the splitter queues `too_long`
+        // behind a held write. Connection 1 sends its overlong line in
+        // small chunks between writes of its own.
+        let a = format!("ADMIT 0,0 5,0 2 100 4\nQUERY 0\n{long}\nSTATS\nFROB\nREMOVE 0\n");
+        let b = format!("ADMIT 0,1 5,1 2 100 4\n{long}\nQUERY 1\nREMOVE 1\nQUERY 1\n");
+        let cut = a.find('x').unwrap() + MAX_LINE_BYTES + 5;
+        let a_chunks: Vec<&[u8]> = vec![&a.as_bytes()[..cut], &a.as_bytes()[cut..]];
+        let b_chunks: Vec<&[u8]> = b.as_bytes().chunks(64 * 1024 + 7).collect();
+        let mut conns = [Conn::default(), Conn::default()];
+        for i in 0..a_chunks.len().max(b_chunks.len()) {
+            let chunks = [a_chunks.get(i).copied(), b_chunks.get(i).copied()];
+            assert!(!pass(&svc, &mut conns, &chunks), "no SHUTDOWN sent yet");
+        }
+        // Last, a SHUTDOWN on connection 0, after connection 1 is done.
+        assert!(conns[1].session.is_idle());
+        assert!(pass(&svc, &mut conns, &[Some(b"SHUTDOWN\n"), None]));
+
+        let want: [&[&str]; 2] = [
+            &[
+                "\"status\":\"admitted\"",
+                "\"status\":\"ok\",\"id\":0",
+                "\"code\":\"too_long\"",
+                "\"stats\"",
+                "\"code\":\"malformed\"",
+                "\"status\":\"removed\",\"id\":0",
+                "shutting-down",
+            ],
+            &[
+                "\"status\":\"admitted\"",
+                "\"code\":\"too_long\"",
+                "\"status\":\"ok\",\"id\":1",
+                "\"status\":\"removed\",\"id\":1",
+                "\"code\":\"unknown_id\"",
+            ],
+        ];
+        for (c, want) in conns.iter().zip(want) {
+            let got = lines(&c.out);
+            assert_eq!(got.len(), want.len(), "one answer per line: {got:?}");
+            for (line, w) in got.iter().zip(want) {
+                assert!(line.contains(w), "want {w} in order: {got:?}");
+            }
+            assert!(c.session.is_idle());
+        }
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn closed_job_queue_drains_then_ends() {
-        let jobs = JobQueue::new();
-        jobs.push(Job {
-            token: 1,
-            lines: vec![("X".into(), Instant::now())],
-        });
-        jobs.close();
-        assert!(jobs.pop().is_some(), "backlog drains after close");
-        assert!(jobs.pop().is_none(), "then the worker exit signal");
+    fn held_writes_of_one_pass_share_one_sync_and_wait_for_it() {
+        let (svc, fault, dir) = always_service("pass-sync", FaultPlan::default());
+        let mut conns = [Conn::default(), Conn::default()];
+        for (i, c) in conns.iter_mut().enumerate() {
+            c.session
+                .ingest(format!("ADMIT 0,{i} 5,{i} 2 100 4\nQUERY {i}\n").as_bytes());
+            c.session.run(&svc, &mut c.out);
+            // The write is decided but not durable: its acknowledgement
+            // and the line behind it have not reached the socket.
+            assert!(c.session.is_held() && c.out.is_empty());
+        }
+        let syncs = fault.syncs();
+        for c in &mut conns {
+            c.session.release(&svc, &mut c.out);
+            c.session.run(&svc, &mut c.out);
+        }
+        assert_eq!(fault.syncs(), syncs + 1, "one sync for the pass");
+        let stats = svc.group_commit_stats().unwrap();
+        assert_eq!((stats.syncs, stats.ops_synced), (1, 2), "{stats:?}");
+        for (i, c) in conns.iter().enumerate() {
+            let got = lines(&c.out);
+            assert!(got[0].contains("\"status\":\"admitted\""), "{got:?}");
+            assert!(got[1].contains(&format!("\"id\":{i}")), "{got:?}");
+        }
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_pass_sync_refuses_every_held_write() {
+        // Sync #1 is the WAL header and #2 the first pass; #3 fails.
+        let plan = FaultPlan {
+            fail_sync_from: Some(3),
+            ..FaultPlan::default()
+        };
+        let (svc, _, dir) = always_service("pass-fail", plan);
+        let mut conns = [Conn::default(), Conn::default()];
+        let admit = |row: u32| format!("ADMIT 0,{row} 5,{row} 2 100 4\n");
+        pass(&svc, &mut conns, &[Some(admit(0).as_bytes()), None]);
+        assert!(lines(&conns[0].out)[0].contains("\"status\":\"admitted\""));
+        let before = [conns[0].out.len(), conns[1].out.len()];
+        pass(
+            &svc,
+            &mut conns,
+            &[Some(admit(1).as_bytes()), Some(admit(2).as_bytes())],
+        );
+        for (c, from) in conns.iter().zip(before) {
+            let got = lines(&c.out[from..]);
+            assert_eq!(got.len(), 1, "{got:?}");
+            assert!(got[0].contains("\"code\":\"wal\""), "{got:?}");
+        }
+        assert!(svc.is_degraded());
+        drop(svc);
+        // Recovery replays the synced prefix: the first admission only.
+        let (state, _, _) = recover(&Mesh::mesh2d(10, 10), &dir, FsyncPolicy::Always).unwrap();
+        assert_eq!(state.handles(), [0]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,12 +14,13 @@
 //!   sharing the verifier's diagnostic JSON shape;
 //! - [`service`] — the shared state machine: `RwLock`-guarded
 //!   controller, stable ids, accepted-op journal, offline audit;
-//! - [`metrics`] — lock-free request counters and a power-of-two
-//!   latency histogram behind `STATS`;
-//! - [`server`] / [`poll`] / [`client`] — the event-driven TCP front
-//!   end: an epoll reactor with per-connection buffers and pipelined
-//!   ordered responses, a small worker pool for admission work, and
-//!   the matching blocking client;
+//! - [`metrics`] — lock-free request counters and log-linear latency
+//!   histograms behind `STATS`;
+//! - [`server`] / [`dispatch`] / [`poll`] / [`client`] — the
+//!   event-driven TCP front end: one epoll reactor that runs every
+//!   request to completion with pipelined ordered responses, its
+//!   socket-free per-connection sessions, and the matching blocking
+//!   client;
 //! - [`bench`] — the closed-loop multi-client load generator behind
 //!   `rtwc bench-serve`;
 //! - [`wal`] / [`group_commit`] / [`snapshot`] / [`recovery`] — the
@@ -41,13 +42,11 @@
 //!   in-process TCP proxy (partitions, one-way blackholes, latency,
 //!   severs, duplicate delivery) that the partition chaos classes and
 //!   `rtwc netchaos` drive with timed schedules;
-//! - [`sync`] / [`lock_order`] / [`dispatch`] — the concurrency
-//!   verification layer: a shim that swaps every lock, condvar, atomic
-//!   and thread spawn on the hot paths for `loom` model-checked
-//!   equivalents under `--cfg loom`; debug-build lock-rank tracking
-//!   that panics on out-of-order acquisition (see DESIGN.md for the
-//!   rank table); and the reactor's socket-free dispatch protocol so
-//!   the loom models can drive it directly.
+//! - [`sync`] / [`lock_order`] — the concurrency verification layer: a
+//!   shim that swaps every lock, condvar, atomic and thread spawn on
+//!   the hot paths for `loom` model-checked equivalents under
+//!   `--cfg loom`, and debug-build lock-rank tracking that panics on
+//!   out-of-order acquisition (see DESIGN.md for the rank table).
 
 // `deny`, not `forbid`: the [`poll`] module is the one place allowed
 // to contain `unsafe` — the four raw `epoll`/`close` syscall bindings
@@ -80,7 +79,6 @@ pub use bench::{
 };
 pub use chaos::{render_chaos_report, run_chaos, ChaosConfig, ChaosOutcome, ScenarioOutcome};
 pub use client::{Client, ClientConfig, ClientError};
-pub use dispatch::{Completion, CompletionQueue, ConnFifo, Job, JobQueue, Wake, MAX_BATCH_LINES};
 pub use faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState, MemFile, RealFile, WalFile};
 pub use group_commit::{GroupCommitStats, GroupWal};
 pub use lock_order::{

@@ -55,10 +55,6 @@ impl LockClass {
 pub mod classes {
     use super::LockClass;
 
-    /// Reactor-to-worker job queue (`dispatch::JobQueue`).
-    pub static SERVER_JOBS: LockClass = LockClass::new("server.jobs", 10);
-    /// Worker-to-reactor completion list (`dispatch::CompletionQueue`).
-    pub static SERVER_COMPLETIONS: LockClass = LockClass::new("server.completions", 20);
     /// The admission service's controller + id table
     /// (`service::AdmissionService::inner`).
     pub static SERVICE_INNER: LockClass = LockClass::new("service.inner", 30);

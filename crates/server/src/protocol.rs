@@ -293,7 +293,7 @@ pub struct StatsReport {
     pub replayed: u64,
     /// Error responses (unknown ids, malformed requests).
     pub errors: u64,
-    /// Requests shed with `busy` under overload.
+    /// Connections shed with `busy` at the connection cap.
     pub shed: u64,
     /// Streams currently admitted.
     pub streams: u64,
@@ -309,7 +309,7 @@ pub struct StatsReport {
     pub p99_us: u64,
     /// Worst observed total latency, microseconds.
     pub max_us: u64,
-    /// Queue-wait observations (requests served via the worker queue).
+    /// Queue-wait observations (requests served off the reactor's queue).
     pub queue_count: u64,
     /// Median queue wait, microseconds.
     pub queue_p50_us: u64,

@@ -1,47 +1,56 @@
-//! The TCP front end: an event-driven epoll reactor with a small
-//! worker pool, newline-delimited requests in, single-line JSON out.
+//! The TCP front end: an event-driven epoll reactor that runs every
+//! request to completion, newline-delimited requests in, single-line
+//! JSON out.
 //!
-//! One reactor thread owns every socket. It accepts non-blocking,
-//! splits incoming bytes into request lines, and queues each parsed
-//! line on its connection's FIFO. Admission work never runs on the
-//! reactor thread: a pool of workers ([`ServerConfig::workers`]) pops
-//! jobs, calls into the service, and hands the rendered response back
-//! through a completion queue plus a one-byte wake-up pipe.
+//! One reactor thread owns every socket and serves every client
+//! request. It accepts non-blocking, reads what each ready socket
+//! holds, and hands the bytes to the connection's [`Session`], which
+//! splits them into request lines and, in arrival order, parses each
+//! one, calls the service and renders the response into the
+//! connection's write buffer. No worker pool and no thread hand-off sit
+//! on the request path: a request costs its parse, its handler and its
+//! render, plus the socket calls around them. The price is that one
+//! long request (a `SNAPSHOT` of a large set, a write that triggers a
+//! snapshot) delays every connection behind it. The service itself
+//! stays thread-safe, because replication sessions and the interval
+//! flusher share it.
 //!
-//! **Pipelining with ordered responses.** A client may write N
-//! requests back to back without waiting; the per-connection FIFO plus
-//! an at-most-one-batch-in-flight rule guarantee the N responses come
-//! back in request order. Consecutive queued lines travel to a worker
-//! as a single batch job served in order, so a pipelined burst pays
-//! the two thread hand-offs once, not per request.
-//! (Cross-connection parallelism is what the worker pool buys; within
-//! a connection, order is part of the protocol.)
+//! **Pipelining with ordered responses.** A client may write N requests
+//! back to back without waiting; the N responses come back in request
+//! order, and an overlong line's `too_long` answer keeps its slot.
+//!
+//! **Group commit by pass.** Under `--fsync always` a write may not be
+//! acknowledged before its WAL record is durable. Its session holds the
+//! acknowledgement, and every later line of that connection, until the
+//! end of the reactor's pass over the ready sockets. There one
+//! `fdatasync` covers every write the pass produced; then the held
+//! acknowledgements go out, or, if the sync failed, the `wal` refusal in
+//! each one's place. A pass that holds writes polls without waiting, so
+//! no poll tick delays a sync.
 //!
 //! Shutdown is cooperative and lock-free: the `SHUTDOWN` handler (or a
 //! [`ShutdownHandle`]) sets a shared [`AtomicBool`]; the handle also
 //! self-connects so the reactor notices immediately instead of at the
-//! next 100ms poll tick. The reactor then flushes what it can, poisons
-//! the job queue, and joins every worker before returning.
+//! next 100ms poll tick. The reactor then flushes what it can and
+//! returns.
 //!
-//! Input is untrusted: the line splitter accumulates at most
-//! [`MAX_LINE_BYTES`] per request (never an unbounded buffer), answers
-//! an overlong line with `code:"too_long"`, discards bytes up to the
-//! next newline, and **keeps the connection** — one bad request does
-//! not kill a client's session. The `too_long` answer goes through the
-//! same per-connection FIFO as real requests, so even error responses
-//! stay in arrival order. A connection cap
+//! Input is untrusted: the splitter keeps at most
+//! [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES) per request,
+//! answers an overlong line with `code:"too_long"`, discards bytes up to
+//! the next newline, and **keeps the connection** — one bad request does
+//! not kill a client's session. A connection cap
 //! ([`ServerConfig::max_connections`]) sheds excess connects with a
-//! single `busy` line instead of accepting unbounded state.
+//! single `busy` line (counted under `STATS` `shed`) instead of
+//! accepting unbounded state.
 
-use crate::dispatch::{Completion, CompletionQueue, ConnFifo, JobQueue, Wake};
+use crate::dispatch::Session;
 use crate::poll::{PollEvent, Poller};
-use crate::protocol::{render_response, Response, MAX_LINE_BYTES};
+use crate::protocol::{render_response, Response};
 use crate::service::AdmissionService;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -53,10 +62,8 @@ const POLL_TICK: Duration = Duration::from_millis(100);
 
 /// Epoll token of the listening socket.
 const LISTENER_TOKEN: u64 = 0;
-/// Epoll token of the worker wake-up pipe.
-const WAKE_TOKEN: u64 = 1;
 /// First token handed to an accepted connection.
-const FIRST_CONN_TOKEN: u64 = 2;
+const FIRST_CONN_TOKEN: u64 = 1;
 
 /// Read granularity per `read(2)` call on a ready socket.
 const READ_CHUNK: usize = 64 * 1024;
@@ -67,42 +74,13 @@ pub struct ServerConfig {
     /// Maximum simultaneous connections; further connects are answered
     /// with one `busy` line and closed (0 = unlimited).
     pub max_connections: usize,
-    /// Worker threads executing admission work off the reactor
-    /// (0 = one per available core, capped at 8).
-    pub workers: usize,
 }
 
-fn worker_count(configured: usize) -> usize {
-    if configured > 0 {
-        return configured;
-    }
-    thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
-        .min(8)
-}
-
-/// The reactor's wake-up: one byte into a pipe whose read end lives in
-/// the epoll set, so the reactor wakes even when otherwise idle.
-struct PipeWake(UnixStream);
-
-impl Wake for PipeWake {
-    fn wake(&self) {
-        // A full pipe means wake-ups are already pending; dropping the
-        // byte is fine, the reactor drains completions every pass.
-        let _ = (&self.0).write(&[1]);
-    }
-}
-
-/// Per-connection reactor state: the socket, its line splitter, and the
-/// dispatch FIFO ([`ConnFifo`] — the model-checked half).
+/// Per-connection reactor state: the socket, its request [`Session`],
+/// and the rendered responses not yet written.
 struct Connection {
     stream: TcpStream,
-    /// Bytes of the current (incomplete) request line.
-    rbuf: Vec<u8>,
-    /// Skipping the tail of an overlong line until its newline.
-    discarding: bool,
-    /// Requests (and ordered error responses) not yet dispatched.
-    fifo: ConnFifo,
+    session: Session,
     /// Rendered responses not yet written to the socket.
     wbuf: Vec<u8>,
     /// Drained prefix of `wbuf`.
@@ -117,9 +95,7 @@ impl Connection {
     fn new(stream: TcpStream) -> Connection {
         Connection {
             stream,
-            rbuf: Vec::new(),
-            discarding: false,
-            fifo: ConnFifo::new(),
+            session: Session::new(),
             wbuf: Vec::new(),
             wpos: 0,
             read_closed: false,
@@ -128,7 +104,7 @@ impl Connection {
     }
 
     /// Reads everything available (level-triggered epoll: until
-    /// `WouldBlock` or EOF) and splits it into queue entries.
+    /// `WouldBlock` or EOF) into the session's line splitter.
     fn read_ready(&mut self) -> io::Result<()> {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
@@ -137,65 +113,12 @@ impl Connection {
                     self.read_closed = true;
                     return Ok(());
                 }
-                Ok(n) => self.ingest(&chunk[..n]),
+                Ok(n) => self.session.ingest(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// The line splitter: same limits as the pre-reactor server. At
-    /// most [`MAX_LINE_BYTES`] (+1 sentinel byte to detect overflow)
-    /// accumulate per request; an overlong line queues a `too_long`
-    /// response and discards through the next newline.
-    fn ingest(&mut self, mut data: &[u8]) {
-        while !data.is_empty() {
-            let newline = data.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                match newline {
-                    Some(p) => {
-                        self.discarding = false;
-                        data = &data[p + 1..];
-                        continue;
-                    }
-                    None => return,
-                }
-            }
-            let end = newline.unwrap_or(data.len());
-            let room = (MAX_LINE_BYTES + 1).saturating_sub(self.rbuf.len());
-            self.rbuf.extend_from_slice(&data[..end.min(room)]);
-            let Some(p) = newline else {
-                if self.rbuf.len() > MAX_LINE_BYTES {
-                    // Overflow mid-line: answer now (in FIFO order),
-                    // skip to the newline.
-                    self.push_too_long();
-                    self.rbuf.clear();
-                    self.discarding = true;
-                }
-                return;
-            };
-            if self.rbuf.len() > MAX_LINE_BYTES {
-                self.push_too_long();
-            } else {
-                let text = String::from_utf8_lossy(&self.rbuf);
-                let request = text.trim();
-                if !request.is_empty() {
-                    self.fifo.push_line(request.to_string());
-                }
-            }
-            self.rbuf.clear();
-            data = &data[p + 1..];
-        }
-    }
-
-    fn push_too_long(&mut self) {
-        let mut msg = render_response(&Response::error(
-            "too_long",
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ));
-        msg.push('\n');
-        self.fifo.push_immediate(msg.into_bytes());
     }
 
     /// Writes as much buffered output as the socket takes.
@@ -221,9 +144,9 @@ impl Connection {
     }
 
     /// Fully served: the peer is done sending and nothing is queued,
-    /// running, or waiting to flush.
+    /// held, or waiting to flush.
     fn done(&self) -> bool {
-        self.read_closed && self.fifo.is_idle() && !self.has_backlog()
+        self.read_closed && self.session.is_idle() && !self.has_backlog()
     }
 }
 
@@ -271,43 +194,12 @@ impl Server {
     }
 
     /// Serves until a `SHUTDOWN` request (or a [`ShutdownHandle`])
-    /// stops it, then joins every worker thread.
+    /// stops it.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let jobs = Arc::new(JobQueue::new());
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let completions = Arc::new(CompletionQueue::new(PipeWake(wake_tx)));
-
-        let mut workers = Vec::new();
-        for _ in 0..worker_count(self.config.workers) {
-            let jobs = Arc::clone(&jobs);
-            let completions = Arc::clone(&completions);
-            let service = Arc::clone(&self.service);
-            workers.push(thread::spawn(move || {
-                while let Some(job) = jobs.pop() {
-                    let mut payload = String::new();
-                    let mut stop = false;
-                    for (line, enqueued) in &job.lines {
-                        let queue_ns = enqueued.elapsed().as_nanos() as u64;
-                        let (response, s) = service.dispatch_queued(line, queue_ns);
-                        payload.push_str(&render_response(&response));
-                        payload.push('\n');
-                        stop |= s;
-                    }
-                    completions.push(Completion {
-                        token: job.token,
-                        bytes: payload.into_bytes(),
-                        stop,
-                    });
-                }
-            }));
-        }
-
         // Under `--fsync interval` the periodic flush + fsync runs on
-        // its own thread: a request thread paying the fsync would put
-        // multi-ms device latency straight into the admit p99.
+        // its own thread: the reactor paying the fsync would put
+        // multi-ms device latency into every connection's requests.
         let flusher = self.service.wal_flush_interval().map(|every| {
             let service = Arc::clone(&self.service);
             let shutdown = Arc::clone(&self.shutdown);
@@ -322,41 +214,35 @@ impl Server {
 
         let poller = Poller::new()?;
         poller.add(self.listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
-        poller.add(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
         let mut reactor = Reactor {
             poller,
             listener: self.listener,
-            wake_rx,
+            service: self.service,
             conns: HashMap::new(),
+            held: Vec::new(),
             next_token: FIRST_CONN_TOKEN,
-            jobs: Arc::clone(&jobs),
-            completions: Arc::clone(&completions),
-            shutdown: Arc::clone(&self.shutdown),
+            shutdown: self.shutdown,
             max_connections: self.config.max_connections,
         };
         let result = reactor.event_loop();
 
-        jobs.close();
         reactor.shutdown.store(true, Ordering::SeqCst);
         if let Some(f) = flusher {
             let _ = f.join();
-        }
-        for w in workers {
-            let _ = w.join();
         }
         result
     }
 }
 
-/// The single-threaded event loop: all socket I/O and line splitting.
+/// The single-threaded event loop: all socket I/O and every request.
 struct Reactor {
     poller: Poller,
     listener: TcpListener,
-    wake_rx: UnixStream,
+    service: Arc<AdmissionService>,
     conns: HashMap<u64, Connection>,
+    /// Connections whose session holds a write for this pass's sync.
+    held: Vec<u64>,
     next_token: u64,
-    jobs: Arc<JobQueue>,
-    completions: Arc<CompletionQueue<PipeWake>>,
     shutdown: Arc<AtomicBool>,
     max_connections: usize,
 }
@@ -373,17 +259,20 @@ impl Reactor {
                 }
                 return Ok(());
             }
-            self.poller.wait(&mut events, Some(POLL_TICK))?;
+            // A held write must not wait a poll tick for its sync.
+            let tick = if self.held.is_empty() {
+                POLL_TICK
+            } else {
+                Duration::ZERO
+            };
+            self.poller.wait(&mut events, Some(tick))?;
             for ev in &events {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => self.drain_wake(),
                     token => self.conn_ready(token, *ev),
                 }
             }
-            // Completions can land between waits (the wake byte may
-            // coalesce); drain unconditionally every pass.
-            self.apply_completions();
+            self.commit_pass();
         }
     }
 
@@ -404,6 +293,7 @@ impl Reactor {
         if self.max_connections > 0 && self.conns.len() >= self.max_connections {
             // Shed at accept: one busy line, then close. The peer
             // learns to back off instead of hanging in a queue.
+            self.service.count_shed();
             let mut line = render_response(&Response::Busy {
                 retry_after_ms: 100,
             });
@@ -429,17 +319,6 @@ impl Reactor {
         self.conns.insert(token, Connection::new(stream));
     }
 
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
     fn conn_ready(&mut self, token: u64, ev: PollEvent) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -451,18 +330,20 @@ impl Reactor {
         self.service_conn(token);
     }
 
-    /// Runs a connection's FIFO forward, flushes, and re-arms epoll
-    /// interest to match (write interest only while output is
-    /// backlogged, read interest only until the peer's EOF).
+    /// Answers what the connection's session can answer now, flushes,
+    /// and re-arms epoll interest to match (write interest only while
+    /// output is backlogged, read interest only until the peer's EOF).
     fn service_conn(&mut self, token: u64) {
-        let jobs = Arc::clone(&self.jobs);
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        // The fifo and the write buffer are separate fields, so the
-        // FIFO pump can land head-of-line immediates directly.
-        let Connection { fifo, wbuf, .. } = conn;
-        fifo.pump(token, &jobs, wbuf);
+        let was_held = conn.session.is_held();
+        if conn.session.run(&self.service, &mut conn.wbuf) {
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
+        if !was_held && conn.session.is_held() {
+            self.held.push(token);
+        }
         if conn.flush().is_err() || conn.done() {
             self.close_conn(token);
             return;
@@ -475,15 +356,15 @@ impl Reactor {
         }
     }
 
-    fn apply_completions(&mut self) {
-        for c in self.completions.drain() {
-            if c.stop {
-                self.shutdown.store(true, Ordering::SeqCst);
+    /// Ends a pass: the first release runs one group sync for every
+    /// write appended so far, the rest find their tickets covered; each
+    /// connection then serves on from behind its write.
+    fn commit_pass(&mut self) {
+        for token in std::mem::take(&mut self.held) {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.session.release(&self.service, &mut conn.wbuf);
             }
-            if let Some(conn) = self.conns.get_mut(&c.token) {
-                conn.fifo.complete(&c.bytes, &mut conn.wbuf);
-                self.service_conn(c.token);
-            }
+            self.service_conn(token);
         }
     }
 
@@ -514,6 +395,7 @@ impl ShutdownHandle {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::protocol::MAX_LINE_BYTES;
     use wormnet_topology::Mesh;
 
     fn spawn_server() -> (
@@ -575,15 +457,9 @@ mod tests {
     #[test]
     fn connection_cap_sheds_with_busy() {
         let service = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
-        let server = Server::bind_with_config(
-            service,
-            "127.0.0.1:0",
-            ServerConfig {
-                max_connections: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let server =
+            Server::bind_with_config(service, "127.0.0.1:0", ServerConfig { max_connections: 1 })
+                .unwrap();
         let addr = server.local_addr().unwrap();
         let handle = server.shutdown_handle().unwrap();
         let join = thread::spawn(move || server.run());
@@ -596,6 +472,9 @@ mod tests {
         if let Ok(line) = reply {
             assert!(line.contains("\"status\":\"busy\""), "{line}");
         }
+        // Either way the reactor has shed it, and counted it.
+        let stats = first.send("STATS").unwrap();
+        assert!(stats.contains("\"shed\":1"), "{stats}");
         drop(first);
         drop(second);
         handle.shutdown();

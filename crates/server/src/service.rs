@@ -31,7 +31,9 @@
 //! decides under the service lock: it mutates, and rolls back if the
 //! WAL refuses the record. The steps run once, in this order: service
 //! lock, ticket check, lint, decision, WAL append, bookkeeping,
-//! snapshot cadence, unlock, durability wait, metrics.
+//! snapshot cadence, unlock, metrics. The durability wait belongs to
+//! the caller: `write` returns the acknowledgement with the WAL ticket
+//! it waits on, and [`AdmissionService::settle`] waits.
 //!
 //! ## Soundness
 //!
@@ -48,23 +50,26 @@
 //!
 //! With a [`Durability`] attached (the `--wal-dir` path), every
 //! accepted operation is buffered into the group-commit WAL
-//! ([`crate::group_commit::GroupWal`]) under the write lock and
-//! **acknowledged only after its batch is durable** — the write lock is
-//! released first, so under `--fsync always` admissions keep flowing
-//! while the device syncs, and one fsync acknowledges a whole batch.
-//! A WAL device failure fails every ticket in the in-flight batch
+//! ([`crate::group_commit::GroupWal`]) under the write lock. Under
+//! `--fsync always` it is **acknowledged only after its batch is
+//! durable**, and the wait runs after the write lock is released: the
+//! reactor holds the acknowledgement until the end of its pass, where
+//! one fsync covers every write the pass produced
+//! ([`AdmissionService::dispatch_queued`]); a blocking caller waits at
+//! once ([`AdmissionService::dispatch_line`],
+//! [`AdmissionService::handle`]). A WAL device failure fails every ticket in the in-flight batch
 //! (none of them is acknowledged; the file is rolled back to the last
 //! durable point) and flips the service into **degraded read-only
 //! mode**: reads keep working, writes answer `code:"degraded"` until an
 //! operator restarts onto a healthy device. The ops of a failed batch
 //! stay applied in memory but unacknowledged until that restart —
 //! recovery then serves exactly the durable (= acknowledged) prefix.
+//! (`STATS` counts them under `admitted`/`removed`, which count state
+//! changes, and their refusals under `errors`.)
 //! Requests carrying an `@REQID` prefix land in a bounded idempotency
 //! window (persisted in the WAL and snapshots), so a client retry of a
 //! lost acknowledgement returns the original outcome instead of
-//! double-admitting. Load shedding is a gate in front of the write
-//! lock: when more than `max_pending` writes are queued, new writes are
-//! answered `busy` without touching the lock.
+//! double-admitting.
 
 use crate::group_commit::GroupWal;
 use crate::lock_order::{classes, TrackedRwLock, TrackedRwLockReadGuard};
@@ -74,7 +79,7 @@ use crate::protocol::{
 };
 use crate::repl::ReplHub;
 use crate::snapshot::{write_snapshot, DedupEntry, SnapshotData};
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Instant;
 use crate::wal::FsyncPolicy;
 use rtwc_core::{
@@ -92,9 +97,6 @@ use wormnet_topology::{Mesh, Path, Routing, Topology, XyRouting};
 /// are evicted first; a client retrying within this window gets its
 /// original outcome back.
 pub const DEDUP_CAP: usize = 4096;
-
-/// The `retry_after_ms` hint attached to `busy` responses.
-const RETRY_AFTER_MS: u64 = 25;
 
 /// One accepted (state-changing) operation, in the order the service
 /// applied it. Rejected admissions and failed removals do not appear:
@@ -128,6 +130,19 @@ pub struct Durability {
     pub wal: GroupWal,
     /// Snapshot + compact the WAL every this many records (0 = never).
     pub snapshot_every: u64,
+}
+
+/// A request line served by [`AdmissionService::dispatch_queued`].
+#[derive(Debug)]
+pub struct Served {
+    /// The answer; for a write held on `ticket`, its acknowledgement.
+    pub response: Response,
+    /// The request was `SHUTDOWN`.
+    pub shutdown: bool,
+    /// Under `--fsync always`, the WAL ticket a fresh write's
+    /// acknowledgement waits on: send [`AdmissionService::settle`]'s
+    /// answer for it, not `response` as is.
+    pub ticket: Option<u64>,
 }
 
 /// Who assigns a write its place in history.
@@ -378,11 +393,6 @@ pub struct AdmissionService {
     /// Set on the first WAL device error; writes are refused from then
     /// on (reads keep working) until an operator restarts the service.
     degraded: AtomicBool,
-    /// Writes currently queued or holding the write lock — the
-    /// load-shedding gauge.
-    pending_writes: AtomicU64,
-    /// Shed writes beyond this many pending (0 = never shed).
-    max_pending: u64,
     /// Replication state, when this node participates in replication.
     /// Set once at startup ([`AdmissionService::attach_repl`]); absent
     /// on a standalone node, whose request paths stay untouched.
@@ -413,8 +423,6 @@ impl AdmissionService {
             durability,
             metrics: Metrics::new(),
             degraded: AtomicBool::new(false),
-            pending_writes: AtomicU64::new(0),
-            max_pending: 0,
             repl: std::sync::OnceLock::new(),
         }
     }
@@ -494,13 +502,6 @@ impl AdmissionService {
             eprintln!("DivergenceReport: [{}] {}", d.code, d.message);
         }
         true
-    }
-
-    /// Sets the load-shedding threshold: writes beyond `n` pending are
-    /// answered `busy` (0 disables shedding). Call before sharing the
-    /// service across threads.
-    pub fn set_max_pending(&mut self, n: u64) {
-        self.max_pending = n;
     }
 
     /// True once a WAL device error has flipped the service into
@@ -587,22 +588,25 @@ impl AdmissionService {
     }
 
     /// Parses and serves one request line, timing it into the metrics.
-    /// Returns the response and whether it was a `SHUTDOWN`.
+    /// Returns the response and whether it was a `SHUTDOWN`. A write is
+    /// acknowledged only once it is durable.
     pub fn dispatch_line(&self, line: &str) -> (Response, bool) {
-        self.dispatch_timed(line, None)
+        let served = self.dispatch_timed(line, None);
+        (self.settle(served.response, served.ticket), served.shutdown)
     }
 
-    /// Like [`AdmissionService::dispatch_line`] for a request that
-    /// waited `queue_ns` in a reactor queue first: the wait and the
-    /// handler time land in separate histograms, their sum in the total
-    /// one.
-    pub fn dispatch_queued(&self, line: &str, queue_ns: u64) -> (Response, bool) {
+    /// Serves one request line that waited `queue_ns` between the
+    /// reactor's line splitter and this call: the wait and the handler
+    /// time land in separate histograms, their sum in the total one.
+    /// Never waits for a WAL sync: a write whose acknowledgement must
+    /// wait comes back with its ticket ([`Served::ticket`]).
+    pub fn dispatch_queued(&self, line: &str, queue_ns: u64) -> Served {
         self.dispatch_timed(line, Some(queue_ns))
     }
 
-    fn dispatch_timed(&self, line: &str, queue_ns: Option<u64>) -> (Response, bool) {
+    fn dispatch_timed(&self, line: &str, queue_ns: Option<u64>) -> Served {
         let start = Instant::now();
-        let (kind, response) = match parse_request(line) {
+        let (kind, (response, ticket)) = match parse_request(line) {
             Ok(req) => {
                 let kind = match req {
                     Request::Admit { .. } => RequestKind::Admit,
@@ -613,35 +617,20 @@ impl AdmissionService {
                     Request::Promote => RequestKind::Promote,
                     Request::Shutdown => RequestKind::Shutdown,
                 };
-                let is_write = matches!(kind, RequestKind::Admit | RequestKind::Remove);
-                if is_write && self.max_pending > 0 {
-                    // Shed before touching the write lock: the gauge
-                    // counts writes queued behind it, so under overload
-                    // this path answers in O(1) while the lock drains.
-                    let pending = self.pending_writes.fetch_add(1, Ordering::SeqCst);
-                    let response = if pending >= self.max_pending {
-                        Response::Busy {
-                            retry_after_ms: RETRY_AFTER_MS,
-                        }
-                    } else {
-                        self.handle(&req)
-                    };
-                    self.pending_writes.fetch_sub(1, Ordering::SeqCst);
-                    (kind, response)
-                } else {
-                    (kind, self.handle(&req))
-                }
+                (kind, self.answer(&req))
             }
             Err(e) => (
                 RequestKind::Malformed,
-                Response::error("malformed", format!("malformed request: {e}")),
+                (
+                    Response::error("malformed", format!("malformed request: {e}")),
+                    None,
+                ),
             ),
         };
         // Fresh admissions/removals are counted inside `write`, at the
         // state-change point.
         match &response {
             Response::Rejected { .. } => self.metrics.count_rejected(),
-            Response::Busy { .. } => self.metrics.count_shed(),
             Response::Error { .. } => self.metrics.count_error(),
             _ => {}
         }
@@ -651,12 +640,46 @@ impl AdmissionService {
             None => self.metrics.observe(kind, service_ns),
             Some(q) => self.metrics.observe_queued(kind, q, service_ns),
         }
-        (response, shutdown)
+        Served {
+            response,
+            shutdown,
+            ticket,
+        }
     }
 
-    /// Serves one parsed request.
+    /// The answer to send for a write served with `ticket`: `ack` once
+    /// the ticket is durable — the first call after new appends runs the
+    /// one group sync that covers all of them — or, if that sync failed,
+    /// the `wal` refusal, counted as an error. `ack` itself without a
+    /// ticket.
+    pub fn settle(&self, ack: Response, ticket: Option<u64>) -> Response {
+        match self.await_durable(ticket) {
+            None => ack,
+            Some(refusal) => {
+                self.metrics.count_error();
+                refusal
+            }
+        }
+    }
+
+    /// Counts a connection shed with `busy` at the front end's
+    /// connection cap (`STATS` `shed`).
+    pub fn count_shed(&self) {
+        self.metrics.count_shed();
+    }
+
+    /// Serves one parsed request; a write is acknowledged only once it
+    /// is durable.
     pub fn handle(&self, req: &Request) -> Response {
-        match *req {
+        let (response, ticket) = self.answer(req);
+        self.settle(response, ticket)
+    }
+
+    /// Serves one parsed request up to its durability wait: a write
+    /// whose acknowledgement must wait for a WAL sync comes back with
+    /// its ticket.
+    fn answer(&self, req: &Request) -> (Response, Option<u64>) {
+        let response = match *req {
             Request::Admit {
                 req_id,
                 src,
@@ -665,14 +688,15 @@ impl AdmissionService {
                 period,
                 length,
                 deadline,
-            } => self.admit(req_id, src, dst, priority, period, length, deadline),
-            Request::Remove { req_id, id } => self.remove(req_id, id),
+            } => return self.admit_ticketed(req_id, src, dst, priority, period, length, deadline),
+            Request::Remove { req_id, id } => return self.remove(req_id, id),
             Request::Query(id) => self.query(id),
             Request::Snapshot => self.snapshot(),
             Request::Stats => self.stats(),
             Request::Promote => self.promote(),
             Request::Shutdown => Response::ShuttingDown,
-        }
+        };
+        (response, None)
     }
 
     /// Promotes this follower to leader: audits the warm-standby state
@@ -774,8 +798,14 @@ impl AdmissionService {
             },
             AcceptedOp::Remove { handle } => Op::Remove { handle: *handle },
         };
-        match self.write(Origin::Leader { seq, req_id }, write) {
-            Ok(_) => hub.set_applied(seq),
+        let written = self
+            .write(Origin::Leader { seq, req_id }, write)
+            .and_then(|(_, ticket)| match self.await_durable(ticket) {
+                None => Ok(()),
+                Some(refusal) => Err(NotApplied::Refused(refusal)),
+            });
+        match written {
+            Ok(()) => hub.set_applied(seq),
             Err(NotApplied::Behind(cur)) => hub.set_applied(cur),
             Err(NotApplied::Replayed(refusal) | NotApplied::Refused(refusal)) => {
                 return Err(format!(
@@ -787,8 +817,9 @@ impl AdmissionService {
         Ok(())
     }
 
-    /// Admits a candidate through the verifier gate and the analysis.
-    /// See the module docs for the locking discipline.
+    /// Admits a candidate through the verifier gate and the analysis,
+    /// acknowledging only once durable. See the module docs for the
+    /// locking discipline.
     #[allow(clippy::too_many_arguments)] // mirrors the wire arity
     pub fn admit(
         &self,
@@ -800,20 +831,38 @@ impl AdmissionService {
         length: u64,
         deadline: Option<u64>,
     ) -> Response {
+        self.handle(&Request::Admit {
+            req_id,
+            src,
+            dst,
+            priority,
+            period,
+            length,
+            deadline,
+        })
+    }
+
+    #[allow(clippy::too_many_arguments)] // mirrors the wire arity
+    fn admit_ticketed(
+        &self,
+        req_id: u64,
+        src: (u32, u32),
+        dst: (u32, u32),
+        priority: u32,
+        period: u64,
+        length: u64,
+        deadline: Option<u64>,
+    ) -> (Response, Option<u64>) {
         if let Some(refusal) = self.write_gate() {
-            return refusal;
+            return (refusal, None);
         }
         let Some(source) = self.mesh.node_at(&[src.0, src.1]) else {
-            return Response::error(
-                "bad_coordinate",
-                format!("source ({},{}) outside mesh", src.0, src.1),
-            );
+            let message = format!("source ({},{}) outside mesh", src.0, src.1);
+            return (Response::error("bad_coordinate", message), None);
         };
         let Some(dest) = self.mesh.node_at(&[dst.0, dst.1]) else {
-            return Response::error(
-                "bad_coordinate",
-                format!("destination ({},{}) outside mesh", dst.0, dst.1),
-            );
+            let message = format!("destination ({},{}) outside mesh", dst.0, dst.1);
+            return (Response::error("bad_coordinate", message), None);
         };
         let deadline = deadline.unwrap_or(period);
         let spec = StreamSpec::new(source, dest, priority, period, length, deadline);
@@ -827,23 +876,29 @@ impl AdmissionService {
             path,
             handle: None,
         };
-        self.write(Origin::Client { req_id }, op)
-            .unwrap_or_else(NotApplied::into_response)
+        self.client_write(req_id, op)
     }
 
-    fn remove(&self, req_id: u64, handle: u64) -> Response {
+    fn remove(&self, req_id: u64, handle: u64) -> (Response, Option<u64>) {
         if let Some(refusal) = self.write_gate() {
-            return refusal;
+            return (refusal, None);
         }
-        self.write(Origin::Client { req_id }, Op::Remove { handle })
-            .unwrap_or_else(NotApplied::into_response)
+        self.client_write(req_id, Op::Remove { handle })
+    }
+
+    /// A client's write: the acknowledgement and its ticket, or the
+    /// answer to send in its place.
+    fn client_write(&self, req_id: u64, op: Op) -> (Response, Option<u64>) {
+        self.write(Origin::Client { req_id }, op)
+            .unwrap_or_else(|not| (not.into_response(), None))
     }
 
     /// The one write path: every state change — a client's or the
-    /// leader's — is decided, ticketed, recorded and acknowledged here,
-    /// in the step order the module docs give. `Ok` is the
-    /// acknowledgement of a write that is applied and durable.
-    fn write(&self, origin: Origin, op: Op) -> Result<Response, NotApplied> {
+    /// leader's — is decided, ticketed and recorded here, in the step
+    /// order the module docs give. `Ok` is the acknowledgement of an
+    /// applied write and, under `--fsync always`, the WAL ticket that
+    /// must be durable before it is sent.
+    fn write(&self, origin: Origin, op: Op) -> Result<(Response, Option<u64>), NotApplied> {
         let (client, req_id) = match origin {
             Origin::Client { req_id } => (true, req_id),
             Origin::Leader { req_id, .. } => (false, req_id),
@@ -894,16 +949,11 @@ impl AdmissionService {
         self.maybe_snapshot(&mut inner);
         drop(inner);
 
-        // The durability wait runs outside every lock: other writes
-        // keep deciding and committing while this batch syncs.
-        if let Some(refusal) = self.await_durable(ticket) {
-            return Err(NotApplied::Refused(refusal));
-        }
         // Fresh admissions/removals are counted here, at the
         // state-change point, so a dedup replay (which returns the same
         // response shape) never inflates the accepted-op counters; a
         // follower's replay is not a request and is not counted.
-        Ok(match accepted.as_ref() {
+        let ack = match accepted.as_ref() {
             AcceptedOp::Admit { handle, spec } => {
                 if client {
                     self.metrics.count_admitted();
@@ -922,7 +972,9 @@ impl AdmissionService {
                 }
                 Response::Removed { id: *handle }
             }
-        })
+        };
+        // The durability wait is the caller's, outside every lock.
+        Ok((ack, ticket))
     }
 
     /// The ticket check of [`Self::write`]: `Err` when `origin`'s ticket
@@ -1041,9 +1093,9 @@ impl AdmissionService {
     }
 
     /// Buffers `op` into the group-commit WAL, if one is attached,
-    /// returning the durability ticket to pass to
-    /// [`AdmissionService::await_durable`] after the write lock drops.
-    /// `Err(response)` is the refusal to send instead of an
+    /// returning the ticket its acknowledgement must wait on — only
+    /// under `--fsync always` does an acknowledgement promise
+    /// durability. `Err(response)` is the refusal to send instead of an
     /// acknowledgement. No fsync runs on this path — the write lock is
     /// held here; group syncs run in `await_durable` after the lock
     /// drops and interval syncs on the server's flusher thread.
@@ -1053,7 +1105,7 @@ impl AdmissionService {
             return Ok(None);
         };
         match d.wal.append(req_id, op) {
-            Ok(ticket) => Ok(Some(ticket)),
+            Ok(ticket) => Ok((d.wal.policy() == FsyncPolicy::Always).then_some(ticket)),
             Err(e) => {
                 self.degraded.store(true, Ordering::SeqCst);
                 Err(Response::error(
@@ -1065,7 +1117,7 @@ impl AdmissionService {
     }
 
     /// Blocks until `ticket`'s batch is durable (a no-op without a
-    /// ticket or under `--fsync interval`/`never`, whose syncs run on
+    /// ticket; `interval`/`never` writes get none, their syncs run on
     /// the server's background flusher). `Some(response)` is
     /// the refusal to send instead of an acknowledgement: the whole
     /// batch was rolled back off the log and the service is degraded —

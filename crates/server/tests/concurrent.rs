@@ -8,9 +8,7 @@ use rtwc_core::{DelayBound, StreamId, StreamSpec};
 use rtwc_server::faultfs::RealFile;
 use rtwc_server::service::AcceptedOp;
 use rtwc_server::wal::WAL_FILE;
-use rtwc_server::{
-    replay, AdmissionService, Client, FsyncPolicy, GroupWal, Server, ServerConfig, Wal,
-};
+use rtwc_server::{replay, AdmissionService, Client, FsyncPolicy, GroupWal, Server, Wal};
 use std::sync::Arc;
 use std::thread;
 use wormnet_topology::{Mesh, NodeId};
@@ -41,24 +39,15 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// N client threads fire interleaved traffic at a four-worker server
-/// (so writes actually queue on the one write path and reads overlap
-/// them), then the final state must equal both a serial replay of the
-/// journal and a from-scratch offline rebuild.
+/// N client threads fire interleaved traffic at one server, then the
+/// final state must equal both a serial replay of the journal and a
+/// from-scratch offline rebuild.
 #[test]
 fn concurrent_clients_serialize_to_an_identical_replay() {
     const CLIENTS: usize = 8;
     const OPS: usize = 120;
     let service = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
-    let server = Server::bind_with_config(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: 0,
-            workers: 4,
-        },
-    )
-    .unwrap();
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle().unwrap();
     let server_thread = thread::spawn(move || server.run());
@@ -138,8 +127,8 @@ fn concurrent_clients_serialize_to_an_identical_replay() {
     assert_eq!(audited, live.len());
 
     // Histogram split: every request lands in the total latency
-    // histogram; only worker-queued ones additionally record a queue
-    // wait, and each recorded wait is a slice of some total, so the
+    // histogram and, served off the reactor's queue, records a queue
+    // wait too; each recorded wait is a slice of some total, so the
     // tail of the total histogram dominates both splits.
     let stats = Client::connect(&addr).unwrap().send("STATS").unwrap();
     let total = extract_block_u64(&stats, "latency_us", "count").unwrap();
@@ -148,13 +137,10 @@ fn concurrent_clients_serialize_to_an_identical_replay() {
         total >= (CLIENTS * OPS) as u64,
         "every request must be observed: {stats}"
     );
-    // Admission work always runs off the reactor (workers: 0 means
-    // one per core), so the queued path carries the traffic.
-    assert!(
-        queued > 0,
-        "worker pool active, queued path unused: {stats}"
+    assert_eq!(
+        queued, total,
+        "every request is served off the queue: {stats}"
     );
-    assert!(queued <= total, "{stats}");
     let max_total = extract_block_u64(&stats, "latency_us", "max").unwrap();
     assert!(
         extract_block_u64(&stats, "queue_us", "max").unwrap() <= max_total,

@@ -2,11 +2,10 @@
 //! `RUSTFLAGS="--cfg loom" cargo test -p rtwc-server --test loom_models`.
 //!
 //! Each model drives the *real* production types — [`GroupWal`] over an
-//! in-memory [`MemFile`], [`AdmissionService`]'s one write path, and
-//! the dispatch [`JobQueue`]/[`CompletionQueue`]/[`ConnFifo`]
-//! protocol — through every interleaving the checker's preemption
-//! budget allows, asserting the invariants DESIGN.md's "Concurrency
-//! verification" section inventories:
+//! in-memory [`MemFile`] and [`AdmissionService`]'s one write path —
+//! through every interleaving the checker's preemption budget allows,
+//! asserting the invariants DESIGN.md's "Concurrency verification"
+//! section inventories:
 //!
 //! - **durable-before-ack**: at the moment `wait_durable` acks a
 //!   ticket under `--fsync always`, a crash (the synced prefix of the
@@ -15,24 +14,21 @@
 //!   leaves zero unacknowledged records for recovery to find;
 //! - **linearizability**: concurrent admissions on the one write path
 //!   produce a journal whose serial replay reproduces the live bounds
-//!   bit-for-bit;
-//! - **no lost wakeup / no double dispatch**: every queued line is
-//!   answered exactly once, in order, with at most one batch in flight.
+//!   bit-for-bit.
 //!
 //! Alongside each model sits a `seeded_*` test: a minimal replica of
 //! the protocol with the guard deliberately removed (ack before sync,
-//! a write derived from a stale read, dispatch without the in-flight gate),
+//! a write derived from a stale read),
 //! wrapped in `catch_unwind` to prove the checker actually finds the
 //! interleaving that breaks it — the models are load-bearing, not
 //! vacuous.
 #![cfg(loom)]
 
 use rtwc_core::{StreamId, StreamSpec};
-use rtwc_server::dispatch::{Completion, CompletionQueue, ConnFifo, Job, JobQueue, Wake};
 use rtwc_server::faultfs::MemFile;
 use rtwc_server::group_commit::GroupWal;
 use rtwc_server::service::{replay, AcceptedOp, AdmissionService};
-use rtwc_server::sync::{thread, Arc, Condvar, Mutex};
+use rtwc_server::sync::{thread, Arc, Mutex};
 use rtwc_server::wal::{FsyncPolicy, Wal};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wormnet_topology::{Mesh, NodeId};
@@ -240,152 +236,5 @@ fn seeded_write_from_a_stale_read_is_caught() {
             h.join().unwrap();
         }
         assert_eq!(*cell.lock().unwrap(), 2, "lost update");
-    }));
-}
-
-// ---------------------------------------------------------------------
-// Model 4: the dispatch protocol answers every line exactly once, in
-// order, with at most one batch in flight per connection.
-// ---------------------------------------------------------------------
-
-/// A loom-visible completion signal: the model's reactor blocks on it
-/// instead of epoll. The counter is incremented *after* the completion
-/// is in the queue, so `wait_for(n)` guarantees `drain()` yields at
-/// least `n` completions in total.
-struct Notify {
-    pushed: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Notify {
-    fn new() -> Notify {
-        Notify {
-            pushed: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait_for(&self, n: u64) {
-        let mut g = self.pushed.lock().unwrap();
-        while *g < n {
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-}
-
-struct NotifyWake(Arc<Notify>);
-
-impl Wake for NotifyWake {
-    fn wake(&self) {
-        *self.0.pushed.lock().unwrap() += 1;
-        self.0.cv.notify_all();
-    }
-}
-
-fn render(job: &Job) -> Completion {
-    let mut bytes = Vec::new();
-    for (text, _) in &job.lines {
-        bytes.extend_from_slice(text.to_lowercase().as_bytes());
-        bytes.push(b'\n');
-    }
-    Completion {
-        token: job.token,
-        bytes,
-        stop: false,
-    }
-}
-
-#[test]
-fn dispatch_answers_each_line_once_in_order() {
-    loom::model(|| {
-        let jobs = Arc::new(JobQueue::new());
-        let notify = Arc::new(Notify::new());
-        let completions = Arc::new(CompletionQueue::new(NotifyWake(Arc::clone(&notify))));
-        let served = Arc::new(Mutex::new(Vec::new()));
-        let worker = {
-            let jobs = Arc::clone(&jobs);
-            let completions = Arc::clone(&completions);
-            let served = Arc::clone(&served);
-            thread::spawn(move || {
-                while let Some(job) = jobs.pop() {
-                    for (text, _) in &job.lines {
-                        served.lock().unwrap().push(text.clone());
-                    }
-                    completions.push(render(&job));
-                }
-            })
-        };
-
-        // The reactor: line A dispatches as batch 1; line B and the
-        // rendered error arrive while it is in flight and must wait.
-        let mut fifo = ConnFifo::new();
-        let mut wbuf = Vec::new();
-        fifo.push_line("A".into());
-        fifo.pump(7, &jobs, &mut wbuf);
-        assert!(fifo.in_flight(), "batch 1 must be in flight");
-        fifo.push_line("B".into());
-        fifo.push_immediate(b"E\n".to_vec());
-        fifo.pump(7, &jobs, &mut wbuf);
-        assert!(wbuf.is_empty(), "nothing may overtake the in-flight batch");
-
-        let mut applied = 0u64;
-        while applied < 2 {
-            notify.wait_for(applied + 1);
-            for c in completions.drain() {
-                assert_eq!(c.token, 7);
-                fifo.complete(&c.bytes, &mut wbuf);
-                applied += 1;
-                fifo.pump(7, &jobs, &mut wbuf);
-            }
-        }
-        jobs.close();
-        worker.join().unwrap();
-
-        // Exactly once, in order — on the wire and at the worker.
-        assert_eq!(wbuf, b"a\nb\nE\n");
-        assert_eq!(*served.lock().unwrap(), ["A", "B"]);
-        assert!(fifo.is_idle());
-    });
-}
-
-#[test]
-fn seeded_dispatch_without_inflight_gate_is_caught() {
-    // The protocol with the at-most-one-batch gate removed: both lines
-    // dispatch as separate concurrent jobs, two workers race to finish
-    // them, and some interleaving delivers the responses out of order.
-    assert!(fails(|| {
-        let jobs = Arc::new(JobQueue::new());
-        let notify = Arc::new(Notify::new());
-        let completions = Arc::new(CompletionQueue::new(NotifyWake(Arc::clone(&notify))));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let jobs = Arc::clone(&jobs);
-                let completions = Arc::clone(&completions);
-                thread::spawn(move || {
-                    if let Some(job) = jobs.pop() {
-                        completions.push(render(&job));
-                    }
-                })
-            })
-            .collect();
-
-        // BUG: dispatch both batches at once instead of gating on the
-        // first one's completion.
-        for text in ["A", "B"] {
-            let mut fifo = ConnFifo::new();
-            let mut scratch = Vec::new();
-            fifo.push_line(text.into());
-            fifo.pump(7, &jobs, &mut scratch);
-        }
-        notify.wait_for(2);
-        let mut wbuf = Vec::new();
-        for c in completions.drain() {
-            wbuf.extend_from_slice(&c.bytes);
-        }
-        jobs.close();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(wbuf, b"a\nb\n", "responses must come back in request order");
     }));
 }

@@ -2,8 +2,8 @@
 //!
 //! A client may write K newline-delimited requests in one TCP segment
 //! without reading; the server must come back with exactly K responses
-//! **in request order** (the per-connection FIFO plus the
-//! one-in-flight rule). The proptest then interleaves pipelined
+//! **in request order** (the reactor answers each connection's lines in
+//! arrival order). The proptest then interleaves pipelined
 //! `ADMIT`/`REMOVE` bursts across several connections and checks the
 //! strongest soundness bar the service offers: the final admitted set
 //! is bit-identical to a serial replay of the accepted-op journal and
@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use rtwc_core::{DelayBound, StreamId};
-use rtwc_server::{replay, AdmissionService, Client, Server, ServerConfig};
+use rtwc_server::{replay, AdmissionService, Client, Server};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -36,24 +36,14 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn spawn_server(
-    workers: usize,
-) -> (
+fn spawn_server() -> (
     Arc<AdmissionService>,
     String,
     rtwc_server::ShutdownHandle,
     thread::JoinHandle<std::io::Result<()>>,
 ) {
     let service = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
-    let server = Server::bind_with_config(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: 0,
-            workers,
-        },
-    )
-    .unwrap();
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle().unwrap();
     let join = thread::spawn(move || server.run());
@@ -66,7 +56,7 @@ fn spawn_server(
 /// order rather than just count.
 #[test]
 fn one_segment_of_k_requests_yields_k_ordered_responses() {
-    let (_service, addr, handle, join) = spawn_server(2);
+    let (_service, addr, handle, join) = spawn_server();
     let mut stream = TcpStream::connect(&addr).unwrap();
     stream.set_nodelay(true).unwrap();
     // Admits on distinct rows admit independently; the trailing QUERY
@@ -112,7 +102,7 @@ fn one_segment_of_k_requests_yields_k_ordered_responses() {
 /// keep their place in the response order.
 #[test]
 fn error_responses_keep_their_place_in_the_pipeline() {
-    let (_service, addr, handle, join) = spawn_server(2);
+    let (_service, addr, handle, join) = spawn_server();
     let mut stream = TcpStream::connect(&addr).unwrap();
     let big = "x".repeat(rtwc_server::MAX_LINE_BYTES + 8);
     let segment = format!("STATS\nFROB 1\n{big}\nSTATS\n");
@@ -199,7 +189,7 @@ proptest! {
         bursts in 2usize..5,
         window in 2usize..7,
     ) {
-        let (service, addr, handle, join) = spawn_server(2);
+        let (service, addr, handle, join) = spawn_server();
         let conns = 3usize;
         let drivers: Vec<_> = (0..conns)
             .map(|i| {
