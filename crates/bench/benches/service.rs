@@ -4,13 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtwc_server::{AdmissionService, Client, Server};
-use std::sync::Arc;
 use wormnet_topology::Mesh;
 
 /// A service pre-loaded with `n` admitted streams on separate rows and
 /// columns, so queries hit a realistically sized set.
-fn loaded_service(n: usize) -> Arc<AdmissionService> {
-    let svc = Arc::new(AdmissionService::new(Mesh::mesh2d(16, 16)));
+fn loaded_service(n: usize) -> AdmissionService {
+    let svc = AdmissionService::new(Mesh::mesh2d(16, 16));
     for i in 0..n {
         let row = (i % 16) as u32;
         let shift = (i / 16) as u32;
@@ -65,7 +64,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
 fn bench_tcp_round_trip(c: &mut Criterion) {
     let svc = loaded_service(32);
-    let server = Server::bind(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+    let server = Server::bind(svc, "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle().unwrap();
     let join = std::thread::spawn(move || server.run());

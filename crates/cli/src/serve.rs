@@ -16,12 +16,11 @@ use crate::spec::RawSpecFile;
 use rtwc_server::{
     catch_up, recover, render_bench_json, render_chaos_report, render_repl_json, render_response,
     render_sweep_json, run_bench, run_bench_repl, run_chaos, run_wal_sweep, AdmissionService,
-    BenchConfig, CatchupOpts, ChaosConfig, Client, ClientConfig, Durability, Follower,
-    FollowerConfig, FsyncPolicy, GroupWal, NetAction, NetChaos, NetSchedule, ReplHub, Response,
-    Server, ServerConfig, Shipper, ShipperConfig,
+    BenchConfig, CatchupOpts, ChaosConfig, Client, ClientConfig, Durability, FollowerConfig,
+    FsyncPolicy, GroupWal, NetAction, NetChaos, NetSchedule, ReplHub, Response, Server,
+    ServerConfig, ShipperConfig,
 };
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 use wormnet_topology::Topology;
 
@@ -103,10 +102,10 @@ fn seed_streams(service: &AdmissionService, raw: &RawSpecFile) -> Result<(), Str
 
 /// Builds an in-memory service over the spec's mesh with every spec
 /// stream admitted.
-pub fn seed_service(raw: &RawSpecFile) -> Result<Arc<AdmissionService>, String> {
+pub fn seed_service(raw: &RawSpecFile) -> Result<AdmissionService, String> {
     let service = AdmissionService::new(raw.mesh.clone());
     seed_streams(&service, raw)?;
-    Ok(Arc::new(service))
+    Ok(service)
 }
 
 /// Builds the service for `rtwc serve`: durable (recovering whatever
@@ -172,7 +171,7 @@ fn build_follower(
         .map_err(|e| format!("catch-up from {leader} failed: {e}"))?;
     let (state, wal, report) = recover(&raw.mesh, dir, opts.fsync)
         .map_err(|e| format!("recovery from {} failed: {e}", dir.display()))?;
-    let service = AdmissionService::with_durability(
+    let mut service = AdmissionService::with_durability(
         raw.mesh.clone(),
         state,
         Durability {
@@ -181,7 +180,7 @@ fn build_follower(
             snapshot_every: opts.snapshot_every,
         },
     );
-    service.attach_repl(Arc::new(ReplHub::follower(leader)));
+    service.attach_repl(ReplHub::follower(leader));
     let caught_line = match caught {
         Some(c) if c.resumed > 0 => format!(
             "snapshot catch-up to seq {} ({} chunk(s) resumed); ",
@@ -208,24 +207,16 @@ pub fn run_serve(raw: &RawSpecFile, opts: &ServeOptions) -> Result<(), String> {
     if opts.lease.is_some() && opts.repl_addr.is_none() {
         return Err("--lease-ms needs --repl-addr (the lease is fed by follower acks)".to_string());
     }
-    let (service, startup) = build_service(raw, opts)?;
-    let service = Arc::new(service);
-    let mut shipper = None;
-    if let Some(repl_addr) = &opts.repl_addr {
-        let hub = Arc::new(ReplHub::leader());
+    let (mut service, startup) = build_service(raw, opts)?;
+    if opts.repl_addr.is_some() {
+        let mut hub = ReplHub::leader();
         if let Some(lease) = opts.lease {
             hub.set_lease(lease);
         }
         service.attach_repl(hub);
-        let listener = std::net::TcpListener::bind(repl_addr)
-            .map_err(|e| format!("cannot bind replication address {repl_addr}: {e}"))?;
-        let dir = opts.wal_dir.clone().expect("checked above");
-        let s = Shipper::spawn(listener, Arc::clone(&service), ShipperConfig::new(dir))
-            .map_err(|e| format!("cannot start the WAL shipper: {e}"))?;
-        shipper = Some(s);
     }
-    let server = Server::bind_with_config(
-        Arc::clone(&service),
+    let mut server = Server::bind_with_config(
+        service,
         &opts.addr,
         ServerConfig {
             max_connections: opts.max_connections,
@@ -235,35 +226,35 @@ pub fn run_serve(raw: &RawSpecFile, opts: &ServeOptions) -> Result<(), String> {
     let local = server
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-    // Spawned after the bind so a `--addr ...:0` follower advertises
+    if let Some(repl_addr) = &opts.repl_addr {
+        let listener = std::net::TcpListener::bind(repl_addr)
+            .map_err(|e| format!("cannot bind replication address {repl_addr}: {e}"))?;
+        server = server
+            .with_shipper(listener, ShipperConfig::default())
+            .map_err(|e| format!("cannot ship the WAL: {e}"))?;
+    }
+    // Configured after the bind so a `--addr ...:0` follower advertises
     // its *resolved* address — on promotion the fence tells the deposed
     // leader where its clients should redirect.
-    let mut follower_loop = None;
     if let Some(leader) = &opts.follower_of {
         let mut follow_cfg = FollowerConfig::new(leader);
         follow_cfg.promote_grace = opts.promote_grace;
         follow_cfg.advertise = local.to_string();
-        let f = Follower::spawn(Arc::clone(&service), follow_cfg)
-            .map_err(|e| format!("cannot start the follower loop: {e}"))?;
-        follower_loop = Some(f);
+        server = server
+            .with_follower(follow_cfg)
+            .map_err(|e| format!("cannot follow {leader}: {e}"))?;
     }
     // Announced on stdout (line-buffered even when piped) so scripts
     // binding port 0 can read the real address back. The replication
     // line comes second so `^listening on` keeps matching first.
     println!("listening on {local} ({startup})");
-    if let Some(s) = &shipper {
-        println!("replication listening on {}", s.addr());
+    if let Some(addr) = server.repl_addr() {
+        println!("replication listening on {addr}");
     }
-    let result = server.run().map_err(|e| format!("server failed: {e}"));
-    if let Some(s) = shipper {
-        s.stop();
-    }
-    if let Some(f) = follower_loop {
-        f.stop();
-    }
+    let service = server.run().map_err(|e| format!("server failed: {e}"))?;
     // Clean shutdown: push any interval/never-policy tail to disk.
     service.flush();
-    result
+    Ok(())
 }
 
 /// `rtwc client <ADDR> <REQUEST…>` — one request, one JSON line on

@@ -6,20 +6,19 @@
 //! latency with **exact** percentiles — unlike the server's own `STATS`
 //! histograms, whose buckets are up to 12.5% wide. The final server `STATS`
 //! line is embedded in the report so both views land in one artifact,
-//! and the admitted set is audited against a fresh offline analysis
-//! before shutdown.
+//! and the admitted set the server hands back at shutdown is audited
+//! against a fresh offline analysis.
 
+use crate::chaos::{durable_service, json_u64, splitmix64, wait_for, Node};
 use crate::client::Client;
-use crate::group_commit::{GroupCommitStats, GroupWal};
+use crate::faultfs::RealFile;
+use crate::group_commit::GroupCommitStats;
 use crate::netchaos::{NetAction, NetChaos};
-use crate::protocol::{Request, Response};
-use crate::recovery::recover;
-use crate::repl::follower::{Follower, FollowerConfig};
-use crate::repl::ship::{Shipper, ShipperConfig};
-use crate::repl::ReplHub;
+use crate::repl::follower::FollowerConfig;
+use crate::repl::ship::ShipperConfig;
 use crate::server::Server;
-use crate::service::{AdmissionService, Durability};
-use crate::wal::FsyncPolicy;
+use crate::service::AdmissionService;
+use crate::wal::{FsyncPolicy, WAL_FILE};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -153,24 +152,6 @@ pub struct BenchOutcome {
 }
 
 /// `splitmix64` — the workspace's stock deterministic generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn status_of(json: &str) -> &str {
     for s in [
         "admitted",
@@ -338,7 +319,7 @@ fn worker(
             }
             match status_of(reply) {
                 "admitted" => {
-                    if let Some(id) = extract_u64(reply, "id") {
+                    if let Some(id) = json_u64(reply, "id") {
                         own.push(id);
                     }
                     if record {
@@ -359,22 +340,23 @@ fn worker(
 /// [`BenchConfig::wal_dir`] is set.
 fn bench_service(cfg: &BenchConfig) -> io::Result<AdmissionService> {
     let mesh = Mesh::mesh2d(cfg.width, cfg.height);
-    Ok(match &cfg.wal_dir {
-        None => AdmissionService::new(mesh),
-        Some(dir) => {
-            std::fs::create_dir_all(dir)?;
-            let (state, wal, _) = recover(&mesh, dir, cfg.fsync)?;
-            AdmissionService::with_durability(
-                mesh,
-                state,
-                Durability {
-                    dir: dir.clone(),
-                    wal: GroupWal::new(wal),
-                    snapshot_every: cfg.snapshot_every,
-                },
-            )
-        }
-    })
+    match &cfg.wal_dir {
+        None => Ok(AdmissionService::new(mesh)),
+        Some(dir) => durable_at(&mesh, dir, cfg.fsync, cfg.snapshot_every),
+    }
+}
+
+/// A durable service over a real WAL file in `dir` (created if need
+/// be), recovering what the directory holds.
+fn durable_at(
+    mesh: &Mesh,
+    dir: &Path,
+    policy: FsyncPolicy,
+    snapshot_every: u64,
+) -> io::Result<AdmissionService> {
+    std::fs::create_dir_all(dir)?;
+    let file = Box::new(RealFile::open(&dir.join(WAL_FILE))?);
+    durable_service(mesh, dir, policy, snapshot_every, file)
 }
 
 /// Drives the configured client loops against a running server at
@@ -420,20 +402,15 @@ fn drive_clients(addr: &str, cfg: &BenchConfig) -> io::Result<(Vec<WorkerLog>, D
 /// (optionally pipelined and/or time-bounded), final `STATS` + audit,
 /// shutdown.
 pub fn run_bench(cfg: &BenchConfig) -> io::Result<BenchOutcome> {
-    let service = Arc::new(bench_service(cfg)?);
-    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0")?;
-    let addr = server.local_addr()?.to_string();
-    let server_thread = thread::spawn(move || server.run());
-    let (logs, elapsed) = drive_clients(&addr, cfg)?;
+    let node = Node::start(Server::bind(bench_service(cfg)?, "127.0.0.1:0")?)?;
+    let (logs, elapsed) = drive_clients(&node.addr, cfg)?;
 
-    let mut control = Client::connect(&addr)?;
-    let server_stats = control.send("STATS")?;
+    let server_stats = node.client()?.send("STATS")?;
+    let service = node.stop()?;
     let group_commit = service.group_commit_stats();
     let audited_streams = service
         .audit()
         .map_err(|e| io::Error::other(format!("post-bench audit failed: {e}")))?;
-    control.send("SHUTDOWN")?;
-    server_thread.join().expect("server thread panicked")?;
     Ok(summarize(
         cfg,
         &logs,
@@ -699,30 +676,12 @@ pub struct PartitionBenchOutcome {
     pub divergence_ops: u64,
 }
 
-/// Polls `cond` every 2 ms until it holds or `timeout` passes.
-fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while !cond() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    true
-}
-
-/// One fixed feasible admit on `row`, issued directly to the service
-/// (the partition rig has no text servers).
-fn mini_admit(service: &AdmissionService, req_id: u64, row: u32) -> Response {
-    service.handle(&Request::Admit {
-        req_id,
-        src: (0, row),
-        dst: (5, row),
-        priority: 1,
-        period: 500,
-        length: 2,
-        deadline: None,
-    })
+/// One fixed feasible admit on `row`; true when it was admitted.
+fn mini_admit(node: &Node, req_id: u64, row: u32) -> io::Result<bool> {
+    let reply = node
+        .client()?
+        .send(&format!("@{req_id} ADMIT 0,{row} 5,{row} 1 500 2"))?;
+    Ok(status_of(&reply) == "admitted")
 }
 
 /// Runs the partition-failover phase: builds a fresh durable
@@ -738,67 +697,45 @@ fn run_partition_phase(dir: &Path, grace: Duration) -> io::Result<PartitionBench
         let _ = std::fs::remove_dir_all(d);
         std::fs::create_dir_all(d)?;
     }
+    let mesh = Mesh::mesh2d(8, 8);
 
-    let durable = |d: &Path| -> io::Result<AdmissionService> {
-        let mesh = Mesh::mesh2d(8, 8);
-        let (state, wal, _) = recover(&mesh, d, FsyncPolicy::Always)?;
-        Ok(AdmissionService::with_durability(
-            mesh,
-            state,
-            Durability {
-                dir: d.to_path_buf(),
-                wal: GroupWal::new(wal),
-                snapshot_every: 0,
-            },
-        ))
-    };
-
-    let old = Arc::new(durable(&old_dir)?);
-    let old_hub = Arc::new(ReplHub::leader());
-    old_hub.set_lease(lease);
-    old.attach_repl(Arc::clone(&old_hub));
-    let mut ship_cfg = ShipperConfig::new(old_dir);
     // Tight heartbeats keep ack round-trips — and so the lease — fresh
     // on an idle link.
-    ship_cfg.heartbeat = Duration::from_millis(10);
-    let shipper = Shipper::spawn(
-        std::net::TcpListener::bind("127.0.0.1:0")?,
-        Arc::clone(&old),
-        ship_cfg,
+    let ship = ShipperConfig {
+        heartbeat: Duration::from_millis(10),
+        ..ShipperConfig::default()
+    };
+    let old = Node::leader(
+        durable_at(&mesh, &old_dir, FsyncPolicy::Always, 0)?,
+        Some(lease),
+        ship,
     )?;
     let proxy = NetChaos::spawn(
         std::net::TcpListener::bind("127.0.0.1:0")?,
-        &shipper.addr().to_string(),
+        &old.repl_addr,
         0xbe7c_f007,
     )?;
-    let proxy_addr = proxy.addr().to_string();
-
-    let new = Arc::new(durable(&new_dir)?);
-    let new_hub = Arc::new(ReplHub::follower(&proxy_addr));
-    new.attach_repl(Arc::clone(&new_hub));
-    let mut fcfg = FollowerConfig::new(&proxy_addr);
+    let mut fcfg = FollowerConfig::new(&proxy.addr().to_string());
     fcfg.promote_grace = Some(grace);
-    let follower_loop = Follower::spawn(Arc::clone(&new), fcfg)?;
+    let new = Node::follower(
+        durable_at(&mesh, &new_dir, FsyncPolicy::Always, 0)?,
+        fcfg,
+        None,
+    )?;
 
     // Preload a few streams and wait until the standby applied them
     // AND the leader heard the ack back (the lease is armed).
     let preload: u64 = 6;
     for i in 0..preload {
-        let reply = mini_admit(&old, 700_000 + i, u32::try_from(i).unwrap_or(0));
-        if !matches!(reply, Response::Admitted { .. }) {
-            return Err(io::Error::other(format!(
-                "partition-phase preload admit refused: {reply:?}"
-            )));
+        if !mini_admit(&old, 700_000 + i, u32::try_from(i).unwrap_or(0))? {
+            return Err(io::Error::other("partition-phase preload admit refused"));
         }
     }
-    let sync_ok = wait_until(Duration::from_secs(10), || new_hub.applied_seq() >= preload)
-        && wait_until(Duration::from_secs(10), || {
-            old_hub
-                .report(0, 0)
-                .followers
-                .iter()
-                .any(|f| f.acked_seq >= preload)
-        });
+    let sync_ok = wait_for(Duration::from_secs(10), || {
+        new.gauge("applied_seq") >= preload
+    }) && wait_for(Duration::from_secs(10), || {
+        old.gauge("acked_seq") >= preload
+    });
     if !sync_ok {
         return Err(io::Error::other("partition-phase standby never synced"));
     }
@@ -808,21 +745,18 @@ fn run_partition_phase(dir: &Path, grace: Duration) -> io::Result<PartitionBench
 
     // One write inside the lease window: acknowledged locally, never
     // replicated — the divergent suffix the fence will audit.
-    let divergent_admits = u64::from(matches!(
-        mini_admit(&old, 700_100, 6),
-        Response::Admitted { .. }
-    ));
+    let divergent_admits = u64::from(mini_admit(&old, 700_100, 6)?);
 
-    if !wait_until(Duration::from_secs(10), || old_hub.write_sealed()) {
+    if !wait_for(Duration::from_secs(10), || old.is_sealed()) {
         return Err(io::Error::other("partitioned leader never sealed"));
     }
     let seal_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if !wait_until(Duration::from_secs(10), || !new_hub.is_follower()) {
+    if !wait_for(Duration::from_secs(10), || new.is_leader()) {
         return Err(io::Error::other("partitioned standby never promoted"));
     }
     let promote_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let served = wait_until(Duration::from_secs(10), || {
-        matches!(mini_admit(&new, 700_200, 7), Response::Admitted { .. })
+    let served = wait_for(Duration::from_secs(10), || {
+        mini_admit(&new, 700_200, 7).unwrap_or(false)
     });
     if !served {
         return Err(io::Error::other("promoted standby never served a write"));
@@ -831,14 +765,14 @@ fn run_partition_phase(dir: &Path, grace: Duration) -> io::Result<PartitionBench
 
     let heal_t0 = Instant::now();
     proxy.handle().apply(NetAction::Heal);
-    if !wait_until(Duration::from_secs(10), || old_hub.is_fenced()) {
+    if !wait_for(Duration::from_secs(10), || old.gauge("fence_events") > 0) {
         return Err(io::Error::other("deposed leader never fenced after heal"));
     }
     let fence_ms = heal_t0.elapsed().as_secs_f64() * 1e3;
-    let divergence_ops = old_hub.divergence_ops();
+    let divergence_ops = old.gauge("divergence_ops");
 
-    follower_loop.stop();
-    shipper.stop();
+    drop(new.stop()?);
+    drop(old.stop()?);
     proxy.stop();
     Ok(PartitionBenchOutcome {
         lease,
@@ -897,118 +831,91 @@ pub fn run_bench_repl(
     };
 
     let mut leader_cfg = cfg.clone();
-    leader_cfg.wal_dir = Some(leader_dir.clone());
-    let leader = Arc::new(bench_service(&leader_cfg)?);
-    leader.attach_repl(Arc::new(ReplHub::leader()));
-    let shipper = Shipper::spawn(
-        std::net::TcpListener::bind("127.0.0.1:0")?,
-        Arc::clone(&leader),
-        ShipperConfig::new(leader_dir),
-    )?;
-    let ship_addr = shipper.addr().to_string();
+    leader_cfg.wal_dir = Some(leader_dir);
+    let leader = Node::leader(bench_service(&leader_cfg)?, None, ShipperConfig::default())?;
 
     // The warm standby: a durable replica with its own text endpoint,
-    // fed by the follower loop.
+    // fed by its link to the leader.
     let mesh = Mesh::mesh2d(cfg.width, cfg.height);
-    let (state, wal, _) = recover(&mesh, &follower_dir, cfg.fsync)?;
-    let follower = Arc::new(AdmissionService::with_durability(
-        mesh,
-        state,
-        Durability {
-            dir: follower_dir,
-            wal: GroupWal::new(wal),
-            snapshot_every: cfg.snapshot_every,
-        },
-    ));
-    let follower_hub = Arc::new(ReplHub::follower(&ship_addr));
-    follower.attach_repl(Arc::clone(&follower_hub));
-    let mut follow_cfg = FollowerConfig::new(&ship_addr);
+    let standby = durable_at(&mesh, &follower_dir, cfg.fsync, cfg.snapshot_every)?;
+    let mut follow_cfg = FollowerConfig::new(&leader.repl_addr);
     follow_cfg.promote_grace = Some(grace);
-    let follower_loop = Follower::spawn(Arc::clone(&follower), follow_cfg)?;
+    let follower = Node::follower(standby, follow_cfg, None)?;
 
-    let leader_server = Server::bind(Arc::clone(&leader), "127.0.0.1:0")?;
-    let leader_addr = leader_server.local_addr()?.to_string();
-    let leader_thread = thread::spawn(move || leader_server.run());
-    let follower_server = Server::bind(Arc::clone(&follower), "127.0.0.1:0")?;
-    let follower_addr = follower_server.local_addr()?.to_string();
-    let follower_thread = thread::spawn(move || follower_server.run());
-
-    // Peak-lag sampler: frontier minus applied, polled while the load
-    // runs. Both gauges are plain atomics, so sampling is free.
+    // Peak-lag sampler: the leader's own gauge (frontier minus the
+    // follower's last ack), polled over the wire while the load runs.
     let sampling = Arc::new(AtomicBool::new(true));
-    let max_lag = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let sampler = {
         let sampling = Arc::clone(&sampling);
-        let max_lag = Arc::clone(&max_lag);
-        let leader = Arc::clone(&leader);
-        let hub = Arc::clone(&follower_hub);
+        let mut control = leader.client()?;
         thread::spawn(move || {
+            let mut max_lag = 0;
             while sampling.load(Ordering::Relaxed) {
-                let lag = leader
-                    .ship_frontier()
-                    .unwrap_or(0)
-                    .saturating_sub(hub.applied_seq());
-                max_lag.fetch_max(lag, Ordering::Relaxed);
-                thread::sleep(Duration::from_millis(2));
+                let stats = control.send("STATS").unwrap_or_default();
+                max_lag = max_lag.max(json_u64(&stats, "replication_lag_frames").unwrap_or(0));
+                thread::sleep(Duration::from_millis(5));
             }
+            max_lag
         })
     };
 
-    let (logs, elapsed) = drive_clients(&leader_addr, &leader_cfg)?;
+    let (logs, elapsed) = drive_clients(&leader.addr, &leader_cfg)?;
     sampling.store(false, Ordering::Relaxed);
-    let _ = sampler.join();
+    let max_lag = sampler.join().unwrap_or(0);
 
-    let mut control = Client::connect(&leader_addr)?;
+    let mut control = leader.client()?;
     let server_stats = control.send("STATS")?;
-    let group_commit = leader.group_commit_stats();
-    let audited_streams = leader
-        .audit()
-        .map_err(|e| io::Error::other(format!("post-bench leader audit failed: {e}")))?;
 
     // Drain: the leader's background flusher keeps advancing the
     // frontier over the last buffered records; wait until the follower
-    // has applied a frontier that then stays put. Progress-aware
-    // rather than a fixed cliff — on few cores the follower applies
-    // the backlog serially after the load stops, which can take far
-    // longer than the load itself ran; only a *stalled* follower (no
-    // applied progress for two seconds) or the hard cap ends the
-    // drain early.
+    // has acked a frontier that then stays put. Progress-aware rather
+    // than a fixed cliff — on few cores the follower applies the
+    // backlog serially after the load stops, which can take far longer
+    // than the load itself ran; only a *stalled* follower (no applied
+    // progress for two seconds) or the hard cap ends the drain early.
+    let lag = |control: &mut Client| -> io::Result<u64> {
+        let stats = control.send("STATS")?;
+        Ok(json_u64(&stats, "replication_lag_frames").unwrap_or(0))
+    };
     let drain_t0 = Instant::now();
     let drain_cap = drain_t0 + Duration::from_mins(2);
-    let mut last_applied = follower_hub.applied_seq();
+    let mut last_applied = follower.gauge("applied_seq");
     let mut last_progress = Instant::now();
     let final_lag = loop {
-        let frontier = leader.ship_frontier().unwrap_or(0);
-        let applied = follower_hub.applied_seq();
-        if applied >= frontier {
+        let behind = lag(&mut control)?;
+        if behind == 0 {
             thread::sleep(Duration::from_millis(20));
-            let settled = leader.ship_frontier().unwrap_or(0);
-            let lag = settled.saturating_sub(follower_hub.applied_seq());
-            if lag == 0 {
+            let settled = lag(&mut control)?;
+            if settled == 0 {
                 break 0;
             }
         }
+        let applied = follower.gauge("applied_seq");
         if applied > last_applied {
             last_applied = applied;
             last_progress = Instant::now();
         }
         let now = Instant::now();
         if now > drain_cap || now.duration_since(last_progress) > Duration::from_secs(2) {
-            break frontier.saturating_sub(applied);
+            break behind;
         }
         thread::sleep(Duration::from_millis(2));
     };
     let drain_ms = drain_t0.elapsed().as_secs_f64() * 1e3;
-    let follower_applied_seq = follower_hub.applied_seq();
+    let follower_applied_seq = follower.gauge("applied_seq");
 
-    // Failover: tear the leader down (text server and shipper) and
-    // time until the follower self-promotes and serves a write.
+    // Failover: tear the leader down (text server and ship sessions
+    // with it) and time until the follower self-promotes and serves a
+    // write.
     let kill_t0 = Instant::now();
-    control.send("SHUTDOWN")?;
-    leader_thread.join().expect("leader server panicked")?;
-    shipper.stop();
+    let leader = leader.stop()?;
+    let group_commit = leader.group_commit_stats();
+    let audited_streams = leader
+        .audit()
+        .map_err(|e| io::Error::other(format!("post-bench leader audit failed: {e}")))?;
+    drop(leader);
     let promote_deadline = kill_t0 + grace.saturating_mul(20) + Duration::from_secs(10);
-    while follower_hub.is_follower() {
+    while !follower.is_leader() {
         if Instant::now() > promote_deadline {
             return Err(io::Error::other(
                 "follower never promoted after leader teardown",
@@ -1016,7 +923,7 @@ pub fn run_bench_repl(
         }
         thread::sleep(Duration::from_millis(2));
     }
-    let mut verify = Client::connect(&follower_addr)?;
+    let mut verify = follower.client()?;
     let reply = verify.send_idempotent(990_001, "ADMIT 0,0 1,0 7 200 1")?;
     let failover_ms = kill_t0.elapsed().as_secs_f64() * 1e3;
     let write_after_failover = status_of(&reply).to_string();
@@ -1025,12 +932,12 @@ pub fn run_bench_repl(
             "post-failover write not served: {reply}"
         )));
     }
-    let promoted_streams = follower
+    let promoted_epoch = follower.gauge("epoch");
+    let promoted = follower.stop()?;
+    let promoted_streams = promoted
         .audit()
         .map_err(|e| io::Error::other(format!("post-failover audit failed: {e}")))?;
-    verify.send("SHUTDOWN")?;
-    follower_thread.join().expect("follower server panicked")?;
-    follower_loop.stop();
+    drop(promoted);
 
     // The partition phase runs on its own mini-rig: the main pair is
     // already torn down and its follower promoted, so the split-brain
@@ -1054,13 +961,13 @@ pub fn run_bench_repl(
         leader,
         baseline_throughput,
         overhead_pct,
-        max_lag_frames: max_lag.load(Ordering::Relaxed),
+        max_lag_frames: max_lag,
         final_lag_frames: final_lag,
         drain_ms,
         follower_applied_seq,
         promote_grace: grace,
         failover_ms,
-        promoted_epoch: follower_hub.epoch(),
+        promoted_epoch,
         promoted_streams,
         write_after_failover,
         partition,
@@ -1316,9 +1223,9 @@ mod tests {
     #[test]
     fn json_field_extraction() {
         let line = r#"{"status":"admitted","id":42,"bound":7}"#;
-        assert_eq!(extract_u64(line, "id"), Some(42));
-        assert_eq!(extract_u64(line, "bound"), Some(7));
-        assert_eq!(extract_u64(line, "slack"), None);
+        assert_eq!(json_u64(line, "id"), Some(42));
+        assert_eq!(json_u64(line, "bound"), Some(7));
+        assert_eq!(json_u64(line, "slack"), None);
         assert_eq!(status_of(line), "admitted");
     }
 }

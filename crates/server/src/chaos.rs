@@ -21,22 +21,33 @@
 //! or the policy explicitly trades durability for throughput
 //! (`never` + truncation), and even then recovery must land exactly on
 //! a prefix — never a hole, never a divergent bound.
+//!
+//! The storage scenarios call one service directly. Every scenario with
+//! more than one writer or more than one node runs each node as a
+//! [`Server`] on its own thread (`Node`) and drives it from outside,
+//! over the wire, the way an operator would: requests through a
+//! [`Client`], live state through `STATS`, the final state from the
+//! service [`Server::run`] hands back.
 
+use crate::client::Client;
 use crate::faultfs::{FailpointFile, FaultPlan, FaultState, RealFile, WalFile};
 use crate::group_commit::GroupWal;
 use crate::netchaos::{NetAction, NetChaos};
-use crate::protocol::{Request, Response};
+use crate::protocol::{render_response, Request, Response};
 use crate::recovery::{recover_with_file, RecoveredState};
 use crate::repl::catchup::CatchupOpts;
-use crate::repl::follower::{catch_up, Follower, FollowerConfig};
-use crate::repl::ship::{Shipper, ShipperConfig};
+use crate::repl::follower::{catch_up, FollowerConfig};
+use crate::repl::ship::ShipperConfig;
 use crate::repl::ReplHub;
+use crate::server::{Server, ShutdownHandle};
 use crate::service::{replay, AcceptedOp, AdmissionService, Durability};
-use crate::wal::{FsyncPolicy, WAL_FILE};
+use crate::wal::{FrameIter, FsyncPolicy, WAL_FILE};
 use rtwc_core::{StreamId, StreamSpec};
 use std::io;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 use wormnet_topology::{Mesh, Topology};
 
@@ -112,12 +123,169 @@ impl ChaosOutcome {
 }
 
 /// `splitmix64` — the workspace's stock deterministic generator.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// A write's outcome, reduced to what the scenarios check.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Answer {
+    /// Admitted under this stable id.
+    Admitted(u64),
+    /// Removed this stable id.
+    Removed(u64),
+    /// Refused with this error code (`degraded`, `sealed`, ...).
+    Refused(String),
+    /// Anything else: a rejection, a malformed answer, a lost link.
+    Other(String),
+}
+
+/// Where a scenario's writes go: straight into a service, or over the
+/// wire to a running node.
+pub(crate) trait Target {
+    /// Serves one request line.
+    fn send(&mut self, line: &str) -> Answer;
+}
+
+impl Target for AdmissionService {
+    fn send(&mut self, line: &str) -> Answer {
+        answer_of(&render_response(&self.dispatch_line(line).0))
+    }
+}
+
+impl Target for Client {
+    fn send(&mut self, line: &str) -> Answer {
+        match Client::send(self, line) {
+            Ok(reply) => answer_of(&reply),
+            Err(e) => Answer::Other(format!("link: {e}")),
+        }
+    }
+}
+
+/// A wire answer reduced to an [`Answer`].
+fn answer_of(line: &str) -> Answer {
+    let field = |key: &str| {
+        let pat = format!("\"{key}\":\"");
+        let start = line.find(&pat)? + pat.len();
+        line[start..].split('"').next()
+    };
+    let id = json_u64(line, "id");
+    match (field("status"), id) {
+        (Some("admitted"), Some(id)) => Answer::Admitted(id),
+        (Some("removed"), Some(id)) => Answer::Removed(id),
+        (Some("error"), _) => Answer::Refused(field("code").unwrap_or_default().to_string()),
+        _ => Answer::Other(line.to_string()),
+    }
+}
+
+/// The first unsigned integer under `key` in a one-line JSON answer.
+pub(crate) fn json_u64(json: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let start = json.find(&pat)? + pat.len();
+    let rest = &json[start..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// A [`Server`] running on its own thread: the unit the multi-node
+/// scenarios and the replication bench drive from outside.
+pub(crate) struct Node {
+    /// The client address.
+    pub(crate) addr: String,
+    /// The replication address, when the node ships its WAL.
+    pub(crate) repl_addr: String,
+    stop: ShutdownHandle,
+    join: thread::JoinHandle<io::Result<AdmissionService>>,
+}
+
+impl Node {
+    /// Starts serving `server` on a fresh thread.
+    pub(crate) fn start(server: Server) -> io::Result<Node> {
+        let addr = server.local_addr()?.to_string();
+        let repl_addr = server.repl_addr().map_or(String::new(), |a| a.to_string());
+        let stop = server.shutdown_handle()?;
+        let join = thread::spawn(move || server.run());
+        Ok(Node {
+            addr,
+            repl_addr,
+            stop,
+            join,
+        })
+    }
+
+    /// A leader node: `service` with a leader hub (and `lease`, if
+    /// any), shipping its WAL from an ephemeral port.
+    pub(crate) fn leader(
+        mut service: AdmissionService,
+        lease: Option<Duration>,
+        ship: ShipperConfig,
+    ) -> io::Result<Node> {
+        let mut hub = ReplHub::leader();
+        if let Some(lease) = lease {
+            hub.set_lease(lease);
+        }
+        service.attach_repl(hub);
+        let server = Server::bind(service, "127.0.0.1:0")?
+            .with_shipper(TcpListener::bind("127.0.0.1:0")?, ship)?;
+        Node::start(server)
+    }
+
+    /// A follower node of `cfg.leader`. With `ship`, it also listens for
+    /// followers of its own (they are served once it has promoted).
+    pub(crate) fn follower(
+        mut service: AdmissionService,
+        cfg: FollowerConfig,
+        ship: Option<ShipperConfig>,
+    ) -> io::Result<Node> {
+        service.attach_repl(ReplHub::follower(&cfg.leader));
+        let mut server = Server::bind(service, "127.0.0.1:0")?.with_follower(cfg)?;
+        if let Some(ship) = ship {
+            server = server.with_shipper(TcpListener::bind("127.0.0.1:0")?, ship)?;
+        }
+        Node::start(server)
+    }
+
+    /// A fresh client connection.
+    pub(crate) fn client(&self) -> io::Result<Client> {
+        Client::connect(&self.addr)
+    }
+
+    /// One `STATS` answer (empty if the node is unreachable).
+    pub(crate) fn stats(&self) -> String {
+        self.client()
+            .and_then(|mut c| c.send("STATS").map_err(io::Error::other))
+            .unwrap_or_default()
+    }
+
+    /// A gauge out of `STATS` (0 when absent).
+    pub(crate) fn gauge(&self, key: &str) -> u64 {
+        json_u64(&self.stats(), key).unwrap_or(0)
+    }
+
+    /// Whether the node currently reports itself as leader.
+    pub(crate) fn is_leader(&self) -> bool {
+        self.stats().contains("\"role\":\"leader\"")
+    }
+
+    /// Whether the node currently sheds writes as sealed.
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.stats().contains("\"sealed\":true")
+    }
+
+    /// Stops the node and hands its service back (dropping it is the
+    /// scenarios' kill: the WAL keeps what was synced).
+    pub(crate) fn stop(self) -> io::Result<AdmissionService> {
+        self.stop.shutdown();
+        self.join
+            .join()
+            .map_err(|_| io::Error::other("node thread panicked"))?
+    }
 }
 
 /// What driving the workload against a (possibly faulty) service left
@@ -134,8 +302,15 @@ struct Driven {
 
 /// Drives up to `target` accepted ops: ~1 in 4 a removal of an owned
 /// stream, the rest admissions on cycling rows. Stops early when the
-/// service refuses writes (WAL error / degraded).
-fn drive(service: &AdmissionService, mesh: &Mesh, target: usize, rng: &mut u64) -> Driven {
+/// service refuses writes (WAL error / degraded). Request ids count up
+/// from `req_base + 1`.
+fn drive(
+    service: &mut impl Target,
+    mesh: &Mesh,
+    target: usize,
+    req_base: u64,
+    rng: &mut u64,
+) -> Driven {
     let (width, height) = {
         let d = mesh.dims();
         (d[0], d[1])
@@ -146,7 +321,7 @@ fn drive(service: &AdmissionService, mesh: &Mesh, target: usize, rng: &mut u64) 
         last_admit_req: None,
     };
     let mut owned: Vec<(u64, StreamSpec)> = Vec::new();
-    let mut req_id = 0u64;
+    let mut req_id = req_base;
     let mut attempts = 0usize;
     while driven.acked.len() < target && attempts < target * 8 {
         attempts += 1;
@@ -155,12 +330,12 @@ fn drive(service: &AdmissionService, mesh: &Mesh, target: usize, rng: &mut u64) 
         if roll < 25 && !owned.is_empty() {
             let victim = (splitmix64(rng) % owned.len() as u64) as usize;
             let (handle, _) = owned[victim];
-            match service.handle(&Request::Remove { req_id, id: handle }) {
-                Response::Removed { id } => {
+            match service.send(&format!("@{req_id} REMOVE {handle}")) {
+                Answer::Removed(id) => {
                     driven.acked.push(AcceptedOp::Remove { handle: id });
                     owned.remove(victim);
                 }
-                Response::Error { code, .. } if code == "degraded" || code == "wal" => {
+                Answer::Refused(code) if code == "degraded" || code == "wal" => {
                     driven.degraded = true;
                     break;
                 }
@@ -173,16 +348,9 @@ fn drive(service: &AdmissionService, mesh: &Mesh, target: usize, rng: &mut u64) 
             let priority = 1 + (splitmix64(rng) % 5) as u32;
             let period = 120 + splitmix64(rng) % 400;
             let length = 2 + splitmix64(rng) % 6;
-            match service.handle(&Request::Admit {
-                req_id,
-                src: (sx, sy),
-                dst: (dx, sy),
-                priority,
-                period,
-                length,
-                deadline: None,
-            }) {
-                Response::Admitted { id, .. } => {
+            let admit = format!("@{req_id} ADMIT {sx},{sy} {dx},{sy} {priority} {period} {length}");
+            match service.send(&admit) {
+                Answer::Admitted(id) => {
                     let spec = StreamSpec::new(
                         mesh.node_at(&[sx, sy]).expect("on-mesh source"),
                         mesh.node_at(&[dx, sy]).expect("on-mesh destination"),
@@ -195,7 +363,7 @@ fn drive(service: &AdmissionService, mesh: &Mesh, target: usize, rng: &mut u64) 
                     driven.acked.push(AcceptedOp::Admit { handle: id, spec });
                     driven.last_admit_req = Some((req_id, id));
                 }
-                Response::Error { code, .. } if code == "degraded" || code == "wal" => {
+                Answer::Refused(code) if code == "degraded" || code == "wal" => {
                     driven.degraded = true;
                     break;
                 }
@@ -336,9 +504,9 @@ fn scenario_torn_write(cfg: &ChaosConfig, base: &Path) -> io::Result<ScenarioOut
         plan,
         Arc::clone(&state),
     )?);
-    let service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
+    let mut service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
     let mut rng = cfg.seed ^ 0x7031;
-    let driven = drive(&service, &mesh, cfg.ops, &mut rng);
+    let driven = drive(&mut service, &mesh, cfg.ops, 0, &mut rng);
     drop(service);
     let fired = state.fired();
     let (_, survived, identical, mut detail) = recover_and_compare(&mesh, &dir, &driven.acked)?;
@@ -376,9 +544,9 @@ fn scenario_short_write(cfg: &ChaosConfig, base: &Path) -> io::Result<ScenarioOu
         plan,
         Arc::clone(&state),
     )?);
-    let service = durable_service(&mesh, &dir, FsyncPolicy::Never, 0, file)?;
+    let mut service = durable_service(&mesh, &dir, FsyncPolicy::Never, 0, file)?;
     let mut rng = cfg.seed ^ 0x5407;
-    let driven = drive(&service, &mesh, cfg.ops, &mut rng);
+    let driven = drive(&mut service, &mesh, cfg.ops, 0, &mut rng);
     drop(service); // kill -9: nothing flushed, the lie stands
     let fired = state.fired();
     let (_, survived, identical, mut detail) = recover_and_compare(&mesh, &dir, &driven.acked)?;
@@ -413,9 +581,9 @@ fn scenario_fsync_error(cfg: &ChaosConfig, base: &Path) -> io::Result<ScenarioOu
         plan,
         Arc::clone(&state),
     )?);
-    let service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
+    let mut service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
     let mut rng = cfg.seed ^ 0xf5ec;
-    let driven = drive(&service, &mesh, cfg.ops, &mut rng);
+    let driven = drive(&mut service, &mesh, cfg.ops, 0, &mut rng);
     let degraded = service.is_degraded();
     drop(service);
     let (_, survived, identical, mut detail) = recover_and_compare(&mesh, &dir, &driven.acked)?;
@@ -439,9 +607,9 @@ fn scenario_kill9_truncate(cfg: &ChaosConfig, base: &Path) -> io::Result<Scenari
     let mesh = Mesh::mesh2d(cfg.width, cfg.height);
     let dir = scenario_dir(base, "kill9-truncate")?;
     let file = Box::new(RealFile::open(&dir.join(WAL_FILE))?);
-    let service = durable_service(&mesh, &dir, FsyncPolicy::Never, 0, file)?;
+    let mut service = durable_service(&mesh, &dir, FsyncPolicy::Never, 0, file)?;
     let mut rng = cfg.seed ^ 0x9111;
-    let driven = drive(&service, &mesh, cfg.ops, &mut rng);
+    let driven = drive(&mut service, &mesh, cfg.ops, 0, &mut rng);
     drop(service);
     // Truncate at a seeded byte offset anywhere past the header.
     let wal_path = dir.join(WAL_FILE);
@@ -468,9 +636,9 @@ fn scenario_kill9_fsync_always(cfg: &ChaosConfig, base: &Path) -> io::Result<Sce
     let mesh = Mesh::mesh2d(cfg.width, cfg.height);
     let dir = scenario_dir(base, "kill9-fsync-always")?;
     let file = Box::new(RealFile::open(&dir.join(WAL_FILE))?);
-    let service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
+    let mut service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
     let mut rng = cfg.seed ^ 0xa1fa;
-    let driven = drive(&service, &mesh, cfg.ops, &mut rng);
+    let driven = drive(&mut service, &mesh, cfg.ops, 0, &mut rng);
     drop(service);
     // A torn final append: garbage bytes after the last synced record.
     let wal_path = dir.join(WAL_FILE);
@@ -498,7 +666,7 @@ fn scenario_snapshot_compaction(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
     let mesh = Mesh::mesh2d(cfg.width, cfg.height);
     let dir = scenario_dir(base, "snapshot-compaction")?;
     let file = Box::new(RealFile::open(&dir.join(WAL_FILE))?);
-    let service = durable_service(
+    let mut service = durable_service(
         &mesh,
         &dir,
         FsyncPolicy::Always,
@@ -506,7 +674,7 @@ fn scenario_snapshot_compaction(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
         file,
     )?;
     let mut rng = cfg.seed ^ 0x54a9;
-    let driven = drive(&service, &mesh, cfg.ops.max(12), &mut rng);
+    let driven = drive(&mut service, &mesh, cfg.ops.max(12), 0, &mut rng);
     let streams_before = service.admitted_count();
     drop(service);
 
@@ -567,76 +735,13 @@ fn scenario_snapshot_compaction(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
     ))
 }
 
-/// One concurrent writer lane for the group-commit scenario: admits
-/// (and occasional removals of its own streams) with a disjoint
-/// request-id range, stopping early if the service degrades. Returns
-/// how many of its ops were acknowledged.
-fn concurrent_drive(
-    service: &AdmissionService,
-    mesh: &Mesh,
-    target: usize,
-    lane: u64,
-    mut rng: u64,
-) -> usize {
-    let (width, height) = {
-        let d = mesh.dims();
-        (d[0], d[1])
-    };
-    let mut owned: Vec<u64> = Vec::new();
-    let mut acked = 0usize;
-    let mut attempts = 0usize;
-    let mut req_id = lane * 1_000_000;
-    while acked < target && attempts < target * 8 {
-        attempts += 1;
-        req_id += 1;
-        let roll = splitmix64(&mut rng) % 100;
-        if roll < 25 && !owned.is_empty() {
-            let victim = (splitmix64(&mut rng) % owned.len() as u64) as usize;
-            let id = owned[victim];
-            match service.handle(&Request::Remove { req_id, id }) {
-                Response::Removed { .. } => {
-                    owned.swap_remove(victim);
-                    acked += 1;
-                }
-                Response::Error { code, .. } if code == "degraded" || code == "wal" => break,
-                _ => {}
-            }
-        } else {
-            let sy = (splitmix64(&mut rng) % u64::from(height)) as u32;
-            let sx = (splitmix64(&mut rng) % 3) as u32;
-            let dx = sx + 4 + (splitmix64(&mut rng) % (u64::from(width) - 7)) as u32;
-            let priority = 1 + (splitmix64(&mut rng) % 5) as u32;
-            let period = 150 + splitmix64(&mut rng) % 400;
-            let length = 2 + splitmix64(&mut rng) % 6;
-            match service.handle(&Request::Admit {
-                req_id,
-                src: (sx, sy),
-                dst: (dx, sy),
-                priority,
-                period,
-                length,
-                deadline: None,
-            }) {
-                Response::Admitted { id, .. } => {
-                    owned.push(id);
-                    acked += 1;
-                }
-                Response::Error { code, .. } if code == "degraded" || code == "wal" => break,
-                _ => {}
-            }
-        }
-    }
-    acked
-}
-
 /// kill-9 in the middle of a group commit: concurrent writers pile up
 /// behind a slow fsync (the latency failpoint), so WAL batches really
 /// hold several operations; the "crash" then cuts the log at an
 /// arbitrary byte offset — possibly mid-batch, mid-record. Recovery
 /// must land on a clean prefix of the service's journal (the
 /// group-commit serial order), bit-identical to a serial replay of
-/// that prefix, even though the ops were validated and applied
-/// concurrently.
+/// that prefix, even though the writes arrived concurrently.
 fn scenario_kill9_group_commit(cfg: &ChaosConfig, base: &Path) -> io::Result<ScenarioOutcome> {
     let mesh = Mesh::mesh2d(cfg.width, cfg.height);
     let dir = scenario_dir(base, "kill9-group-commit")?;
@@ -650,23 +755,30 @@ fn scenario_kill9_group_commit(cfg: &ChaosConfig, base: &Path) -> io::Result<Sce
         plan,
         Arc::clone(&state),
     )?);
-    let service = Arc::new(durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?);
+    let service = durable_service(&mesh, &dir, FsyncPolicy::Always, 0, file)?;
+    let node = Node::start(Server::bind(service, "127.0.0.1:0")?)?;
 
     let lanes = 4usize;
     let per_lane = cfg.ops.max(8);
     let mut joins = Vec::new();
     for lane in 0..lanes {
-        let service = Arc::clone(&service);
+        let mut client = node.client()?;
         let mesh = mesh.clone();
-        let rng = cfg.seed ^ (0x6c01 + lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        joins.push(std::thread::spawn(move || {
-            concurrent_drive(&service, &mesh, per_lane, 1 + lane as u64, rng)
+        let mut rng = cfg.seed ^ (0x6c01 + lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // One writer lane per connection, each with its own request-id
+        // range.
+        let req_base = (1 + lane as u64) * 1_000_000;
+        joins.push(thread::spawn(move || {
+            drive(&mut client, &mesh, per_lane, req_base, &mut rng)
+                .acked
+                .len()
         }));
     }
     let mut acked = 0usize;
     for j in joins {
         acked += j.join().expect("concurrent driver panicked");
     }
+    let service = node.stop()?;
     // The journal is the group-commit serial order — the ground truth
     // the cut-down WAL must replay a prefix of.
     let journal: Vec<AcceptedOp> = service.ops().iter().map(|op| (**op).clone()).collect();
@@ -709,6 +821,12 @@ fn scenario_kill9_group_commit(cfg: &ChaosConfig, base: &Path) -> io::Result<Sce
     Ok(out)
 }
 
+/// A durable service over a real file in `dir`, `--fsync always`.
+fn real_service(mesh: &Mesh, dir: &Path, snapshot_every: u64) -> io::Result<AdmissionService> {
+    let file = Box::new(RealFile::open(&dir.join(WAL_FILE))?);
+    durable_service(mesh, dir, FsyncPolicy::Always, snapshot_every, file)
+}
+
 /// kill-9 of the replication leader: a live follower streams the WAL
 /// over real TCP while the leader takes the workload; the leader then
 /// dies without a clean shutdown, the warm standby is promoted, and the
@@ -721,70 +839,44 @@ fn scenario_repl_failover(cfg: &ChaosConfig, base: &Path) -> io::Result<Scenario
     let leader_dir = scenario_dir(base, "repl-failover-leader")?;
     let follower_dir = scenario_dir(base, "repl-failover-follower")?;
 
-    let file = Box::new(RealFile::open(&leader_dir.join(WAL_FILE))?);
-    let leader = Arc::new(durable_service(
-        &mesh,
-        &leader_dir,
-        FsyncPolicy::Always,
-        0,
-        file,
-    )?);
-    leader.attach_repl(Arc::new(ReplHub::leader()));
-    let shipper = Shipper::spawn(
-        std::net::TcpListener::bind("127.0.0.1:0")?,
-        Arc::clone(&leader),
-        ShipperConfig::new(leader_dir.clone()),
+    let leader = Node::leader(
+        real_service(&mesh, &leader_dir, 0)?,
+        None,
+        ShipperConfig::default(),
     )?;
-    let ship_addr = shipper.addr().to_string();
-
-    let file = Box::new(RealFile::open(&follower_dir.join(WAL_FILE))?);
-    let follower = Arc::new(durable_service(
-        &mesh,
-        &follower_dir,
-        FsyncPolicy::Always,
-        0,
-        file,
-    )?);
-    let hub = Arc::new(ReplHub::follower(&ship_addr));
-    follower.attach_repl(Arc::clone(&hub));
-    let follower_loop = Follower::spawn(Arc::clone(&follower), FollowerConfig::new(&ship_addr))?;
+    let follower = Node::follower(
+        real_service(&mesh, &follower_dir, 0)?,
+        FollowerConfig::new(&leader.repl_addr),
+        None,
+    )?;
 
     let mut rng = cfg.seed ^ 0x4e4f;
-    let driven = drive(&leader, &mesh, cfg.ops, &mut rng);
+    let driven = drive(&mut leader.client()?, &mesh, cfg.ops, 0, &mut rng);
     let acked = driven.acked.len();
 
     // Let the standby drain the acked stream before the murder.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while hub.applied_seq() < acked as u64 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    let caught_up = hub.applied_seq() >= acked as u64;
+    let caught_up = wait_for(Duration::from_secs(10), || {
+        follower.gauge("applied_seq") >= acked as u64
+    });
 
     // kill -9: the leader vanishes, shipper and all, with no flush
     // (everything acked is already fsynced under `always`).
-    shipper.stop();
-    drop(leader);
+    drop(leader.stop()?);
 
-    let promoted = matches!(follower.promote(), Response::Promoted { .. });
+    let mut client = follower.client()?;
+    let promoted = client
+        .send("PROMOTE")
+        .is_ok_and(|r| r.contains("\"status\":\"promoted\""));
 
     // The crash-retry probe, now against the *new* leader.
-    let streams_before = follower.admitted_count();
+    let streams_before = follower.gauge("streams");
     let mut replayed = true;
     if let Some((req_id, handle)) = driven.last_admit_req {
-        let resp = follower.handle(&Request::Admit {
-            req_id,
-            src: (0, 0),
-            dst: (5, 0),
-            priority: 1,
-            period: 500,
-            length: 2,
-            deadline: None,
-        });
-        replayed = matches!(resp, Response::Admitted { id, .. } if id == handle)
-            && follower.admitted_count() == streams_before;
+        let resp = client.send(&format!("@{req_id} ADMIT 0,0 5,0 1 500 2"));
+        replayed = resp.is_ok_and(|r| answer_of(&r) == Answer::Admitted(handle))
+            && follower.gauge("streams") == streams_before;
     }
-    follower_loop.stop();
-    drop(follower);
+    drop(follower.stop()?);
 
     let (_, survived, identical, mut detail) =
         recover_and_compare(&mesh, &follower_dir, &driven.acked)?;
@@ -805,36 +897,25 @@ fn scenario_repl_catchup_resume(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
     let leader_dir = scenario_dir(base, "repl-catchup-leader")?;
     let follower_dir = scenario_dir(base, "repl-catchup-follower")?;
 
-    let file = Box::new(RealFile::open(&leader_dir.join(WAL_FILE))?);
     // Aggressive compaction: a joining follower *must* take the
     // snapshot path because the WAL base has moved past sequence 0.
-    let leader = Arc::new(durable_service(
-        &mesh,
-        &leader_dir,
-        FsyncPolicy::Always,
-        4,
-        file,
-    )?);
-    leader.attach_repl(Arc::new(ReplHub::leader()));
+    let mut leader = real_service(&mesh, &leader_dir, 4)?;
     let mut rng = cfg.seed ^ 0xca7c;
-    let driven = drive(&leader, &mesh, cfg.ops.max(12), &mut rng);
+    let driven = drive(&mut leader, &mesh, cfg.ops.max(12), 0, &mut rng);
     let acked = driven.acked.len();
 
-    let mut ship_cfg = ShipperConfig::new(leader_dir.clone());
     // Tiny chunks so the transfer spans several and a severed link
     // really leaves work behind.
-    ship_cfg.chunk_size = 128;
-    let shipper = Shipper::spawn(
-        std::net::TcpListener::bind("127.0.0.1:0")?,
-        Arc::clone(&leader),
-        ship_cfg,
-    )?;
-    let ship_addr = shipper.addr().to_string();
+    let ship = ShipperConfig {
+        chunk_size: 128,
+        ..ShipperConfig::default()
+    };
+    let leader = Node::leader(leader, None, ship)?;
 
     // Attempt one: severed after a single chunk; the partial image and
     // its manifest survive on disk.
     let severed = catch_up(
-        &ship_addr,
+        &leader.repl_addr,
         &follower_dir,
         FsyncPolicy::Always,
         &CatchupOpts {
@@ -844,7 +925,7 @@ fn scenario_repl_catchup_resume(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
     .is_err();
     // Attempt two: the manifest resumes; only the remainder transfers.
     let resumed = catch_up(
-        &ship_addr,
+        &leader.repl_addr,
         &follower_dir,
         FsyncPolicy::Always,
         &CatchupOpts::default(),
@@ -852,26 +933,16 @@ fn scenario_repl_catchup_resume(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
     let resumed_chunks = resumed.map_or(0, |c| c.resumed);
 
     // Stream the WAL tail past the snapshot to full equality.
-    let file = Box::new(RealFile::open(&follower_dir.join(WAL_FILE))?);
-    let follower = Arc::new(durable_service(
-        &mesh,
-        &follower_dir,
-        FsyncPolicy::Always,
-        0,
-        file,
-    )?);
-    let hub = Arc::new(ReplHub::follower(&ship_addr));
-    follower.attach_repl(Arc::clone(&hub));
-    let follower_loop = Follower::spawn(Arc::clone(&follower), FollowerConfig::new(&ship_addr))?;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while hub.applied_seq() < acked as u64 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    let caught_up = hub.applied_seq() >= acked as u64;
-    follower_loop.stop();
-    shipper.stop();
-    drop(leader);
-    drop(follower);
+    let follower = Node::follower(
+        real_service(&mesh, &follower_dir, 0)?,
+        FollowerConfig::new(&leader.repl_addr),
+        None,
+    )?;
+    let caught_up = wait_for(Duration::from_secs(10), || {
+        follower.gauge("applied_seq") >= acked as u64
+    });
+    drop(follower.stop()?);
+    drop(leader.stop()?);
 
     let (_, survived, identical, mut detail) =
         recover_and_compare(&mesh, &follower_dir, &driven.acked)?;
@@ -899,7 +970,7 @@ const PARTITION_LEASE: Duration = Duration::from_millis(200);
 const PARTITION_GRACE: Duration = Duration::from_millis(550);
 
 /// Polls `cond` every 2 ms until it holds or `timeout` passes.
-fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
+pub(crate) fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + timeout;
     loop {
         if cond() {
@@ -908,19 +979,20 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
         if Instant::now() >= deadline {
             return false;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        thread::sleep(Duration::from_millis(2));
     }
 }
 
 /// Admits exactly one seeded stream (re-drawing refused parameter
 /// combinations): `true` once an admit is acknowledged, `false` when
-/// the service sheds the write (`sealed` / `not_leader`) or nothing
+/// the node sheds the write (`sealed` / `not_leader`) or nothing
 /// feasible was drawn.
-fn admit_one(service: &AdmissionService, mesh: &Mesh, req_id: u64, rng: &mut u64) -> bool {
+fn admit_one(node: &Node, mesh: &Mesh, req_id: u64, rng: &mut u64) -> io::Result<bool> {
     let (width, height) = {
         let d = mesh.dims();
         (d[0], d[1])
     };
+    let mut client = node.client()?;
     for _ in 0..40 {
         let sy = (splitmix64(rng) % u64::from(height)) as u32;
         let sx = (splitmix64(rng) % 3) as u32;
@@ -928,57 +1000,48 @@ fn admit_one(service: &AdmissionService, mesh: &Mesh, req_id: u64, rng: &mut u64
         let priority = 1 + (splitmix64(rng) % 5) as u32;
         let period = 120 + splitmix64(rng) % 400;
         let length = 2 + splitmix64(rng) % 6;
-        match service.handle(&Request::Admit {
-            req_id,
-            src: (sx, sy),
-            dst: (dx, sy),
-            priority,
-            period,
-            length,
-            deadline: None,
-        }) {
-            Response::Admitted { .. } => return true,
-            Response::Error { code, .. } if code == "sealed" || code == "not_leader" => {
-                return false
-            }
+        let admit = format!("@{req_id} ADMIT {sx},{sy} {dx},{sy} {priority} {period} {length}");
+        match Target::send(&mut client, &admit) {
+            Answer::Admitted(_) => return Ok(true),
+            Answer::Refused(code) if code == "sealed" || code == "not_leader" => return Ok(false),
             _ => {}
         }
     }
-    false
+    Ok(false)
 }
 
-/// The error code a write got, for probing sealed/fenced nodes.
-fn write_probe_code(service: &AdmissionService, req_id: u64) -> String {
-    match service.handle(&Request::Admit {
-        req_id,
-        src: (0, 0),
-        dst: (5, 0),
-        priority: 1,
-        period: 500,
-        length: 2,
-        deadline: None,
-    }) {
-        Response::Error { code, .. } => code.to_string(),
-        other => format!("{other:?}"),
+/// The refusal a write gets from a sealed or fenced node: its code and
+/// message.
+fn write_probe(node: &Node, req_id: u64) -> io::Result<(String, String)> {
+    let reply = node
+        .client()?
+        .send(&format!("@{req_id} ADMIT 0,0 5,0 1 500 2"))
+        .map_err(io::Error::other)?;
+    let message = reply
+        .split("\"message\":\"")
+        .nth(1)
+        .and_then(|m| m.split('"').next())
+        .unwrap_or_default()
+        .to_string();
+    match answer_of(&reply) {
+        Answer::Refused(code) => Ok((code, message)),
+        other => Ok((format!("{other:?}"), message)),
     }
 }
 
 /// A leader/standby pair joined through a [`NetChaos`] proxy, with the
 /// lease/grace pair armed and the standby fully caught up — the common
-/// starting point of every partition scenario.
+/// starting point of every partition scenario. The standby listens for
+/// followers of its own, for a deposed leader that rejoins.
 struct PartitionRig {
     mesh: Mesh,
     old_dir: PathBuf,
     new_dir: PathBuf,
     /// The original leader (will be partitioned away and fenced).
-    old: Arc<AdmissionService>,
-    old_hub: Arc<ReplHub>,
+    old: Node,
     /// The standby that will take over.
-    new: Arc<AdmissionService>,
-    new_hub: Arc<ReplHub>,
-    shipper: Shipper,
+    new: Node,
     proxy: NetChaos,
-    follower_loop: Follower,
     /// Standby applied everything and the leader heard the ack (the
     /// lease is armed and fresh) before any fault was injected.
     synced: bool,
@@ -996,73 +1059,47 @@ fn partition_rig(
     let old_dir = scenario_dir(base, &format!("{name}-old"))?;
     let new_dir = scenario_dir(base, &format!("{name}-new"))?;
 
-    let file = Box::new(RealFile::open(&old_dir.join(WAL_FILE))?);
-    let old = Arc::new(durable_service(
-        &mesh,
-        &old_dir,
-        FsyncPolicy::Always,
-        0,
-        file,
-    )?);
-    let old_hub = Arc::new(ReplHub::leader());
-    old_hub.set_lease(PARTITION_LEASE);
-    old.attach_repl(Arc::clone(&old_hub));
-    let mut ship_cfg = ShipperConfig::new(old_dir.clone());
-    // A tight heartbeat keeps ack round-trips (and so the lease)
-    // fresh on an idle link without slowing the scenario down.
-    ship_cfg.heartbeat = Duration::from_millis(25);
-    let shipper = Shipper::spawn(
-        std::net::TcpListener::bind("127.0.0.1:0")?,
-        Arc::clone(&old),
-        ship_cfg,
+    // A tight heartbeat keeps ack round-trips (and so the lease) fresh
+    // on an idle link without slowing the scenario down.
+    let ship = ShipperConfig {
+        heartbeat: Duration::from_millis(25),
+        ..ShipperConfig::default()
+    };
+    let old = Node::leader(
+        real_service(&mesh, &old_dir, 0)?,
+        Some(PARTITION_LEASE),
+        ship,
     )?;
 
     // Every byte between the peers crosses the seeded proxy.
     let proxy = NetChaos::spawn(
-        std::net::TcpListener::bind("127.0.0.1:0")?,
-        &shipper.addr().to_string(),
+        TcpListener::bind("127.0.0.1:0")?,
+        &old.repl_addr,
         cfg.seed ^ salt,
     )?;
-    let proxy_addr = proxy.addr().to_string();
-
-    let file = Box::new(RealFile::open(&new_dir.join(WAL_FILE))?);
-    let new = Arc::new(durable_service(
-        &mesh,
-        &new_dir,
-        FsyncPolicy::Always,
-        new_snapshot_every,
-        file,
-    )?);
-    let new_hub = Arc::new(ReplHub::follower(&proxy_addr));
-    new.attach_repl(Arc::clone(&new_hub));
-    let mut fcfg = FollowerConfig::new(&proxy_addr);
+    let mut fcfg = FollowerConfig::new(&proxy.addr().to_string());
     fcfg.promote_grace = Some(PARTITION_GRACE);
     fcfg.advertise = advertise.to_string();
-    let follower_loop = Follower::spawn(Arc::clone(&new), fcfg)?;
+    let new = Node::follower(
+        real_service(&mesh, &new_dir, new_snapshot_every)?,
+        fcfg,
+        Some(ShipperConfig::default()),
+    )?;
 
     let mut rng = cfg.seed ^ salt;
-    let driven = drive(&old, &mesh, cfg.ops, &mut rng);
+    let driven = drive(&mut old.client()?, &mesh, cfg.ops, 0, &mut rng);
     let acked = driven.acked.len() as u64;
-    let synced = wait_for(Duration::from_secs(10), || new_hub.applied_seq() >= acked)
-        && wait_for(Duration::from_secs(10), || {
-            old_hub
-                .report(0, 0)
-                .followers
-                .iter()
-                .any(|f| f.acked_seq >= acked)
-        });
+    let synced = wait_for(Duration::from_secs(10), || {
+        new.gauge("applied_seq") >= acked
+    }) && wait_for(Duration::from_secs(10), || old.gauge("acked_seq") >= acked);
 
     Ok(PartitionRig {
         mesh,
         old_dir,
         new_dir,
         old,
-        old_hub,
         new,
-        new_hub,
-        shipper,
         proxy,
-        follower_loop,
         synced,
     })
 }
@@ -1090,10 +1127,11 @@ fn scenario_partition_symmetric(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
 
     // Inside the lease the partitioned leader still acks writes —
     // the divergent suffix the fence will later audit.
+    let old_epoch = rig.old.gauge("epoch");
     let mut divergent = 0u64;
     for i in 0..2u64 {
-        if admit_one(&rig.old, &rig.mesh, 9_000_000 + i, &mut rng) {
-            acks.push((rig.old_hub.epoch(), tick));
+        if admit_one(&rig.old, &rig.mesh, 9_000_000 + i, &mut rng)? {
+            acks.push((old_epoch, tick));
             tick += 1;
             divergent += 1;
         }
@@ -1101,21 +1139,22 @@ fn scenario_partition_symmetric(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
 
     // Lease lapse: the leader seals and sheds writes with a retryable
     // error, strictly before anyone else can take over.
-    let sealed = wait_for(Duration::from_secs(5), || rig.old_hub.write_sealed());
+    let sealed = wait_for(Duration::from_secs(5), || rig.old.is_sealed());
     let seal_tick = tick;
     tick += 1;
-    let shed_code = write_probe_code(&rig.old, 9_000_100);
+    let (shed_code, _) = write_probe(&rig.old, 9_000_100)?;
 
     // Grace lapse: the standby promotes itself only after the leader
     // is already sealed (grace > lease by construction).
-    let promoted = wait_for(Duration::from_secs(5), || !rig.new_hub.is_follower());
+    let promoted = wait_for(Duration::from_secs(5), || rig.new.is_leader());
     let promote_tick = tick;
     tick += 1;
 
+    let new_epoch = rig.new.gauge("epoch");
     let mut new_acked = 0u64;
     for i in 0..2u64 {
-        if admit_one(&rig.new, &rig.mesh, 8_000_000 + i, &mut rng) {
-            acks.push((rig.new_hub.epoch(), tick));
+        if admit_one(&rig.new, &rig.mesh, 8_000_000 + i, &mut rng)? {
+            acks.push((new_epoch, tick));
             tick += 1;
             new_acked += 1;
         }
@@ -1133,21 +1172,25 @@ fn scenario_partition_symmetric(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
 
     // The partition alone must not fence: fencing needs the explicit
     // higher-epoch message, and that is still blackholed.
-    let fenced_early = rig.old_hub.is_fenced();
+    let fenced_early = rig.old.gauge("fence_events") > 0;
 
     rig.proxy.handle().apply(NetAction::Heal);
     // At heal the promoted node's retrying Fence finally lands: the
     // deposed leader permanently demotes and audits its suffix.
-    let fenced = wait_for(Duration::from_secs(10), || rig.old_hub.is_fenced());
-    let demoted_code = write_probe_code(&rig.old, 9_000_101);
-    let old_divergence = rig.old_hub.divergence_ops();
-    let redirect = rig.old_hub.leader_addr();
+    let fenced = wait_for(Duration::from_secs(10), || {
+        rig.old.gauge("fence_events") > 0
+    });
+    let (demoted_code, redirect) = write_probe(&rig.old, 9_000_101)?;
+    let old_divergence = rig.old.gauge("divergence_ops");
 
-    rig.follower_loop.stop();
-    rig.shipper.stop();
-    let journal: Vec<AcceptedOp> = rig.new.ops().iter().map(|op| (**op).clone()).collect();
-    drop(rig.old);
-    drop(rig.new);
+    let journal: Vec<AcceptedOp> = rig
+        .new
+        .stop()?
+        .ops()
+        .iter()
+        .map(|op| (**op).clone())
+        .collect();
+    drop(rig.old.stop()?);
     rig.proxy.stop();
 
     let (_, survived, identical, mut detail) =
@@ -1155,7 +1198,7 @@ fn scenario_partition_symmetric(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
     detail = format!(
         "synced={}, divergent={divergent} shed at tick {seal_tick} ({shed_code}), \
          promoted={promoted} at tick {promote_tick}, new_acked={new_acked}, ordered={ordered}, \
-         fenced={fenced} (divergence={old_divergence}, redirect={redirect}), {detail}",
+         fenced={fenced} (divergence={old_divergence}, redirect: {redirect}), {detail}",
         rig.synced
     );
     let acked_total = journal.len() as u64 + divergent;
@@ -1178,7 +1221,7 @@ fn scenario_partition_symmetric(cfg: &ChaosConfig, base: &Path) -> io::Result<Sc
         && fenced
         && old_divergence == divergent
         && demoted_code == "not_leader"
-        && redirect == ADVERTISE;
+        && redirect.ends_with(ADVERTISE);
     Ok(out)
 }
 
@@ -1202,32 +1245,36 @@ fn scenario_partition_asymmetric(cfg: &ChaosConfig, base: &Path) -> io::Result<S
     // by it would keep this doomed leader acking writes while the
     // isolated standby promotes — the exact dual-ack bug this scenario
     // guards against.
-    let sealed = wait_for(Duration::from_secs(5), || rig.old_hub.write_sealed());
-    let shed_code = write_probe_code(&rig.old, 9_100_000);
-    let sealed_before_promotion = sealed && rig.new_hub.is_follower();
+    let sealed = wait_for(Duration::from_secs(5), || rig.old.is_sealed());
+    let (shed_code, _) = write_probe(&rig.old, 9_100_000)?;
+    let sealed_before_promotion = sealed && !rig.new.is_leader();
 
-    let promoted = wait_for(Duration::from_secs(5), || !rig.new_hub.is_follower());
+    let promoted = wait_for(Duration::from_secs(5), || rig.new.is_leader());
 
     // The fence crosses the open direction without waiting for heal.
-    let fenced_during_fault = wait_for(Duration::from_secs(5), || rig.old_hub.is_fenced());
+    let fenced_during_fault =
+        wait_for(Duration::from_secs(5), || rig.old.gauge("fence_events") > 0);
 
     let mut new_acked = 0u64;
-    if admit_one(&rig.new, &rig.mesh, 8_100_000, &mut rng) {
+    if admit_one(&rig.new, &rig.mesh, 8_100_000, &mut rng)? {
         new_acked += 1;
     }
 
     rig.proxy.handle().apply(NetAction::Heal);
     // Post-heal the deposed leader stays demoted; nothing diverged
     // (it took no writes while partitioned).
-    let demoted_code = write_probe_code(&rig.old, 9_100_001);
-    let old_divergence = rig.old_hub.divergence_ops();
-    let fence_events = rig.old_hub.fence_events();
+    let (demoted_code, _) = write_probe(&rig.old, 9_100_001)?;
+    let old_divergence = rig.old.gauge("divergence_ops");
+    let fence_events = rig.old.gauge("fence_events");
 
-    rig.follower_loop.stop();
-    rig.shipper.stop();
-    let journal: Vec<AcceptedOp> = rig.new.ops().iter().map(|op| (**op).clone()).collect();
-    drop(rig.old);
-    drop(rig.new);
+    let journal: Vec<AcceptedOp> = rig
+        .new
+        .stop()?
+        .ops()
+        .iter()
+        .map(|op| (**op).clone())
+        .collect();
+    drop(rig.old.stop()?);
     rig.proxy.stop();
 
     let (_, survived, identical, mut detail) =
@@ -1259,6 +1306,15 @@ fn scenario_partition_asymmetric(cfg: &ChaosConfig, base: &Path) -> io::Result<S
     Ok(out)
 }
 
+/// The base sequence of the WAL in `dir` (what the log was last
+/// compacted to), read off the file as an operator would.
+fn wal_base_seq(dir: &Path) -> u64 {
+    std::fs::read(dir.join(WAL_FILE))
+        .ok()
+        .and_then(|bytes| FrameIter::new(&bytes).ok().map(|f| f.base_seq()))
+        .unwrap_or(0)
+}
+
 /// Partition, failover, heal, **rejoin**: the deposed leader acks a
 /// divergent suffix inside its lease, is fenced at heal (emitting a
 /// `DivergenceReport` / A110 audit for the acked-but-discarded ops),
@@ -1279,42 +1335,36 @@ fn scenario_partition_heal_rejoin(cfg: &ChaosConfig, base: &Path) -> io::Result<
 
     let mut divergent = 0u64;
     for i in 0..2u64 {
-        if admit_one(&rig.old, &rig.mesh, 9_200_000 + i, &mut rng) {
+        if admit_one(&rig.old, &rig.mesh, 9_200_000 + i, &mut rng)? {
             divergent += 1;
         }
     }
-    let old_seq = rig.old.seq();
-    let sealed = wait_for(Duration::from_secs(5), || rig.old_hub.write_sealed());
-    let promoted = wait_for(Duration::from_secs(5), || !rig.new_hub.is_follower());
+    let old_seq = rig.old.gauge("wal_last_synced_seq");
+    let sealed = wait_for(Duration::from_secs(5), || rig.old.is_sealed());
+    let promoted = wait_for(Duration::from_secs(5), || rig.new.is_leader());
 
     // Enough post-promotion history that the every-4-ops snapshot
     // cadence compacts past the deposed leader's divergent WAL.
     let mut new_acked = 0u64;
     for i in 0..8u64 {
-        if admit_one(&rig.new, &rig.mesh, 8_200_000 + i, &mut rng) {
+        if admit_one(&rig.new, &rig.mesh, 8_200_000 + i, &mut rng)? {
             new_acked += 1;
         }
     }
-    let compacted_past = rig.new.wal_base_seq().unwrap_or(0) > old_seq;
+    let compacted_past = wal_base_seq(&rig.new_dir) > old_seq;
 
     rig.proxy.handle().apply(NetAction::Heal);
-    let fenced = wait_for(Duration::from_secs(10), || rig.old_hub.is_fenced());
-    let old_divergence = rig.old_hub.divergence_ops();
+    let fenced = wait_for(Duration::from_secs(10), || {
+        rig.old.gauge("fence_events") > 0
+    });
+    let old_divergence = rig.old.gauge("divergence_ops");
+    let survivor_seq = rig.new.gauge("wal_last_synced_seq");
 
-    rig.follower_loop.stop();
-    rig.shipper.stop();
-    let journal: Vec<AcceptedOp> = rig.new.ops().iter().map(|op| (**op).clone()).collect();
-    let survivor_seq = rig.new.seq();
     // The fenced node restarts as a follower of the winner: its
     // divergent WAL is behind the winner's compacted base, so catch-up
     // installs the snapshot and resets the WAL past the suffix.
-    drop(rig.old);
-    let rejoin_shipper = Shipper::spawn(
-        std::net::TcpListener::bind("127.0.0.1:0")?,
-        Arc::clone(&rig.new),
-        ShipperConfig::new(rig.new_dir.clone()),
-    )?;
-    let winner_addr = rejoin_shipper.addr().to_string();
+    drop(rig.old.stop()?);
+    let winner_addr = rig.new.repl_addr.clone();
     let snap_installed = catch_up(
         &winner_addr,
         &rig.old_dir,
@@ -1323,24 +1373,22 @@ fn scenario_partition_heal_rejoin(cfg: &ChaosConfig, base: &Path) -> io::Result<
     )?
     .is_some();
 
-    let file = Box::new(RealFile::open(&rig.old_dir.join(WAL_FILE))?);
-    let rejoined = Arc::new(durable_service(
-        &rig.mesh,
-        &rig.old_dir,
-        FsyncPolicy::Always,
-        0,
-        file,
-    )?);
-    let rejoined_hub = Arc::new(ReplHub::follower(&winner_addr));
-    rejoined.attach_repl(Arc::clone(&rejoined_hub));
-    let rejoin_loop = Follower::spawn(Arc::clone(&rejoined), FollowerConfig::new(&winner_addr))?;
+    let rejoined = Node::follower(
+        real_service(&rig.mesh, &rig.old_dir, 0)?,
+        FollowerConfig::new(&winner_addr),
+        None,
+    )?;
     let rejoined_synced = wait_for(Duration::from_secs(10), || {
-        rejoined_hub.applied_seq() >= survivor_seq
+        rejoined.gauge("applied_seq") >= survivor_seq
     });
-    rejoin_loop.stop();
-    rejoin_shipper.stop();
-    drop(rejoined);
-    drop(rig.new);
+    drop(rejoined.stop()?);
+    let journal: Vec<AcceptedOp> = rig
+        .new
+        .stop()?
+        .ops()
+        .iter()
+        .map(|op| (**op).clone())
+        .collect();
     rig.proxy.stop();
 
     // The headline comparison runs on the *rejoined* node's directory:

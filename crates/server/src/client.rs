@@ -422,19 +422,18 @@ mod tests {
         use crate::repl::ReplHub;
         use crate::server::Server;
         use crate::service::AdmissionService;
-        use std::sync::Arc;
         use wormnet_topology::Mesh;
 
-        let leader = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
-        leader.attach_repl(Arc::new(ReplHub::leader()));
-        let leader_srv = Server::bind(Arc::clone(&leader), "127.0.0.1:0").unwrap();
+        let mut leader = AdmissionService::new(Mesh::mesh2d(10, 10));
+        leader.attach_repl(ReplHub::leader());
+        let leader_srv = Server::bind(leader, "127.0.0.1:0").unwrap();
         let leader_addr = leader_srv.local_addr().unwrap().to_string();
         let leader_stop = leader_srv.shutdown_handle().unwrap();
         let leader_join = thread::spawn(move || leader_srv.run());
 
-        let follower = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
-        follower.attach_repl(Arc::new(ReplHub::follower(&leader_addr)));
-        let follower_srv = Server::bind(Arc::clone(&follower), "127.0.0.1:0").unwrap();
+        let mut follower = AdmissionService::new(Mesh::mesh2d(10, 10));
+        follower.attach_repl(ReplHub::follower(&leader_addr));
+        let follower_srv = Server::bind(follower, "127.0.0.1:0").unwrap();
         let follower_addr = follower_srv.local_addr().unwrap().to_string();
         let follower_stop = follower_srv.shutdown_handle().unwrap();
         let follower_join = thread::spawn(move || follower_srv.run());
@@ -443,13 +442,13 @@ mod tests {
         let mut client = Client::connect(&follower_addr).unwrap();
         let reply = client.send_idempotent(7, "ADMIT 0,0 5,0 2 50 4").unwrap();
         assert!(reply.contains("\"status\":\"admitted\""), "{reply}");
-        assert_eq!(leader.admitted_count(), 1);
-        assert_eq!(follower.admitted_count(), 0);
 
         leader_stop.shutdown();
         follower_stop.shutdown();
-        leader_join.join().unwrap().unwrap();
-        follower_join.join().unwrap().unwrap();
+        let leader = leader_join.join().unwrap().unwrap();
+        let follower = follower_join.join().unwrap().unwrap();
+        assert_eq!(leader.admitted_count(), 1);
+        assert_eq!(follower.admitted_count(), 0);
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!    concurrency the batch size grows with load, which is exactly the
 //!    amortization.
 //! 3. Under `--fsync interval` the flush + sync runs on the server's
-//!    background flusher thread via [`GroupWal::sync_if_due`] — no
-//!    request thread ever pays the fsync latency, and the sync never
-//!    runs under the service write lock; under `--fsync never` the
+//!    background flusher thread via [`GroupWal::sync_if_due`] — the
+//!    reactor never pays the fsync latency; under `--fsync never` the
 //!    buffer is flushed (without sync) on size or at shutdown.
 //!
 //! ## Failure semantics
@@ -45,6 +44,7 @@
 
 use crate::lock_order::{classes, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
 use crate::service::AcceptedOp;
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Instant;
 use crate::wal::{FsyncPolicy, Wal};
 use std::io;
@@ -143,6 +143,9 @@ pub struct GroupWal {
     cond: TrackedCondvar,
     file: TrackedMutex<Wal>,
     policy: FsyncPolicy,
+    /// `Meta::broken`, readable without the metadata lock: the service
+    /// asks on every write whether it is degraded.
+    broken: AtomicBool,
 }
 
 impl GroupWal {
@@ -170,6 +173,7 @@ impl GroupWal {
             cond: TrackedCondvar::new(),
             file: TrackedMutex::new(&classes::WAL_FILE, wal),
             policy,
+            broken: AtomicBool::new(false),
         }
     }
 
@@ -181,7 +185,7 @@ impl GroupWal {
     /// True once a batch write/sync failed; the log refuses appends and
     /// the service should degrade to read-only.
     pub fn is_broken(&self) -> bool {
-        self.meta.lock().broken
+        self.broken.load(Ordering::Acquire)
     }
 
     /// Ops appended since the last snapshot reset (buffered or filed) —
@@ -220,8 +224,8 @@ impl GroupWal {
 
     /// Buffers one accepted operation and returns its ticket for
     /// [`GroupWal::wait_durable`]. No fsync ever runs on this path —
-    /// callers hold the service write lock here, and a sync inside it
-    /// would stall every concurrent admission. Under `never` a full
+    /// the service appends while it decides a write, and a sync there
+    /// would stall every connection behind it. Under `never` a full
     /// buffer is written out (page cache only, no sync).
     pub fn append(&self, req_id: u64, op: &AcceptedOp) -> io::Result<u64> {
         let mut m = self.meta.lock();
@@ -337,6 +341,7 @@ impl GroupWal {
             }
             Err(e) => {
                 m.broken = true;
+                self.broken.store(true, Ordering::Release);
                 Err(e)
             }
         };
@@ -383,23 +388,21 @@ impl GroupWal {
 
         let mut m = self.meta.lock();
         m.leading = false;
-        match &res {
-            Ok(()) => {
-                m.flushed_seq = m.flushed_seq.max(target);
-                if need_sync {
-                    let covered = target.saturating_sub(m.durable_seq);
-                    m.durable_seq = m.durable_seq.max(target);
-                    m.durable_end = end;
-                    m.durable_records = records;
-                    m.last_sync = Instant::now();
-                    if covered > 0 {
-                        m.stats.record(covered);
-                    }
+        if res.is_ok() {
+            m.flushed_seq = m.flushed_seq.max(target);
+            if need_sync {
+                let covered = target.saturating_sub(m.durable_seq);
+                m.durable_seq = m.durable_seq.max(target);
+                m.durable_end = end;
+                m.durable_records = records;
+                m.last_sync = Instant::now();
+                if covered > 0 {
+                    m.stats.record(covered);
                 }
             }
-            Err(_) => {
-                m.broken = true;
-            }
+        } else {
+            m.broken = true;
+            self.broken.store(true, Ordering::Release);
         }
         drop(m);
         self.cond.notify_all();

@@ -12,15 +12,15 @@
 //!
 //! - [`protocol`] — request grammar and single-line JSON responses,
 //!   sharing the verifier's diagnostic JSON shape;
-//! - [`service`] — the shared state machine: `RwLock`-guarded
-//!   controller, stable ids, accepted-op journal, offline audit;
-//! - [`metrics`] — lock-free request counters and log-linear latency
+//! - [`service`] — the state machine one thread owns: controller,
+//!   stable ids, accepted-op journal, offline audit;
+//! - [`metrics`] — request counters and log-linear latency
 //!   histograms behind `STATS`;
 //! - [`server`] / [`dispatch`] / [`poll`] / [`client`] — the
-//!   event-driven TCP front end: one epoll reactor that runs every
-//!   request to completion with pipelined ordered responses, its
-//!   socket-free per-connection sessions, and the matching blocking
-//!   client;
+//!   event-driven TCP front end: one epoll reactor that owns the
+//!   service, runs every request to completion with pipelined ordered
+//!   responses and drives the replication sessions, its socket-free
+//!   per-connection sessions, and the matching blocking client;
 //! - [`bench`] — the closed-loop multi-client load generator behind
 //!   `rtwc bench-serve`;
 //! - [`wal`] / [`group_commit`] / [`snapshot`] / [`recovery`] — the
@@ -29,8 +29,8 @@
 //!   snapshots with WAL compaction, and a startup recovery path that
 //!   replays and then *audits* the rebuilt state against a fresh
 //!   offline analysis;
-//! - [`repl`] — replication over the durability layer: a WAL shipper
-//!   streaming synced frames to warm-standby followers, resumable
+//! - [`repl`] — replication over the durability layer: reactor-driven
+//!   ship sessions streaming synced frames to warm-standby followers, resumable
 //!   chunked snapshot catch-up, read-only followers that redirect
 //!   writes, and audited promotion to leader on demand or on leader
 //!   loss;
@@ -42,15 +42,16 @@
 //!   in-process TCP proxy (partitions, one-way blackholes, latency,
 //!   severs, duplicate delivery) that the partition chaos classes and
 //!   `rtwc netchaos` drive with timed schedules;
-//! - [`sync`] / [`lock_order`] — the concurrency verification layer: a
-//!   shim that swaps every lock, condvar, atomic and thread spawn on
-//!   the hot paths for `loom` model-checked equivalents under
-//!   `--cfg loom`, and debug-build lock-rank tracking that panics on
-//!   out-of-order acquisition (see DESIGN.md for the rank table).
+//! - [`sync`] / [`lock_order`] — the concurrency verification layer for
+//!   what crosses threads (the group-commit WAL the interval flusher
+//!   shares): a shim that swaps its locks, condvar and atomics for
+//!   `loom` model-checked equivalents under `--cfg loom`, and
+//!   debug-build lock-rank tracking that panics on out-of-order
+//!   acquisition (see DESIGN.md for the rank table).
 
 // `deny`, not `forbid`: the [`poll`] module is the one place allowed
-// to contain `unsafe` — the four raw `epoll`/`close` syscall bindings
-// the reactor needs. Everything else in the crate stays safe Rust.
+// to contain `unsafe` — the raw `epoll`/`close`/`socket`/`connect`
+// syscall bindings the reactor needs. Everything else in the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -81,10 +82,7 @@ pub use chaos::{render_chaos_report, run_chaos, ChaosConfig, ChaosOutcome, Scena
 pub use client::{Client, ClientConfig, ClientError};
 pub use faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState, MemFile, RealFile, WalFile};
 pub use group_commit::{GroupCommitStats, GroupWal};
-pub use lock_order::{
-    LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard, TrackedRwLock,
-    TrackedRwLockReadGuard, TrackedRwLockWriteGuard,
-};
+pub use lock_order::{LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
 pub use metrics::{Metrics, MetricsSnapshot, RequestKind};
 pub use netchaos::{NetAction, NetChaos, NetChaosHandle, NetSchedule};
 pub use poll::{PollEvent, Poller};
@@ -95,8 +93,8 @@ pub use protocol::{
 pub use recovery::{recover, recover_with_file, RecoveredState, RecoveryReport};
 pub use repl::{
     catchup::{CatchupOpts, CatchupOutcome},
-    follower::{catch_up, Follower, FollowerConfig},
-    ship::{Shipper, ShipperConfig},
+    follower::{catch_up, FollowerConfig},
+    ship::{ShipperConfig, MAX_UNSENT},
     ReplHub,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};

@@ -55,13 +55,6 @@ impl LockClass {
 pub mod classes {
     use super::LockClass;
 
-    /// The admission service's controller + id table
-    /// (`service::AdmissionService::inner`).
-    pub static SERVICE_INNER: LockClass = LockClass::new("service.inner", 30);
-    /// Replication shared state: leader address and per-follower acked
-    /// sequences (`repl::ReplHub`). Ranked below the WAL locks so a
-    /// shipper may consult the group-commit frontiers while holding it.
-    pub static REPL_STATE: LockClass = LockClass::new("repl.state", 35);
     /// Group-commit ticketing metadata (`group_commit::GroupWal::meta`).
     pub static WAL_META: LockClass = LockClass::new("wal.meta", 40);
     /// The WAL file itself (`group_commit::GroupWal::file`).
@@ -301,107 +294,6 @@ impl fmt::Debug for TrackedCondvar {
     }
 }
 
-/// A [`sync::RwLock`] tagged with a [`LockClass`]. Shared and exclusive
-/// acquisitions participate in the same rank discipline (the rank order
-/// must hold regardless of mode — a reader blocking a writer is enough
-/// to complete a deadlock cycle).
-pub struct TrackedRwLock<T> {
-    class: &'static LockClass,
-    inner: sync::RwLock<T>,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// A new rwlock belonging to `class`.
-    pub fn new(class: &'static LockClass, value: T) -> TrackedRwLock<T> {
-        TrackedRwLock {
-            class,
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Shared acquire.
-    pub fn read(&self) -> TrackedRwLockReadGuard<'_, T> {
-        sentinel::on_acquire(self.class);
-        let inner = self
-            .inner
-            .read()
-            .unwrap_or_else(|_| panic!("lock \"{}\" poisoned", self.class.name));
-        TrackedRwLockReadGuard {
-            class: self.class,
-            inner: Some(inner),
-        }
-    }
-
-    /// Exclusive acquire.
-    pub fn write(&self) -> TrackedRwLockWriteGuard<'_, T> {
-        sentinel::on_acquire(self.class);
-        let inner = self
-            .inner
-            .write()
-            .unwrap_or_else(|_| panic!("lock \"{}\" poisoned", self.class.name));
-        TrackedRwLockWriteGuard {
-            class: self.class,
-            inner: Some(inner),
-        }
-    }
-}
-
-impl<T> fmt::Debug for TrackedRwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TrackedRwLock")
-            .field("class", &self.class.name)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Shared guard for [`TrackedRwLock`].
-pub struct TrackedRwLockReadGuard<'a, T> {
-    class: &'static LockClass,
-    inner: Option<sync::RwLockReadGuard<'a, T>>,
-}
-
-impl<T> std::ops::Deref for TrackedRwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken")
-    }
-}
-
-impl<T> Drop for TrackedRwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.take().is_some() {
-            sentinel::on_release(self.class);
-        }
-    }
-}
-
-/// Exclusive guard for [`TrackedRwLock`].
-pub struct TrackedRwLockWriteGuard<'a, T> {
-    class: &'static LockClass,
-    inner: Option<sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T> std::ops::Deref for TrackedRwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken")
-    }
-}
-
-impl<T> std::ops::DerefMut for TrackedRwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken")
-    }
-}
-
-impl<T> Drop for TrackedRwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.take().is_some() {
-            sentinel::on_release(self.class);
-        }
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -462,10 +354,10 @@ mod tests {
         });
         assert!(msg.contains("lock-order violation"), "{msg}");
         // Two locks of the same class.
-        let (first, second) = (TrackedRwLock::new(&A, ()), TrackedRwLock::new(&A, ()));
+        let (first, second) = (TrackedMutex::new(&A, ()), TrackedMutex::new(&A, ()));
         let msg = nest(&|| {
-            let _g1 = first.read();
-            let _g2 = second.write();
+            let _g1 = first.lock();
+            let _g2 = second.lock();
         });
         assert!(msg.contains("lock-order violation"), "{msg}");
         assert!(msg.contains("holding \"test.a\""), "{msg}");
@@ -495,21 +387,5 @@ mod tests {
         // After everything is released, a LOW acquisition is clean.
         let low = TrackedMutex::new(&LOW, ());
         let _g = low.lock();
-    }
-
-    #[test]
-    fn rwlock_participates_in_ranks() {
-        let inner = TrackedRwLock::new(&LOW, 5u32);
-        let high = TrackedMutex::new(&HIGH, 1u32);
-        {
-            let r = inner.read();
-            let g = high.lock();
-            assert_eq!(*r + *g, 6);
-        }
-        {
-            let mut w = inner.write();
-            *w += 1;
-            let _g = high.lock();
-        }
     }
 }

@@ -1,8 +1,9 @@
-//! Per-request service metrics: lock-free counters and log-linear
-//! latency histograms, dumped by the `STATS` request.
+//! Per-request service metrics: counters and log-linear latency
+//! histograms, dumped by the `STATS` request.
 //!
-//! Everything here is plain atomics so the hot read path (`QUERY`)
-//! never takes a lock to record itself. Each histogram splits every
+//! The service that records them is owned by one thread, so every
+//! counter is a plain [`Cell`]: recording is a load and a store, and a
+//! snapshot is exact. Each histogram splits every
 //! power of two into eight equal sub-buckets (values below 8 ns get a
 //! bucket each), so a reported percentile, the upper edge of its
 //! bucket clamped to the observed maximum, is at most 12.5% above the
@@ -15,26 +16,8 @@
 //! time** (the handler itself). Queue wait is only recorded on the
 //! queued path; a direct [`Metrics::observe`] counts its full duration
 //! as service time.
-//!
-//! # Memory ordering
-//!
-//! Every atomic here is `Relaxed`, deliberately. Each counter and
-//! bucket is an independent monotonic statistic: no other memory is
-//! published through it, so no acquire/release edge is needed — the
-//! only guarantee required is that each individual `fetch_add` lands
-//! exactly once, which relaxed RMWs give. The price is that a
-//! [`Metrics::snapshot`] taken while writers are running may *tear*
-//! across counters (e.g. a request counted in `counts` whose latency
-//! has not reached the histogram yet); `STATS` is a health endpoint
-//! and tolerates that. Once writers are quiescent — thread join, or
-//! any other happens-before edge to the reader — every recorded
-//! operation is visible and the cross-counter invariants hold exactly:
-//! the total histogram's population equals the sum of `counts`, and
-//! the queued population splits into matching queue-wait and
-//! service-time entries (asserted by
-//! `histogram_totals_match_op_counts_under_concurrent_recording`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Request kinds, in counter order (see [`Metrics::counts`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,46 +71,37 @@ fn upper_edge(i: usize) -> u64 {
     (((SUB + i % SUB) as u64) << shift) + ((1u64 << shift) - 1)
 }
 
+/// Adds one to a counter.
+fn bump(c: &Cell<u64>) {
+    c.set(c.get() + 1);
+}
+
 /// A log-linear latency histogram (see the module docs).
 #[derive(Debug)]
 struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    max_ns: AtomicU64,
+    buckets: [Cell<u64>; BUCKETS],
+    max_ns: Cell<u64>,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            max_ns: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+            max_ns: Cell::new(0),
         }
     }
 }
 
 impl LatencyHistogram {
     fn observe(&self, ns: u64) {
-        let b = bucket_of(ns);
-        // Relaxed: each bucket is its own monotonic counter and
-        // max_ns its own high-water mark; nothing is published
-        // through either, and relaxed RMWs still never lose an
-        // increment (or a larger max).
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        bump(&self.buckets[bucket_of(ns)]);
+        self.max_ns.set(self.max_ns.get().max(ns));
     }
 
     /// Upper edge (in ns) of the bucket where the cumulative count
     /// reaches `pct` percent of all observations; 0 when empty.
     fn percentile_ns(&self, pct: f64) -> u64 {
-        // Relaxed loads: the snapshot is racy by design — buckets are
-        // copied one at a time while writers may still be recording,
-        // so a percentile can be off by the handful of in-flight
-        // observations. Stronger orderings would not fix that (it is
-        // a multi-word tear, not a reordering), only a lock would.
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts: Vec<u64> = self.buckets.iter().map(Cell::get).collect();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
@@ -142,27 +116,27 @@ impl LatencyHistogram {
             if seen >= rank.max(1) {
                 // Clamped to the true maximum so the tail percentile
                 // never exceeds it.
-                return upper_edge(i).min(self.max_ns.load(Ordering::Relaxed));
+                return upper_edge(i).min(self.max_ns.get());
             }
         }
-        self.max_ns.load(Ordering::Relaxed)
+        self.max_ns.get()
     }
 
     fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.buckets.iter().map(Cell::get).sum()
     }
 }
 
-/// Service-side metrics shared by every thread that serves requests.
+/// Service-side metrics, recorded by the thread that owns the service.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counts: [AtomicU64; KINDS],
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    removed: AtomicU64,
-    replayed: AtomicU64,
-    errors: AtomicU64,
-    shed: AtomicU64,
+    counts: [Cell<u64>; KINDS],
+    admitted: Cell<u64>,
+    rejected: Cell<u64>,
+    removed: Cell<u64>,
+    replayed: Cell<u64>,
+    errors: Cell<u64>,
+    shed: Cell<u64>,
     hist: LatencyHistogram,
     queue_hist: LatencyHistogram,
     service_hist: LatencyHistogram,
@@ -226,10 +200,7 @@ impl Metrics {
     /// Counts one request of `kind` served directly (no queue): its
     /// full duration is service time.
     pub fn observe(&self, kind: RequestKind, ns: u64) {
-        // Relaxed (here and in every counter below): each statistic
-        // stands alone — see the module doc's "Memory ordering"
-        // section for why no acquire/release pairing is needed.
-        self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
+        bump(&self.counts[kind as usize]);
         self.hist.observe(ns);
         self.service_hist.observe(ns);
     }
@@ -238,7 +209,7 @@ impl Metrics {
     /// latency into queue wait and service time. The total histogram
     /// (what clients experience) records the sum.
     pub fn observe_queued(&self, kind: RequestKind, queue_ns: u64, service_ns: u64) {
-        self.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
+        bump(&self.counts[kind as usize]);
         self.hist.observe(queue_ns.saturating_add(service_ns));
         self.queue_hist.observe(queue_ns);
         self.service_hist.observe(service_ns);
@@ -246,62 +217,58 @@ impl Metrics {
 
     /// Counts a successful admission.
     pub fn count_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+        bump(&self.admitted);
     }
 
     /// Counts a refused admission.
     pub fn count_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rejected);
     }
 
     /// Counts a successful removal.
     pub fn count_removed(&self) {
-        self.removed.fetch_add(1, Ordering::Relaxed);
+        bump(&self.removed);
     }
 
     /// Counts a duplicate request id replayed from the dedup window.
     pub fn count_replayed(&self) {
-        self.replayed.fetch_add(1, Ordering::Relaxed);
+        bump(&self.replayed);
     }
 
     /// Counts an error response.
     pub fn count_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        bump(&self.errors);
     }
 
     /// Counts a connection shed with `busy` at the connection cap.
     pub fn count_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        bump(&self.shed);
     }
 
     /// Copies every counter and summarizes the histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counts = [0u64; KINDS];
-        for (o, c) in counts.iter_mut().zip(&self.counts) {
-            *o = c.load(Ordering::Relaxed);
-        }
         MetricsSnapshot {
-            counts,
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            removed: self.removed.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            counts: std::array::from_fn(|k| self.counts[k].get()),
+            admitted: self.admitted.get(),
+            rejected: self.rejected.get(),
+            removed: self.removed.get(),
+            replayed: self.replayed.get(),
+            errors: self.errors.get(),
+            shed: self.shed.get(),
             latency_count: self.hist.count(),
             p50_us: self.hist.percentile_ns(50.0) / 1_000,
             p90_us: self.hist.percentile_ns(90.0) / 1_000,
             p99_us: self.hist.percentile_ns(99.0) / 1_000,
-            max_us: self.hist.max_ns.load(Ordering::Relaxed) / 1_000,
+            max_us: self.hist.max_ns.get() / 1_000,
             queue_count: self.queue_hist.count(),
             queue_p50_us: self.queue_hist.percentile_ns(50.0) / 1_000,
             queue_p90_us: self.queue_hist.percentile_ns(90.0) / 1_000,
             queue_p99_us: self.queue_hist.percentile_ns(99.0) / 1_000,
-            queue_max_us: self.queue_hist.max_ns.load(Ordering::Relaxed) / 1_000,
+            queue_max_us: self.queue_hist.max_ns.get() / 1_000,
             service_p50_us: self.service_hist.percentile_ns(50.0) / 1_000,
             service_p90_us: self.service_hist.percentile_ns(90.0) / 1_000,
             service_p99_us: self.service_hist.percentile_ns(99.0) / 1_000,
-            service_max_us: self.service_hist.max_ns.load(Ordering::Relaxed) / 1_000,
+            service_max_us: self.service_hist.max_ns.get() / 1_000,
         }
     }
 }
@@ -366,54 +333,27 @@ mod tests {
     }
 
     #[test]
-    fn histogram_totals_match_op_counts_under_concurrent_recording() {
-        // The cross-counter invariant behind the Relaxed orderings:
-        // once writers have joined (a happens-before edge to this
-        // thread), every histogram population must equal the number
-        // of operations recorded into it — nothing lost, nothing
-        // double-counted, on any interleaving.
-        use std::sync::Arc;
-
-        // Scaled down under Miri (the CI job runs this test for data
-        // races in the relaxed recording paths; the interpreter is
-        // ~1000x slower than native).
-        const THREADS: usize = if cfg!(miri) { 2 } else { 4 };
-        const DIRECT_PER_THREAD: u64 = if cfg!(miri) { 24 } else { 500 };
-        const QUEUED_PER_THREAD: u64 = if cfg!(miri) { 16 } else { 300 };
-
-        let m = Arc::new(Metrics::new());
-        let workers: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for i in 0..DIRECT_PER_THREAD {
-                        m.observe(RequestKind::Query, 1 + (t as u64 * 7919 + i) % 4096);
-                        m.count_admitted();
-                    }
-                    for i in 0..QUEUED_PER_THREAD {
-                        m.observe_queued(
-                            RequestKind::Admit,
-                            1 + (i % 1024),
-                            1 + (t as u64 + i) % 2048,
-                        );
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
+    fn histogram_totals_match_op_counts() {
+        // Every histogram population equals the number of operations
+        // recorded into it: nothing lost, nothing double-counted.
+        const DIRECT: u64 = if cfg!(miri) { 24 } else { 2000 };
+        const QUEUED: u64 = if cfg!(miri) { 16 } else { 1200 };
+        let m = Metrics::new();
+        for i in 0..DIRECT {
+            m.observe(RequestKind::Query, 1 + (i * 7919) % 4096);
+            m.count_admitted();
         }
-
+        for i in 0..QUEUED {
+            m.observe_queued(RequestKind::Admit, 1 + (i % 1024), 1 + i % 2048);
+        }
         let s = m.snapshot();
-        let direct = THREADS as u64 * DIRECT_PER_THREAD;
-        let queued = THREADS as u64 * QUEUED_PER_THREAD;
-        assert_eq!(s.counts[RequestKind::Query as usize], direct);
-        assert_eq!(s.counts[RequestKind::Admit as usize], queued);
-        assert_eq!(s.admitted, direct);
+        assert_eq!(s.counts[RequestKind::Query as usize], DIRECT);
+        assert_eq!(s.counts[RequestKind::Admit as usize], QUEUED);
+        assert_eq!(s.admitted, DIRECT);
         // Total latency histogram: one entry per recorded operation.
-        assert_eq!(s.latency_count, direct + queued);
+        assert_eq!(s.latency_count, DIRECT + QUEUED);
         // Queue-wait histogram: exactly the queued operations.
-        assert_eq!(s.queue_count, queued);
+        assert_eq!(s.queue_count, QUEUED);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A minimal, safe wrapper over Linux `epoll` — the readiness engine
 //! behind the reactor in [`crate::server`].
 //!
-//! The build is offline (no `libc` crate), so the four syscalls the
-//! reactor needs — `epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `close` — are bound here directly. This module is the **only**
+//! The build is offline (no `libc` crate), so the syscalls the reactor
+//! needs — `epoll_create1`, `epoll_ctl`, `epoll_wait`, `close`,
+//! `socket`, `connect` — are bound here directly. This module is the **only**
 //! place in the crate allowed to contain `unsafe`; everything it
 //! exposes is a safe API: a [`Poller`] owning the epoll instance and
 //! plain-data [`PollEvent`]s out of [`Poller::wait`].
@@ -12,11 +12,23 @@
 //! only while a connection has buffered output, so level-triggered
 //! semantics cost nothing and avoid the lost-wakeup pitfalls of
 //! edge-triggered mode.
+//!
+//! [`connect_nonblocking`] binds `socket` and `connect` too: `std` can
+//! only dial blocking, and a follower's dial to a silent leader host
+//! must not stall the reactor that serves its reads.
 #![allow(unsafe_code)]
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 use std::time::Duration;
+
+const AF_INET: i32 = 2;
+const AF_INET6: i32 = 10;
+const SOCK_STREAM: i32 = 1;
+const SOCK_NONBLOCK: i32 = 0o4000;
+const SOCK_CLOEXEC: i32 = 0o2_000_000;
+const EINPROGRESS: i32 = 115;
 
 const EPOLL_CLOEXEC: i32 = 0o2_000_000;
 const EPOLL_CTL_ADD: i32 = 1;
@@ -45,6 +57,45 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn close(fd: i32) -> i32;
+    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+    fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
+}
+
+/// Starts a non-blocking TCP connect to `addr` and returns the socket at
+/// once. The connect completes in the background: register the stream
+/// for write interest, and when it is writable read the outcome with
+/// [`TcpStream::take_error`].
+pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
+    // `struct sockaddr_in` / `sockaddr_in6`: family in host order, port
+    // and address in network order.
+    let (domain, raw) = match addr {
+        SocketAddr::V4(a) => {
+            let mut raw = vec![0u8; 16];
+            raw[..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
+            raw[2..4].copy_from_slice(&a.port().to_be_bytes());
+            raw[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, raw)
+        }
+        SocketAddr::V6(a) => {
+            let mut raw = vec![0u8; 28];
+            raw[..2].copy_from_slice(&(AF_INET6 as u16).to_ne_bytes());
+            raw[2..4].copy_from_slice(&a.port().to_be_bytes());
+            raw[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
+            raw[8..24].copy_from_slice(&a.ip().octets());
+            raw[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, raw)
+        }
+    };
+    let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+    // The stream owns the descriptor from here on, so every error path
+    // below closes it.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    let len = u32::try_from(raw.len()).expect("sockaddr length fits u32");
+    match cvt(unsafe { connect(fd, raw.as_ptr(), len) }) {
+        Ok(_) => Ok(stream),
+        Err(e) if e.raw_os_error() == Some(EINPROGRESS) => Ok(stream),
+        Err(e) => Err(e),
+    }
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -129,9 +180,9 @@ impl Poller {
         let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, false, false);
     }
 
-    /// Blocks until readiness or `timeout` (`None` = forever), filling
-    /// `events`. A signal wake-up retries; a timeout returns an empty
-    /// vector.
+    /// Blocks until readiness or `timeout` (`None` = forever, rounded up
+    /// to whole milliseconds), filling `events`. A signal wake-up
+    /// retries; a timeout returns an empty vector.
     // Casts: CAPACITY (256) fits i32, the clamped timeout fits i32,
     // and `cvt` has already rejected negative returns before `n` is
     // widened to usize.
@@ -143,9 +194,11 @@ impl Poller {
     pub fn wait(&self, events: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
         const CAPACITY: usize = 256;
         events.clear();
+        // Rounded up, so a deadline a fraction of a millisecond away is
+        // waited for rather than spun on.
         let timeout_ms: i32 = match timeout {
             None => -1,
-            Some(t) => t.as_millis().min(i32::MAX as u128) as i32,
+            Some(t) => t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32,
         };
         let mut raw = [EpollEvent { events: 0, data: 0 }; CAPACITY];
         let n = loop {
@@ -322,6 +375,45 @@ mod tests {
         assert_eq!(events.len(), 1, "{events:?}");
         assert!(events[0].readable, "{events:?}");
         drop(interrupter.join().unwrap());
+    }
+
+    #[test]
+    fn nonblocking_connect_reports_its_outcome_as_writable() {
+        use std::net::TcpListener;
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stream = connect_nonblocking(&addr).unwrap();
+        poller.add(stream.as_raw_fd(), 1, false, true).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 1 && e.writable),
+            "{events:?}"
+        );
+        assert!(stream.take_error().unwrap().is_none(), "connected");
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut stream = stream;
+        stream.write_all(b"x").unwrap();
+        let mut buf = [0u8; 1];
+        peer.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"x");
+
+        // A port nobody listens on: the refusal arrives as an event,
+        // and `take_error` names it.
+        drop(listener);
+        let refused = connect_nonblocking(&addr).unwrap();
+        poller.add(refused.as_raw_fd(), 2, false, true).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 2 && e.hangup),
+            "{events:?}"
+        );
+        assert!(refused.take_error().unwrap().is_some());
     }
 
     #[test]

@@ -246,6 +246,9 @@ pub struct FollowerLag {
     pub acked_seq: u64,
     /// Frames between the leader's ship frontier and `acked_seq`.
     pub lag_frames: u64,
+    /// Bytes the leader has queued for this follower that the socket
+    /// has not taken yet (at most the ship session's fixed cap).
+    pub unsent_bytes: u64,
 }
 
 /// Replication gauges, included in `STATS` when replication is
@@ -274,6 +277,9 @@ pub struct ReplReport {
     pub lease_ms: u64,
     /// Higher-epoch fence events this node has processed.
     pub fence_events: u64,
+    /// Acknowledged operations the last fence audited as divergent
+    /// (absent from the winning history).
+    pub divergence_ops: u64,
 }
 
 /// The `STATS` payload: counters plus the service-side latency
@@ -562,14 +568,15 @@ pub fn render_response(r: &Response) -> String {
             if let Some(repl) = &s.repl {
                 let _ = write!(
                     out,
-                    ",\"replication\":{{\"role\":\"{}\",\"epoch\":{},\"wal_last_synced_seq\":{},\"replication_lag_frames\":{},\"sealed\":{},\"lease_ms\":{},\"fence_events\":{}",
+                    ",\"replication\":{{\"role\":\"{}\",\"epoch\":{},\"wal_last_synced_seq\":{},\"replication_lag_frames\":{},\"sealed\":{},\"lease_ms\":{},\"fence_events\":{},\"divergence_ops\":{}",
                     repl.role,
                     repl.epoch,
                     repl.wal_last_synced_seq,
                     repl.replication_lag_frames,
                     repl.sealed,
                     repl.lease_ms,
-                    repl.fence_events
+                    repl.fence_events,
+                    repl.divergence_ops
                 );
                 if let Some(applied) = repl.applied_seq {
                     let _ = write!(out, ",\"applied_seq\":{applied}");
@@ -582,10 +589,11 @@ pub fn render_response(r: &Response) -> String {
                         }
                         let _ = write!(
                             out,
-                            "{{\"peer\":\"{}\",\"acked_seq\":{},\"lag_frames\":{}}}",
+                            "{{\"peer\":\"{}\",\"acked_seq\":{},\"lag_frames\":{},\"unsent_bytes\":{}}}",
                             json_escape(&f.peer),
                             f.acked_seq,
-                            f.lag_frames
+                            f.lag_frames,
+                            f.unsent_bytes
                         );
                     }
                     out.push(']');
@@ -828,10 +836,12 @@ mod tests {
                     peer: "127.0.0.1:9999".to_string(),
                     acked_seq: 37,
                     lag_frames: 3,
+                    unsent_bytes: 120,
                 }],
                 sealed: false,
                 lease_ms: 750,
                 fence_events: 0,
+                divergence_ops: 0,
             }),
             ..StatsReport::default()
         };
@@ -847,6 +857,7 @@ mod tests {
             "{leader}"
         );
         assert!(leader.contains("\"acked_seq\":37"), "{leader}");
+        assert!(leader.contains("\"unsent_bytes\":120"), "{leader}");
         assert!(!leader.contains("applied_seq"), "{leader}");
 
         report.repl = Some(ReplReport {
@@ -859,11 +870,13 @@ mod tests {
             sealed: true,
             lease_ms: 0,
             fence_events: 1,
+            divergence_ops: 2,
         });
         let follower = render_response(&Response::Stats(Box::new(report)));
         assert!(follower.contains("\"role\":\"follower\""), "{follower}");
         assert!(
-            follower.contains("\"sealed\":true,\"lease_ms\":0,\"fence_events\":1"),
+            follower
+                .contains("\"sealed\":true,\"lease_ms\":0,\"fence_events\":1,\"divergence_ops\":2"),
             "{follower}"
         );
         assert!(follower.contains("\"applied_seq\":37"), "{follower}");

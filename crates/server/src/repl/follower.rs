@@ -1,17 +1,22 @@
-//! The follower side of replication: the connect/apply loop and the
-//! pre-service catch-up step.
+//! The follower side of replication: the link to the leader, run on
+//! the server's reactor, and the pre-service catch-up step.
 //!
 //! A follower runs an ordinary [`AdmissionService`] with a
 //! [`crate::repl::ReplHub`] in follower mode attached: reads are
-//! served locally, writes redirect to the leader, and a background
-//! thread applies the leader's WAL frames in sequence through
-//! [`AdmissionService::apply_replicated`]. Any anomaly — torn frame,
-//! sequence gap, undecodable payload — tears the session down and
-//! reconnects; the re-sent `Hello` carries the applied sequence, so
-//! the leader rewinds and duplicate deliveries land as idempotent
-//! no-ops. When the leader goes silent past the configured grace the
-//! thread promotes the node through the audited
-//! [`AdmissionService::promote`] path and exits.
+//! served locally and writes redirect to the leader. Its reactor also
+//! drives a `FollowLink`: a state machine that dials the leader
+//! without blocking, says `Hello`, and applies the leader's WAL frames
+//! in sequence through [`AdmissionService::apply_replicated`], acking
+//! after every batch it applied. Any anomaly — torn frame, sequence
+//! gap, undecodable payload — drops the connection and redials after
+//! the reconnect delay; the new `Hello` carries the applied sequence,
+//! so the leader rewinds and duplicate deliveries land as idempotent
+//! no-ops. When the leader stays silent past the promotion grace the
+//! link promotes the node through the audited
+//! [`AdmissionService::promote`] path, then dials the deposed leader
+//! until a `Fence` is confirmed. Every wait is a deadline the reactor
+//! folds into its poll timeout (`FollowLink::deadline`); nothing
+//! sleeps.
 //!
 //! [`catch_up`] runs *before* the service is built: if the leader's
 //! WAL has been compacted past the local state, the latest snapshot is
@@ -22,73 +27,64 @@
 
 use super::catchup::{fetch_snapshot, CatchupOpts, CatchupOutcome, TransferSpec};
 use super::proto::{read_msg, write_msg, ReplMsg};
+use super::ship::Flow;
 use crate::faultfs::RealFile;
 use crate::service::AdmissionService;
 use crate::snapshot::load_snapshot;
 use crate::wal::{crc32, decode_payload, FrameIter, FsyncPolicy, Wal, WAL_FILE};
 use std::fs;
 use std::io::{self, ErrorKind};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
-/// A source of monotonic time, injected into the follower loop so the
-/// grace/lease state machine is unit-testable without waiting out real
-/// timeouts. Production uses [`SystemClock`]; tests substitute a
-/// manually advanced clock.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// The current instant on this clock.
-    fn now(&self) -> Instant;
-}
+/// How long a dial may take to connect before it is abandoned.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// The real monotonic clock.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SystemClock;
+/// Delay between a dropped connection and the next dial.
+const RECONNECT_DELAY: Duration = Duration::from_millis(50);
 
-impl Clock for SystemClock {
-    fn now(&self) -> Instant {
-        Instant::now()
-    }
-}
+/// How long a delivered `Fence` waits for its confirming heartbeat
+/// before the deposed leader is dialed again.
+const FENCE_CONFIRM: Duration = Duration::from_millis(500);
 
-/// The promotion-grace state machine: tracks when the leader was last
-/// heard and decides whether the silence has lapsed the grace. Kept
-/// free of IO so the transitions are testable deterministically.
-#[derive(Debug)]
+/// How often an unconfirmed `Fence` is sent again on the open
+/// connection: a partition swallows what crosses it, and a healed link
+/// should carry the fence within this long.
+const FENCE_RESEND: Duration = Duration::from_millis(10);
+
+/// The promotion-grace state machine: when the leader was last heard,
+/// and whether the silence has lapsed the grace. Time comes in as an
+/// argument, so the transitions are testable deterministically.
+#[derive(Clone, Copy, Debug)]
 pub struct GraceTimer {
-    clock: Arc<dyn Clock>,
     last_contact: Instant,
 }
 
 impl GraceTimer {
-    /// A timer that treats "now" as the last contact.
-    pub fn new(clock: Arc<dyn Clock>) -> GraceTimer {
-        let last_contact = clock.now();
-        GraceTimer {
-            clock,
-            last_contact,
-        }
+    /// A timer that treats `now` as the last contact.
+    pub fn new(now: Instant) -> GraceTimer {
+        GraceTimer { last_contact: now }
     }
 
-    /// The leader was heard (frame, heartbeat, or handshake): the
-    /// grace window restarts from now.
-    pub fn touch(&mut self) {
-        self.last_contact = self.clock.now();
+    /// The leader was heard (frame, heartbeat, or handshake) at `now`:
+    /// the grace window restarts.
+    pub fn touch(&mut self, now: Instant) {
+        self.last_contact = now;
     }
 
-    /// Has the leader been silent for at least `grace`?
-    pub fn lapsed(&self, grace: Duration) -> bool {
-        self.clock
-            .now()
-            .saturating_duration_since(self.last_contact)
-            >= grace
+    /// When a silence of `grace` will have lapsed.
+    pub fn deadline(&self, grace: Duration) -> Instant {
+        self.last_contact + grace
+    }
+
+    /// Has the leader been silent for at least `grace` at `now`?
+    pub fn lapsed(&self, now: Instant, grace: Duration) -> bool {
+        now >= self.deadline(grace)
     }
 }
 
-/// Knobs for the follower's replication loop.
+/// Knobs for the follower's link to its leader.
 #[derive(Clone, Debug)]
 pub struct FollowerConfig {
     /// The leader's replication address (`--follower-of`).
@@ -96,230 +92,292 @@ pub struct FollowerConfig {
     /// Promote to leader after this much silence; `None` = never
     /// auto-promote (explicit `rtwc promote` only).
     pub promote_grace: Option<Duration>,
-    /// Delay between reconnect attempts.
-    pub reconnect_delay: Duration,
-    /// Per-cycle read timeout on the session.
-    pub poll: Duration,
     /// This node's own client address, advertised in the `Fence` sent
     /// to a deposed leader so it can redirect writes here. Empty =
     /// nothing to advertise.
     pub advertise: String,
-    /// Time source for the grace state machine.
-    pub clock: Arc<dyn Clock>,
 }
 
 impl FollowerConfig {
-    /// Defaults for `leader`: no auto-promotion, 50 ms reconnect
-    /// delay, 25 ms poll, the system clock.
+    /// Defaults for `leader`: no auto-promotion, nothing to advertise.
     pub fn new(leader: &str) -> FollowerConfig {
         FollowerConfig {
             leader: leader.to_string(),
             promote_grace: None,
-            reconnect_delay: Duration::from_millis(50),
-            poll: Duration::from_millis(25),
             advertise: String::new(),
-            clock: Arc::new(SystemClock),
         }
     }
 }
 
-/// The running follower loop. [`Follower::stop`] joins the thread;
-/// dropping without it detaches (the thread exits with the process or
-/// on promotion).
+/// Where the link is.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    /// No connection; dial at `at`.
+    Waiting { at: Instant },
+    /// Connected (or connecting) to the leader, streaming; `acked` is
+    /// the applied sequence last acknowledged.
+    Streaming { acked: u64 },
+    /// Promoted: the `Fence` is out, sent again at `resend` (a
+    /// partition may have swallowed it); redial unless confirmed by
+    /// `by`.
+    Fencing { resend: Instant, by: Instant },
+    /// Nothing left to do: the deposed leader is fenced, the node was
+    /// promoted by hand, or the configuration is unsafe to run.
+    Done,
+}
+
+/// What the reactor must do after [`FollowLink::tick`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Tick {
+    /// Nothing.
+    Idle,
+    /// Dial this address and register the connection with the link.
+    Dial(SocketAddr),
+    /// Drop the current connection (the link already moved on).
+    Hangup,
+    /// Queue [`FollowLink::fence`] on the current connection again.
+    Refence,
+}
+
+/// The follower's link to its leader, as a state machine over one
+/// connection at a time that the reactor owns. Timing is all
+/// deadlines: the reactor calls [`FollowLink::tick`] every pass and
+/// polls no longer than [`FollowLink::deadline`].
 #[derive(Debug)]
-pub struct Follower {
-    stop: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
+pub(crate) struct FollowLink {
+    cfg: FollowerConfig,
+    /// The leader's address, resolved at the first dial that resolves:
+    /// a name lookup blocks, so the reactor does it once, not per dial.
+    addr: Option<SocketAddr>,
+    grace: GraceTimer,
+    phase: Phase,
+    /// The current dial has not connected yet; abandon it at this
+    /// instant.
+    connect_by: Option<Instant>,
+    /// Auto-promoted: dials now deliver the fence.
+    promoted: bool,
 }
 
-impl Follower {
-    /// Starts the connect/apply loop. The service must have a hub in
-    /// follower mode attached.
-    pub fn spawn(service: Arc<AdmissionService>, cfg: FollowerConfig) -> io::Result<Follower> {
-        if service.repl_hub().is_none() {
-            return Err(io::Error::new(
-                ErrorKind::InvalidInput,
-                "follower without a replication hub",
-            ));
+impl FollowLink {
+    /// A link that dials `cfg.leader` at once. Locally recovered
+    /// history counts as applied: a follower whose catch-up snapshot
+    /// already covers the leader's whole stream gets no frames at all,
+    /// and the gauge would otherwise sit at zero (reporting a bogus
+    /// lag) until the first new write.
+    pub(crate) fn new(cfg: FollowerConfig, service: &AdmissionService, now: Instant) -> FollowLink {
+        let seq = service.seq();
+        if let Some(mut hub) = service.repl_hub() {
+            hub.set_applied(seq);
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let run_stop = Arc::clone(&stop);
-        let thread = thread::Builder::new()
-            .name("repl-follow".to_string())
-            .spawn(move || run(&service, &cfg, &run_stop))?;
-        Ok(Follower {
-            stop,
-            thread: Some(thread),
-        })
-    }
-
-    /// Stops the loop and joins the thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
+        FollowLink {
+            cfg,
+            addr: None,
+            grace: GraceTimer::new(now),
+            phase: Phase::Waiting { at: now },
+            connect_by: None,
+            promoted: false,
         }
     }
-}
 
-fn run(service: &AdmissionService, cfg: &FollowerConfig, stop: &AtomicBool) {
-    let hub = service.repl_hub().expect("checked at spawn").clone();
-    // Locally recovered history counts as applied: a follower whose
-    // catch-up snapshot already covers the leader's whole stream gets
-    // no frames at all, and the gauge would otherwise sit at zero
-    // (reporting a bogus lag) until the first new write.
-    hub.set_applied(service.seq());
-    let mut promoted = false;
-    let mut timer = GraceTimer::new(Arc::clone(&cfg.clock));
-    while !stop.load(Ordering::Relaxed) && hub.is_follower() {
-        if let Ok(stream) = connect(&cfg.leader) {
-            // Any session error (disconnect, torn frame, gap, stale
-            // leader) lands here; the reconnect below re-Hellos from
-            // the applied sequence.
-            if let Err(e) = session(stream, service, cfg, stop, &mut timer) {
-                if e.kind() == ErrorKind::InvalidInput {
-                    // The leader advertised a lease our grace does not
-                    // strictly exceed: promoting could overlap a live
-                    // lease and void the no-dual-ack guarantee. Refuse
-                    // to run at all rather than run unsafely.
-                    eprintln!("fatal: {e}");
-                    return;
-                }
-                if std::env::var_os("RTWC_REPL_DEBUG").is_some() {
-                    eprintln!("follower session error: {e}");
-                }
-            }
+    /// The next instant [`FollowLink::tick`] has work at, if any.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        let phase = match self.phase {
+            Phase::Waiting { at } => Some(at),
+            Phase::Fencing { resend, by } => Some(resend.min(by)),
+            Phase::Streaming { .. } | Phase::Done => None,
+        };
+        let grace = match (self.phase, self.cfg.promote_grace) {
+            (Phase::Done, _) | (_, None) => None,
+            _ if self.promoted => None,
+            (_, Some(grace)) => Some(self.grace.deadline(grace)),
+        };
+        [phase, grace, self.connect_by].into_iter().flatten().min()
+    }
+
+    /// Runs the link's timers at `now`: dials when one is due, promotes
+    /// after a silence past the grace, gives up on a dial that did not
+    /// connect or a fence nobody confirmed.
+    pub(crate) fn tick(&mut self, service: &AdmissionService, now: Instant) -> Tick {
+        if matches!(self.phase, Phase::Done) {
+            return Tick::Idle;
         }
-        if stop.load(Ordering::Relaxed) || !hub.is_follower() {
-            break;
+        if !self.promoted && !service.is_follower() {
+            // Promoted by hand (`PROMOTE`): stop following, fence
+            // nobody.
+            self.phase = Phase::Done;
+            return Tick::Hangup;
         }
-        if let Some(grace) = cfg.promote_grace {
-            if timer.lapsed(grace) {
+        if let Some(grace) = self.cfg.promote_grace {
+            if !self.promoted && self.grace.lapsed(now, grace) {
                 if let crate::protocol::Response::Promoted { epoch, .. } = service.promote() {
                     println!("promoted to leader (epoch {epoch}) after leader loss");
-                    promoted = true;
+                    self.promoted = true;
                 }
-                // Promotion flips the role and the loop exits; an
-                // audit refusal keeps retrying the leader instead.
-                timer.touch();
-                continue;
+                // An audit refusal keeps following instead.
+                self.grace.touch(now);
+                self.connect_by = None;
+                self.phase = Phase::Waiting { at: now };
+                return Tick::Hangup;
             }
         }
-        thread::sleep(cfg.reconnect_delay);
-    }
-    if promoted && !stop.load(Ordering::Relaxed) {
-        // Fence the deposed leader: keep dialing its replication
-        // address until the Fence lands (a partitioned peer hears it
-        // at heal time) so it permanently demotes and audits its
-        // divergent suffix instead of ever acking writes again.
-        if deliver_fence(&cfg.leader, &hub, &cfg.advertise, stop, cfg.reconnect_delay) {
-            println!(
-                "fenced deposed leader at {} (epoch {})",
-                cfg.leader,
-                hub.epoch()
-            );
+        if self.connect_by.is_some_and(|by| now >= by) {
+            return self.drop_link(now);
         }
-    }
-}
-
-/// Dials the deposed leader's replication address until a `Fence` for
-/// our epoch is delivered or `stop` is raised. Returns whether the
-/// fence was confirmed.
-///
-/// Confirmation is a heartbeat carrying an epoch at least ours: the
-/// peer only echoes that epoch after processing the fence. Accepting
-/// *any* reply would race a partitioned link — the fence bytes can be
-/// swallowed by the partition while a steady-state heartbeat (still
-/// stamped with the old epoch) crosses a just-healed link on the same
-/// connection, and a false confirmation here would lose the fence
-/// forever.
-fn deliver_fence(
-    leader: &str,
-    hub: &crate::repl::ReplHub,
-    advertise: &str,
-    stop: &AtomicBool,
-    retry: Duration,
-) -> bool {
-    while !stop.load(Ordering::Relaxed) {
-        if let Ok(mut s) = connect(leader) {
-            let _ = s.set_nodelay(true);
-            let _ = s.set_read_timeout(Some(Duration::from_millis(500)));
-            let epoch = hub.epoch();
-            let sent = write_msg(
-                &mut s,
-                &ReplMsg::Fence {
-                    epoch,
-                    applied_seq: hub.applied_seq(),
-                    addr: advertise.to_string(),
-                },
-            );
-            let confirmed = matches!(
-                read_msg(&mut s),
-                Ok(ReplMsg::Heartbeat { epoch: e, .. }) if e >= epoch
-            );
-            if sent.is_ok() && confirmed {
-                return true;
+        match self.phase {
+            Phase::Waiting { at } if now >= at => {
+                if let Some(addr) = self.addr.or_else(|| resolve(&self.cfg.leader).ok()) {
+                    self.addr = Some(addr);
+                    self.connect_by = Some(now + CONNECT_TIMEOUT);
+                    Tick::Dial(addr)
+                } else {
+                    self.phase = Phase::Waiting {
+                        at: now + RECONNECT_DELAY,
+                    };
+                    Tick::Idle
+                }
             }
+            Phase::Fencing { by, .. } if now >= by => self.drop_link(now),
+            Phase::Fencing { resend, by } if now >= resend => {
+                self.phase = Phase::Fencing {
+                    resend: now + FENCE_RESEND,
+                    by,
+                };
+                Tick::Refence
+            }
+            _ => Tick::Idle,
         }
-        thread::sleep(retry);
     }
-    false
-}
 
-fn connect(leader: &str) -> io::Result<TcpStream> {
-    let addr = leader.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(
-            ErrorKind::InvalidInput,
-            "leader address resolves to nothing",
-        )
-    })?;
-    TcpStream::connect_timeout(&addr, Duration::from_millis(500))
-}
+    /// Abandons the current connection; the next dial is a reconnect
+    /// delay away.
+    fn drop_link(&mut self, now: Instant) -> Tick {
+        self.connect_by = None;
+        self.phase = Phase::Waiting {
+            at: now + RECONNECT_DELAY,
+        };
+        Tick::Hangup
+    }
 
-/// One connected session: handshake, then apply frames until the
-/// stream breaks, the node stops being a follower, or the leader goes
-/// silent past the grace.
-fn session(
-    mut stream: TcpStream,
-    service: &AdmissionService,
-    cfg: &FollowerConfig,
-    stop: &AtomicBool,
-    timer: &mut GraceTimer,
-) -> io::Result<()> {
-    let hub = service.repl_hub().expect("checked at spawn");
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.poll))?;
-    let local_seq = service.seq();
-    hub.set_applied(local_seq);
-    write_msg(
-        &mut stream,
-        &ReplMsg::Hello {
+    /// The dial connected: queue the opening message — a `Hello` from
+    /// the applied sequence, or, once promoted, the `Fence`.
+    pub(crate) fn on_connected(
+        &mut self,
+        service: &AdmissionService,
+        out: &mut Vec<u8>,
+        now: Instant,
+    ) {
+        self.connect_by = None;
+        if self.promoted {
+            self.phase = Phase::Fencing {
+                resend: now + FENCE_RESEND,
+                by: now + FENCE_CONFIRM,
+            };
+            self.fence(service, out);
+            return;
+        }
+        let local_seq = service.seq();
+        let Some(mut hub) = service.repl_hub() else {
+            return;
+        };
+        hub.set_applied(local_seq);
+        self.phase = Phase::Streaming { acked: local_seq };
+        let hello = ReplMsg::Hello {
             epoch: hub.epoch(),
             applied_seq: local_seq,
-        },
-    )?;
-    let mut acked = local_seq;
-    let mut unacked = 0u32;
-    while !stop.load(Ordering::Relaxed) && hub.is_follower() {
-        match read_msg(&mut stream) {
-            Ok(ReplMsg::Welcome {
+        };
+        out.extend_from_slice(&hello.encode());
+    }
+
+    /// Queues the `Fence` for the deposed leader: our epoch, the last
+    /// sequence we applied from it, and where its clients should go.
+    pub(crate) fn fence(&self, service: &AdmissionService, out: &mut Vec<u8>) {
+        let Some(hub) = service.repl_hub() else {
+            return;
+        };
+        let fence = ReplMsg::Fence {
+            epoch: hub.epoch(),
+            applied_seq: hub.applied_seq(),
+            addr: self.cfg.advertise.clone(),
+        };
+        out.extend_from_slice(&fence.encode());
+    }
+
+    /// The connection failed or closed: redial after the reconnect
+    /// delay, or stop for good on an unsafe configuration.
+    pub(crate) fn on_close(&mut self, err: Option<&io::Error>, now: Instant) {
+        if matches!(self.phase, Phase::Done) {
+            return;
+        }
+        if let Some(e) = err {
+            if e.kind() == ErrorKind::InvalidInput {
+                // The leader advertised a lease our grace does not
+                // strictly exceed: promoting could overlap a live
+                // lease and void the no-dual-ack guarantee. Refuse to
+                // follow at all rather than follow unsafely.
+                eprintln!("fatal: {e}");
+                self.connect_by = None;
+                self.phase = Phase::Done;
+                return;
+            }
+            if std::env::var_os("RTWC_REPL_DEBUG").is_some() {
+                eprintln!("follower session error: {e}");
+            }
+        }
+        self.drop_link(now);
+    }
+
+    /// Handles one message from the leader, queueing any reply in `out`.
+    /// `Err` drops the connection (see [`FollowLink::on_close`]).
+    pub(crate) fn on_msg(
+        &mut self,
+        msg: ReplMsg,
+        service: &AdmissionService,
+        out: &mut Vec<u8>,
+        now: Instant,
+    ) -> io::Result<Flow> {
+        if let Phase::Fencing { .. } = self.phase {
+            // Confirmation is a heartbeat carrying an epoch at least
+            // ours: the peer only echoes that epoch after processing the
+            // fence. Anything else is ignored until the deadline — a
+            // steady-state heartbeat still stamped with the old epoch
+            // can cross a just-healed link while the fence bytes were
+            // swallowed, and taking it as confirmation would lose the
+            // fence forever.
+            let epoch = service.repl_hub().map_or(0, |h| h.epoch());
+            if let ReplMsg::Heartbeat { epoch: e, .. } = msg {
+                if e >= epoch {
+                    println!(
+                        "fenced deposed leader at {} (epoch {epoch})",
+                        self.cfg.leader
+                    );
+                    self.phase = Phase::Done;
+                    return Ok(Flow::Close);
+                }
+            }
+            return Ok(Flow::Open);
+        }
+        let mut hub = service
+            .repl_hub()
+            .ok_or_else(|| io::Error::other("follower without a replication hub"))?;
+        let stale = |what: &str, epoch: u64, local: u64| {
+            io::Error::other(format!("{what} from a stale epoch {epoch} (local {local})"))
+        };
+        match msg {
+            ReplMsg::Welcome {
                 epoch,
                 synced_seq,
                 lease_ms,
                 ..
-            }) => {
+            } => {
                 if epoch < hub.epoch() {
-                    return Err(io::Error::other(format!(
-                        "stale leader (epoch {epoch} < local {})",
-                        hub.epoch()
-                    )));
+                    return Err(stale("welcome", epoch, hub.epoch()));
                 }
                 hub.observe_epoch(epoch);
-                if let Some(grace) = cfg.promote_grace {
+                if let Some(grace) = self.cfg.promote_grace {
                     // The no-dual-ack argument needs the grace to
                     // strictly exceed the leader's lease; a violating
-                    // pairing is fatal (caught in `run`, never
-                    // promotes) rather than silently unsafe.
+                    // pairing is fatal (see `on_close`) rather than
+                    // silently unsafe.
                     let grace_ms = u64::try_from(grace.as_millis()).unwrap_or(u64::MAX);
                     if lease_ms > 0 && grace_ms <= lease_ms {
                         return Err(io::Error::new(
@@ -332,19 +390,15 @@ fn session(
                     }
                 }
                 hub.note_source_synced(synced_seq);
-                timer.touch();
             }
-            Ok(ReplMsg::Frame {
+            ReplMsg::Frame {
                 seq,
                 epoch,
                 crc,
                 payload,
-            }) => {
+            } => {
                 if epoch < hub.epoch() {
-                    return Err(io::Error::other(format!(
-                        "frame from a stale epoch {epoch} (local {})",
-                        hub.epoch()
-                    )));
+                    return Err(stale("frame", epoch, hub.epoch()));
                 }
                 hub.observe_epoch(epoch);
                 if crc32(&payload) != crc {
@@ -359,50 +413,30 @@ fn session(
                         format!("undecodable replicated frame at seq {seq}"),
                     )
                 })?;
+                drop(hub);
                 service
                     .apply_replicated(seq, record.req_id, &record.op)
                     .map_err(io::Error::other)?;
-                timer.touch();
-                unacked += 1;
-                // Ack in small batches so leader-side lag gauges stay
-                // honest without an ack per frame.
-                if unacked >= 32 {
-                    acked = hub.applied_seq();
-                    unacked = 0;
-                    write_msg(
-                        &mut stream,
-                        &ReplMsg::Ack {
-                            epoch: hub.epoch(),
-                            applied_seq: acked,
-                        },
-                    )?;
-                }
             }
-            Ok(ReplMsg::Heartbeat { epoch, synced_seq }) => {
+            ReplMsg::Heartbeat { epoch, synced_seq } => {
                 if epoch < hub.epoch() {
-                    return Err(io::Error::other(format!(
-                        "heartbeat from a stale epoch {epoch} (local {})",
-                        hub.epoch()
-                    )));
+                    return Err(stale("heartbeat", epoch, hub.epoch()));
                 }
                 hub.observe_epoch(epoch);
                 hub.note_source_synced(synced_seq);
-                timer.touch();
                 // Echo an ack so an idle leader keeps hearing us: the
                 // leader's write lease is fed only by acks (round-trip
                 // evidence), and a quiet-but-healthy link must not
                 // seal it.
-                acked = hub.applied_seq();
-                unacked = 0;
-                write_msg(
-                    &mut stream,
-                    &ReplMsg::Ack {
-                        epoch: hub.epoch(),
-                        applied_seq: acked,
-                    },
-                )?;
+                let applied = hub.applied_seq();
+                let ack = ReplMsg::Ack {
+                    epoch: hub.epoch(),
+                    applied_seq: applied,
+                };
+                out.extend_from_slice(&ack.encode());
+                self.phase = Phase::Streaming { acked: applied };
             }
-            Ok(ReplMsg::SnapStart { .. }) => {
+            ReplMsg::SnapStart { .. } => {
                 // Mid-run compaction past our applied sequence: the
                 // in-memory state cannot absorb a snapshot. Surface it;
                 // the operator restarts the follower, whose catch-up
@@ -411,38 +445,50 @@ fn session(
                     "leader compacted past local state; restart the follower to catch up",
                 ));
             }
-            Ok(other) => {
+            other => {
                 return Err(io::Error::new(
                     ErrorKind::InvalidData,
                     format!("unexpected {other:?} from the leader"),
                 ))
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                let applied = hub.applied_seq();
-                if applied > acked {
-                    acked = applied;
-                    unacked = 0;
-                    write_msg(
-                        &mut stream,
-                        &ReplMsg::Ack {
-                            epoch: hub.epoch(),
-                            applied_seq: applied,
-                        },
-                    )?;
-                }
-                if let Some(grace) = cfg.promote_grace {
-                    if timer.lapsed(grace) {
-                        return Err(io::Error::new(
-                            ErrorKind::TimedOut,
-                            "leader silent past the promotion grace",
-                        ));
-                    }
-                }
-            }
-            Err(e) => return Err(e),
+        }
+        self.grace.touch(now);
+        Ok(Flow::Open)
+    }
+
+    /// After a batch of messages: acknowledge what was applied, so the
+    /// leader's lag gauges stay honest without an ack per frame.
+    pub(crate) fn ack_applied(&mut self, service: &AdmissionService, out: &mut Vec<u8>) {
+        let Phase::Streaming { acked } = self.phase else {
+            return;
+        };
+        let Some(hub) = service.repl_hub() else {
+            return;
+        };
+        let applied = hub.applied_seq();
+        if applied > acked {
+            let ack = ReplMsg::Ack {
+                epoch: hub.epoch(),
+                applied_seq: applied,
+            };
+            out.extend_from_slice(&ack.encode());
+            self.phase = Phase::Streaming { acked: applied };
         }
     }
-    Ok(())
+}
+
+/// The first address `leader` resolves to.
+fn resolve(leader: &str) -> io::Result<SocketAddr> {
+    leader.to_socket_addrs()?.next().ok_or_else(|| {
+        io::Error::new(
+            ErrorKind::InvalidInput,
+            "leader address resolves to nothing",
+        )
+    })
+}
+
+fn connect(leader: &str) -> io::Result<TcpStream> {
+    TcpStream::connect_timeout(&resolve(leader)?, CONNECT_TIMEOUT)
 }
 
 /// The highest sequence the local durability directory can recover to
@@ -468,8 +514,8 @@ fn local_recoverable_seq(dir: &Path) -> u64 {
 /// normal recover-and-audit path rebuilds exactly the leader's state.
 ///
 /// Returns `Ok(None)` when no transfer was needed (including an
-/// unreachable leader: the follower loop keeps retrying after the
-/// service is up). The caller passes `fsync` so the reset WAL is
+/// unreachable leader: the follower's link keeps redialing once the
+/// server runs). The caller passes `fsync` so the reset WAL is
 /// opened under the same policy the service will use.
 pub fn catch_up(
     leader: &str,
@@ -539,14 +585,17 @@ pub fn catch_up(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::Node;
     use crate::recovery::recover;
-    use crate::repl::ship::{Shipper, ShipperConfig};
+    use crate::repl::ship::ShipperConfig;
     use crate::repl::ReplHub;
+    use crate::server::Server;
     use crate::service::{AdmissionService, Durability};
     use crate::snapshot::SNAPSHOT_FILE;
     use crate::wal::encode_payload;
     use crate::GroupWal;
     use std::net::TcpListener;
+    use std::thread;
     use wormnet_topology::Mesh;
 
     fn mesh() -> Mesh {
@@ -560,9 +609,9 @@ mod tests {
         dir
     }
 
-    fn durable_leader(dir: &Path, snapshot_every: u64) -> Arc<AdmissionService> {
+    fn durable(dir: &Path, snapshot_every: u64) -> AdmissionService {
         let (state, wal, _) = recover(&mesh(), dir, FsyncPolicy::Always).unwrap();
-        let service = AdmissionService::with_durability(
+        AdmissionService::with_durability(
             mesh(),
             state,
             Durability {
@@ -570,22 +619,20 @@ mod tests {
                 wal: GroupWal::new(wal),
                 snapshot_every,
             },
-        );
-        service.attach_repl(Arc::new(ReplHub::leader()));
-        Arc::new(service)
+        )
     }
 
     /// Admits `n` streams on disjoint rows starting at `start`: the XY
     /// routes never share a link, so every admit succeeds.
-    fn admit_n(service: &AdmissionService, start: u64, n: u64) {
+    fn admit_n(node: &Node, start: u64, n: u64) {
+        let mut c = node.client().unwrap();
         for k in 0..n {
-            let row = (start + k) as u32;
+            let row = start + k;
             assert!(row < 8, "rows exhausted");
-            let r = service.admit(100 + start + k, (0, row), (5, row), 2, 50, 4, None);
-            assert!(
-                matches!(r, crate::protocol::Response::Admitted { .. }),
-                "{r:?}"
-            );
+            let r = c
+                .send(&format!("@{} ADMIT 0,{row} 5,{row} 2 50 4", 100 + row))
+                .unwrap();
+            assert!(r.contains("\"status\":\"admitted\""), "{r}");
         }
     }
 
@@ -600,44 +647,46 @@ mod tests {
         false
     }
 
+    /// A follower node of `leader` over an in-memory service whose hub
+    /// has seen `epoch`.
+    fn standby(leader: &str, epoch: u64, cfg: FollowerConfig) -> Node {
+        let mut service = AdmissionService::new(mesh());
+        let mut hub = ReplHub::follower(leader);
+        hub.observe_epoch(epoch);
+        service.attach_repl(hub);
+        let server = Server::bind(service, "127.0.0.1:0")
+            .unwrap()
+            .with_follower(cfg)
+            .unwrap();
+        Node::start(server).unwrap()
+    }
+
     #[test]
     fn follower_applies_the_leaders_stream_live() {
         let dir = tmpdir("live");
-        let leader = durable_leader(&dir, 0);
+        let leader = Node::leader(durable(&dir, 0), None, ShipperConfig::default()).unwrap();
         admit_n(&leader, 0, 3);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let shipper = Shipper::spawn(
-            listener,
-            Arc::clone(&leader),
-            ShipperConfig::new(dir.clone()),
-        )
-        .unwrap();
 
-        let standby = Arc::new(AdmissionService::new(mesh()));
-        standby.attach_repl(Arc::new(ReplHub::follower(&shipper.addr().to_string())));
-        let follower = Follower::spawn(
-            Arc::clone(&standby),
-            FollowerConfig::new(&shipper.addr().to_string()),
-        )
-        .unwrap();
-
+        let follower = standby(&leader.repl_addr, 1, FollowerConfig::new(&leader.repl_addr));
         assert!(
-            wait_until(Duration::from_secs(10), || standby.seq() >= 3),
-            "follower never applied the backlog (applied {})",
-            standby.seq()
+            wait_until(Duration::from_secs(10), || follower.gauge("applied_seq")
+                >= 3),
+            "follower never applied the backlog: {}",
+            follower.stats()
         );
         // Live tail: new leader writes flow through the open session.
         admit_n(&leader, 3, 2);
         assert!(
-            wait_until(Duration::from_secs(10), || standby.seq() >= 5),
-            "follower never applied the live tail (applied {})",
-            standby.seq()
+            wait_until(Duration::from_secs(10), || follower.gauge("applied_seq")
+                >= 5),
+            "follower never applied the live tail: {}",
+            follower.stats()
         );
+        let standby = follower.stop().unwrap();
+        let leader = leader.stop().unwrap();
         assert_eq!(standby.admitted_count(), leader.admitted_count());
         assert_eq!(standby.audit().unwrap(), 5);
-
-        follower.stop();
-        shipper.stop();
+        drop(leader);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -692,34 +741,26 @@ mod tests {
             }
         });
 
-        let standby = Arc::new(AdmissionService::new(mesh()));
-        standby.attach_repl(Arc::new(ReplHub::follower(&addr.to_string())));
-        let follower =
-            Follower::spawn(Arc::clone(&standby), FollowerConfig::new(&addr.to_string())).unwrap();
+        let addr = addr.to_string();
+        let follower = standby(&addr, 1, FollowerConfig::new(&addr));
         assert!(
-            wait_until(Duration::from_secs(10), || standby.seq() >= 1),
+            wait_until(Duration::from_secs(10), || follower.gauge("applied_seq")
+                >= 1),
             "the reconnect never delivered the honest frame"
         );
-        assert_eq!(standby.admitted_count(), 1);
-        follower.stop();
+        assert_eq!(follower.gauge("streams"), 1);
+        drop(follower.stop().unwrap());
         fake.join().unwrap();
     }
 
     #[test]
     fn deposed_leader_drops_a_follower_from_a_newer_epoch() {
         let dir = tmpdir("deposed");
-        let leader = durable_leader(&dir, 0);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let shipper = Shipper::spawn(
-            listener,
-            Arc::clone(&leader),
-            ShipperConfig::new(dir.clone()),
-        )
-        .unwrap();
+        let leader = Node::leader(durable(&dir, 0), None, ShipperConfig::default()).unwrap();
 
         // A peer from promotion epoch 99 says hello: the stale leader
         // must drop the connection rather than stream to it.
-        let mut s = TcpStream::connect(shipper.addr()).unwrap();
+        let mut s = TcpStream::connect(&leader.repl_addr).unwrap();
         write_msg(
             &mut s,
             &ReplMsg::Hello {
@@ -731,51 +772,34 @@ mod tests {
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let err = read_msg(&mut s).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err:?}");
+        assert_eq!(leader.gauge("fence_events"), 1, "{}", leader.stats());
 
-        shipper.stop();
+        drop(leader.stop().unwrap());
         fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A manually advanced clock for deterministic grace tests.
-    #[derive(Clone, Debug)]
-    struct TestClock(Arc<std::sync::Mutex<Instant>>);
-
-    impl TestClock {
-        fn new() -> TestClock {
-            TestClock(Arc::new(std::sync::Mutex::new(Instant::now())))
-        }
-
-        fn advance(&self, by: Duration) {
-            let mut t = self.0.lock().unwrap();
-            *t = t.checked_add(by).unwrap();
-        }
-    }
-
-    impl Clock for TestClock {
-        fn now(&self) -> Instant {
-            *self.0.lock().unwrap()
-        }
     }
 
     #[test]
     fn grace_timer_lapses_and_resets_deterministically() {
-        let clock = TestClock::new();
-        let mut timer = GraceTimer::new(Arc::new(clock.clone()));
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut timer = GraceTimer::new(t0);
         let grace = Duration::from_millis(100);
-        assert!(!timer.lapsed(grace), "fresh timer must not have lapsed");
-        clock.advance(Duration::from_millis(99));
-        assert!(!timer.lapsed(grace), "one ms short of the grace");
-        clock.advance(Duration::from_millis(1));
-        assert!(timer.lapsed(grace), "exactly the grace lapses");
+        assert!(
+            !timer.lapsed(at(0), grace),
+            "fresh timer must not have lapsed"
+        );
+        assert!(!timer.lapsed(at(99), grace), "one ms short of the grace");
+        assert!(timer.lapsed(at(100), grace), "exactly the grace lapses");
+        assert_eq!(timer.deadline(grace), at(100));
         // A heartbeat resets the window in full.
-        timer.touch();
-        assert!(!timer.lapsed(grace));
-        clock.advance(Duration::from_millis(99));
-        timer.touch(); // another heartbeat just in time
-        clock.advance(Duration::from_millis(99));
-        assert!(!timer.lapsed(grace), "each contact restarts the window");
-        clock.advance(Duration::from_millis(1));
-        assert!(timer.lapsed(grace));
+        timer.touch(at(100));
+        assert!(!timer.lapsed(at(100), grace));
+        timer.touch(at(199)); // another heartbeat just in time
+        assert!(
+            !timer.lapsed(at(298), grace),
+            "each contact restarts the window"
+        );
+        assert!(timer.lapsed(at(299), grace));
     }
 
     #[test]
@@ -806,15 +830,11 @@ mod tests {
             assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err:?}");
         });
 
-        let standby = Arc::new(AdmissionService::new(mesh()));
-        let hub = Arc::new(ReplHub::follower(&addr.to_string()));
-        hub.observe_epoch(5);
-        standby.attach_repl(hub);
-        let follower =
-            Follower::spawn(Arc::clone(&standby), FollowerConfig::new(&addr.to_string())).unwrap();
+        let addr = addr.to_string();
+        let follower = standby(&addr, 5, FollowerConfig::new(&addr));
         fake.join().unwrap();
-        follower.stop();
-        assert_eq!(standby.seq(), 0, "nothing from a stale leader applies");
+        let service = follower.stop().unwrap();
+        assert_eq!(service.seq(), 0, "nothing from a stale leader applies");
     }
 
     #[test]
@@ -843,16 +863,16 @@ mod tests {
             thread::sleep(Duration::from_millis(400));
         });
 
-        let standby = Arc::new(AdmissionService::new(mesh()));
-        let hub = Arc::new(ReplHub::follower(&addr.to_string()));
-        standby.attach_repl(Arc::clone(&hub));
-        let mut cfg = FollowerConfig::new(&addr.to_string());
+        let addr = addr.to_string();
+        let mut cfg = FollowerConfig::new(&addr);
         cfg.promote_grace = Some(Duration::from_millis(50));
-        let follower = Follower::spawn(Arc::clone(&standby), cfg).unwrap();
+        let follower = standby(&addr, 1, cfg);
         thread::sleep(Duration::from_millis(300));
+        let service = follower.stop().unwrap();
+        let hub = service.repl_hub().unwrap();
         assert!(hub.is_follower(), "an unsafe grace must never promote");
         assert_eq!(hub.epoch(), 1);
-        follower.stop();
+        drop(hub);
         fake.join().unwrap();
     }
 
@@ -862,31 +882,26 @@ mod tests {
         let follower_dir = tmpdir("catchup-follower");
         // Leader compacts aggressively: after a few ops the WAL base
         // has moved and a fresh follower needs the snapshot.
-        let leader = durable_leader(&leader_dir, 2);
+        let leader = Node::leader(durable(&leader_dir, 2), None, ShipperConfig::default()).unwrap();
         admit_n(&leader, 0, 5);
+        let base = || {
+            let bytes = fs::read(leader_dir.join(WAL_FILE)).unwrap();
+            FrameIter::new(&bytes).unwrap().base_seq()
+        };
         assert!(
-            leader.wal_base_seq().unwrap() > 0,
+            base() > 0,
             "compaction never fired; the scenario needs a moved base"
         );
 
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let shipper = Shipper::spawn(
-            listener,
-            Arc::clone(&leader),
-            ShipperConfig::new(leader_dir.clone()),
-        )
-        .unwrap();
-        let addr = shipper.addr().to_string();
-
         let outcome = catch_up(
-            &addr,
+            &leader.repl_addr,
             &follower_dir,
             FsyncPolicy::Always,
             &CatchupOpts::default(),
         )
         .unwrap()
         .expect("a fresh follower behind a compacted WAL needs the snapshot");
-        assert_eq!(outcome.snap_seq, leader.wal_base_seq().unwrap());
+        assert_eq!(outcome.snap_seq, base());
         // The local WAL now continues exactly from the snapshot.
         let bytes = fs::read(follower_dir.join(WAL_FILE)).unwrap();
         assert_eq!(FrameIter::new(&bytes).unwrap().base_seq(), outcome.snap_seq);
@@ -899,7 +914,7 @@ mod tests {
             "recoverable seq must reflect the installed snapshot"
         );
 
-        shipper.stop();
+        drop(leader.stop().unwrap());
         fs::remove_dir_all(&leader_dir).ok();
         fs::remove_dir_all(&follower_dir).ok();
     }

@@ -12,13 +12,15 @@
 //! published is ever rolled back).
 //!
 //! - [`proto`] — the length-prefixed TCP message set.
-//! - [`ship`] — the leader side: a listener plus one session thread
-//!   per follower, streaming frames and serving snapshot chunks.
+//! - [`ship`] — the leader side: one non-blocking session per
+//!   follower on the server's reactor, streaming frames and serving
+//!   snapshot chunks.
 //! - [`catchup`] — the follower's resumable chunked snapshot
 //!   transfer (offset manifest on disk; completed chunks are never
 //!   re-fetched).
-//! - [`follower`] — the follower side: connect/apply loop, lag
-//!   tracking, and promotion on leader loss after a grace period.
+//! - [`follower`] — the follower side: the link to the leader (dial,
+//!   apply, ack, reconnect), promotion on leader loss after a grace
+//!   period, and fence delivery, all driven by the reactor.
 //!
 //! ## Roles and promotion
 //!
@@ -32,277 +34,231 @@
 //! state is reloaded; A107/A108 via [`crate::audit`] when promoting
 //! live), so a new leader never starts from an unchecked state.
 //!
-//! ## Locking
+//! ## Ownership
 //!
-//! The hub's mutable state (leader address, per-follower progress)
-//! lives in one [`TrackedMutex`] at rank `repl.state` (35): above the
-//! service's state lock, below both WAL locks, so a shipper may hold
-//! it while consulting the group-commit frontiers and the service may
-//! publish progress while holding its own lock. Scalars every request
-//! path reads (role, epoch, applied sequence) are plain atomics.
+//! The hub is plain data owned by the service, and the service is owned
+//! by the server's reactor thread: ship sessions, the follower link and
+//! client requests all read and update it from that one thread, in
+//! sequence. No field needs a lock or an atomic.
 
 pub mod catchup;
 pub mod follower;
 pub mod proto;
 pub mod ship;
 
-use crate::lock_order::{classes, TrackedMutex};
 use crate::protocol::{FollowerLag, ReplReport};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Sentinel for "no follower ack heard yet": the lease is not armed
-/// until the first ack, so a leader that never had a follower never
-/// seals (nobody exists who could promote against it).
-const LEASE_UNARMED: u64 = u64::MAX;
-
-/// Shared replication state: role, epoch, and progress gauges. One hub
-/// is attached to the [`crate::service::AdmissionService`] of every
-/// node that participates in replication (leader or follower).
+/// Replication state: role, epoch, and progress gauges. One hub is
+/// attached to the [`crate::service::AdmissionService`] of every node
+/// that participates in replication (leader or follower).
 #[derive(Debug)]
 pub struct ReplHub {
-    /// Role and epoch packed into one word (`epoch << 1 | follower`),
-    /// so the pair is always published and read atomically: a reader
-    /// that observes the leader role also observes the epoch that role
-    /// was taken under.
-    state: AtomicU64,
+    /// This node is a follower (applies frames, redirects writes).
+    follower: bool,
+    /// The promotion epoch the role was taken under.
+    epoch: u64,
     /// Highest replicated sequence applied locally (followers).
-    applied: AtomicU64,
+    applied: u64,
     /// The leader's sync frontier as last heard (followers).
-    source_synced: AtomicU64,
-    /// Write lease in ms (0 = no lease configured).
-    lease_ms: AtomicU64,
-    /// Milliseconds since `base` of the last follower ack heard
-    /// (leader side); [`LEASE_UNARMED`] until the first ack.
-    last_ack_ms: AtomicU64,
+    source_synced: u64,
+    /// Write lease (zero = no lease configured).
+    lease: Duration,
+    /// When the last follower ack was heard (leader side); `None`
+    /// until the first ack, so a leader that never had a follower
+    /// never seals (nobody exists who could promote against it).
+    last_ack: Option<Instant>,
     /// True while the lease has lapsed: writes shed with `sealed`.
-    sealed: AtomicBool,
+    sealed: bool,
     /// True once a higher epoch was learned: permanently demoted.
-    fenced: AtomicBool,
+    fenced: bool,
     /// How many fence events this node has processed.
-    fence_events: AtomicU64,
+    fence_events: u64,
     /// Operations audited as divergent at the last fence.
-    divergence: AtomicU64,
-    /// Monotonic base for the lease clock.
-    base: Instant,
-    /// Leader address + per-follower acked sequences.
-    shared: TrackedMutex<Shared>,
-}
-
-#[derive(Debug)]
-struct Shared {
+    divergence: u64,
     /// Where writes should go (the `not_leader` redirect target while
     /// a follower; informational once promoted).
     leader_addr: String,
-    /// Peer address -> highest acked sequence, for connected
-    /// followers (leader side).
-    followers: HashMap<String, u64>,
+    /// Peer address -> progress, for connected followers (leader side).
+    followers: HashMap<String, Progress>,
+}
+
+/// A connected follower's progress as the leader sees it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Progress {
+    /// Highest sequence the follower acknowledged.
+    acked: u64,
+    /// Bytes queued for it that its socket has not taken yet.
+    unsent: u64,
 }
 
 impl ReplHub {
-    fn new(follower: bool, epoch: u64, leader_addr: String) -> ReplHub {
+    fn new(follower: bool, leader_addr: String) -> ReplHub {
         ReplHub {
-            state: AtomicU64::new(epoch << 1 | u64::from(follower)),
-            applied: AtomicU64::new(0),
-            source_synced: AtomicU64::new(0),
-            lease_ms: AtomicU64::new(0),
-            last_ack_ms: AtomicU64::new(LEASE_UNARMED),
-            sealed: AtomicBool::new(false),
-            fenced: AtomicBool::new(false),
-            fence_events: AtomicU64::new(0),
-            divergence: AtomicU64::new(0),
-            base: Instant::now(),
-            shared: TrackedMutex::new(
-                &classes::REPL_STATE,
-                Shared {
-                    leader_addr,
-                    followers: HashMap::new(),
-                },
-            ),
+            follower,
+            epoch: 1,
+            applied: 0,
+            source_synced: 0,
+            lease: Duration::ZERO,
+            last_ack: None,
+            sealed: false,
+            fenced: false,
+            fence_events: 0,
+            divergence: 0,
+            leader_addr,
+            followers: HashMap::new(),
         }
     }
 
     /// A hub for a node born leader (epoch 1).
     pub fn leader() -> ReplHub {
-        ReplHub::new(false, 1, String::new())
+        ReplHub::new(false, String::new())
     }
 
     /// A hub for a follower of `leader_addr` (epoch 1 until promoted).
     pub fn follower(leader_addr: &str) -> ReplHub {
-        ReplHub::new(true, 1, leader_addr.to_string())
+        ReplHub::new(true, leader_addr.to_string())
     }
 
     /// Is this node currently a follower?
     pub fn is_follower(&self) -> bool {
-        self.state.load(Ordering::Acquire) & 1 == 1
+        self.follower
     }
 
     /// The current promotion epoch.
     pub fn epoch(&self) -> u64 {
-        self.state.load(Ordering::Acquire) >> 1
+        self.epoch
     }
 
     /// Adopts a higher epoch heard over the wire without changing the
     /// role (a follower tracking its leader's promotions).
-    pub fn observe_epoch(&self, epoch: u64) {
-        let _ = self
-            .state
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                (epoch > cur >> 1).then_some(epoch << 1 | (cur & 1))
-            });
+    pub fn observe_epoch(&mut self, epoch: u64) {
+        self.epoch = self.epoch.max(epoch);
     }
 
     /// Where writes should be sent (the redirect target).
-    pub fn leader_addr(&self) -> String {
-        self.shared.lock().leader_addr.clone()
+    pub fn leader_addr(&self) -> &str {
+        &self.leader_addr
     }
 
     /// Highest replicated sequence applied locally.
     pub fn applied_seq(&self) -> u64 {
-        self.applied.load(Ordering::Relaxed)
+        self.applied
     }
 
     /// Records replicated progress (monotonic).
-    pub fn set_applied(&self, seq: u64) {
-        self.applied.fetch_max(seq, Ordering::Relaxed);
+    pub fn set_applied(&mut self, seq: u64) {
+        self.applied = self.applied.max(seq);
     }
 
     /// Records the leader's sync frontier as heard over the wire.
-    pub fn note_source_synced(&self, seq: u64) {
-        self.source_synced.fetch_max(seq, Ordering::Relaxed);
+    pub fn note_source_synced(&mut self, seq: u64) {
+        self.source_synced = self.source_synced.max(seq);
     }
 
     /// The leader's sync frontier as last heard.
     pub fn source_synced(&self) -> u64 {
-        self.source_synced.load(Ordering::Relaxed)
+        self.source_synced
     }
 
     /// Leader side: records a connected follower's progress (from a
     /// `Hello`; does NOT feed the lease — see [`Self::note_follower_ack`]).
-    pub fn note_follower(&self, peer: &str, acked_seq: u64) {
-        let mut s = self.shared.lock();
-        let e = s.followers.entry(peer.to_string()).or_insert(0);
-        *e = (*e).max(acked_seq);
+    pub fn note_follower(&mut self, peer: &str, acked_seq: u64) {
+        let p = self.followers.entry(peer.to_string()).or_default();
+        p.acked = p.acked.max(acked_seq);
     }
 
     /// Leader side: records an `Ack` — progress plus the lease clock.
     /// An ack is a *response*, so it proves the follower heard leader
     /// traffic moments ago; that round-trip evidence is what makes
-    /// `lease < grace` a no-dual-ack guarantee.
-    pub fn note_follower_ack(&self, peer: &str, acked_seq: u64) {
+    /// `lease < grace` a no-dual-ack guarantee. (A `Hello` only proves
+    /// the follower-to-leader direction works, which is not enough
+    /// under a one-way blackhole.)
+    pub fn note_follower_ack(&mut self, peer: &str, acked_seq: u64) {
         self.note_follower(peer, acked_seq);
-        self.note_lease_contact();
+        self.last_ack = Some(Instant::now());
+    }
+
+    /// Leader side: the bytes queued for `peer` that its socket has not
+    /// taken yet (the `STATS` gauge of a slow follower).
+    pub fn note_unsent(&mut self, peer: &str, bytes: usize) {
+        if let Some(p) = self.followers.get_mut(peer) {
+            p.unsent = bytes as u64;
+        }
     }
 
     /// Leader side: forgets a disconnected follower.
-    pub fn drop_follower(&self, peer: &str) {
-        self.shared.lock().followers.remove(peer);
+    pub fn drop_follower(&mut self, peer: &str) {
+        self.followers.remove(peer);
     }
 
     /// Flips this node to leader under a fresh epoch; returns the
     /// (possibly unchanged) epoch. Promoting an existing leader is a
-    /// true no-op: the role and epoch move together in one CAS, so a
-    /// reader can never observe the leader role paired with a stale
-    /// epoch, and concurrent promotions bump the epoch exactly once.
-    pub fn promote(&self) -> u64 {
-        loop {
-            let cur = self.state.load(Ordering::Acquire);
-            if cur & 1 == 0 {
-                return cur >> 1; // already leader: nothing to do
-            }
-            let next = ((cur >> 1) + 1) << 1;
-            if self
-                .state
-                .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return next >> 1;
-            }
+    /// no-op.
+    pub fn promote(&mut self) -> u64 {
+        if self.follower {
+            self.follower = false;
+            self.epoch += 1;
         }
+        self.epoch
     }
 
     /// Arms the write lease: a leader sheds writes with `sealed` once
     /// this long passes without hearing a follower ack.
-    pub fn set_lease(&self, lease: std::time::Duration) {
-        self.lease_ms.store(
-            u64::try_from(lease.as_millis()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+    pub fn set_lease(&mut self, lease: Duration) {
+        self.lease = lease;
     }
 
     /// The configured lease in milliseconds (0 = none).
     pub fn lease_ms(&self) -> u64 {
-        self.lease_ms.load(Ordering::Relaxed)
+        u64::try_from(self.lease.as_millis()).unwrap_or(u64::MAX)
     }
 
-    /// Milliseconds on the hub's monotonic lease clock.
-    fn now_ms(&self) -> u64 {
-        u64::try_from(self.base.elapsed().as_millis()).unwrap_or(u64::MAX - 1)
-    }
-
-    /// Records a follower ack on the lease clock (the only traffic
-    /// that proves the follower heard us recently — a `Hello` only
-    /// proves the follower-to-leader direction works, which is not
-    /// enough under a one-way blackhole).
-    fn note_lease_contact(&self) {
-        let now = self.now_ms();
-        // Not `fetch_max`: the unarmed sentinel is `u64::MAX`, which
-        // would win every max and keep the lease unarmed forever.
-        let _ = self
-            .last_ack_ms
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| {
-                (last == LEASE_UNARMED || now > last).then_some(now)
-            });
-    }
-
-    /// The seal decision at `now_ms`, split out so the state machine
-    /// is unit-testable without waiting out a real lease. Seals when
-    /// the armed lease has lapsed; un-seals when contact returns (a
-    /// healed partition whose follower never promoted).
-    fn seal_check(&self, now_ms: u64) -> bool {
-        if self.fenced.load(Ordering::Acquire) {
+    /// The seal decision at `now`, split out so the state machine is
+    /// unit-testable without waiting out a real lease. Seals when the
+    /// armed lease has lapsed; un-seals when contact returns (a healed
+    /// partition whose follower never promoted).
+    fn seal_check(&mut self, now: Instant) -> bool {
+        if self.fenced {
             return true;
         }
-        let lease = self.lease_ms.load(Ordering::Relaxed);
-        if lease == 0 || self.is_follower() {
+        if self.lease.is_zero() || self.follower {
             return false;
         }
-        let last = self.last_ack_ms.load(Ordering::Relaxed);
-        if last == LEASE_UNARMED {
+        let Some(last) = self.last_ack else {
             return false;
-        }
-        let lapsed = now_ms.saturating_sub(last) > lease;
-        self.sealed.store(lapsed, Ordering::Release);
-        lapsed
+        };
+        self.sealed = now.saturating_duration_since(last) > self.lease;
+        self.sealed
     }
 
     /// Should the write path shed with `sealed` right now? Evaluated
     /// lazily on every write, so the seal takes effect at the first
     /// write after the lease lapses.
-    pub fn write_sealed(&self) -> bool {
-        self.seal_check(self.now_ms())
+    pub fn write_sealed(&mut self) -> bool {
+        self.seal_check(Instant::now())
     }
 
     /// Is the node currently sealed (gauge; updated by the write
     /// path's lease checks)?
     pub fn is_sealed(&self) -> bool {
-        self.sealed.load(Ordering::Acquire) || self.fenced.load(Ordering::Acquire)
+        self.sealed || self.fenced
     }
 
     /// Has this node been permanently demoted by a higher epoch?
     pub fn is_fenced(&self) -> bool {
-        self.fenced.load(Ordering::Acquire)
+        self.fenced
     }
 
     /// Fence events processed (gauge).
     pub fn fence_events(&self) -> u64 {
-        self.fence_events.load(Ordering::Relaxed)
+        self.fence_events
     }
 
     /// Operations audited as divergent at the last fence (gauge).
     pub fn divergence_ops(&self) -> u64 {
-        self.divergence.load(Ordering::Relaxed)
+        self.divergence
     }
 
     /// Permanently demotes this node under `epoch` (a higher epoch
@@ -312,22 +268,18 @@ impl ReplHub {
     /// redirect target; `divergence` is the audited count of acked
     /// operations the new leader never saw. Returns `false` when the
     /// fence is stale (its epoch does not exceed ours).
-    pub fn fence(&self, epoch: u64, new_leader: &str, divergence: u64) -> bool {
-        let raised = self
-            .state
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                (epoch > cur >> 1).then_some(epoch << 1 | 1)
-            })
-            .is_ok();
-        if !raised {
+    pub fn fence(&mut self, epoch: u64, new_leader: &str, divergence: u64) -> bool {
+        if epoch <= self.epoch {
             return false;
         }
-        self.fenced.store(true, Ordering::Release);
-        self.sealed.store(true, Ordering::Release);
-        self.fence_events.fetch_add(1, Ordering::Relaxed);
-        self.divergence.store(divergence, Ordering::Relaxed);
+        self.epoch = epoch;
+        self.follower = true;
+        self.fenced = true;
+        self.sealed = true;
+        self.fence_events += 1;
+        self.divergence = divergence;
         if !new_leader.is_empty() {
-            self.shared.lock().leader_addr = new_leader.to_string();
+            self.leader_addr = new_leader.to_string();
         }
         true
     }
@@ -337,45 +289,44 @@ impl ReplHub {
     /// or the applied sequence for a node without local durability.
     /// `ship_frontier` is what the shipper measures follower lag
     /// against (leader only; pass `wal_synced` when in doubt).
-    pub fn report(&self, wal_synced: u64, ship_frontier: u64) -> ReplReport {
-        if self.is_follower() {
-            let applied = self.applied_seq();
-            ReplReport {
+    pub fn report(&mut self, wal_synced: u64, ship_frontier: u64) -> ReplReport {
+        if self.follower {
+            return ReplReport {
                 role: "follower",
-                epoch: self.epoch(),
+                epoch: self.epoch,
                 wal_last_synced_seq: wal_synced,
-                applied_seq: Some(applied),
-                replication_lag_frames: self.source_synced().saturating_sub(applied),
+                applied_seq: Some(self.applied),
+                replication_lag_frames: self.source_synced.saturating_sub(self.applied),
                 followers: Vec::new(),
                 sealed: self.is_sealed(),
                 lease_ms: self.lease_ms(),
-                fence_events: self.fence_events(),
-            }
-        } else {
-            let s = self.shared.lock();
-            let mut followers: Vec<FollowerLag> = s
-                .followers
-                .iter()
-                .map(|(peer, &acked)| FollowerLag {
-                    peer: peer.clone(),
-                    acked_seq: acked,
-                    lag_frames: ship_frontier.saturating_sub(acked),
-                })
-                .collect();
-            drop(s);
-            followers.sort_by(|a, b| a.peer.cmp(&b.peer));
-            let max_lag = followers.iter().map(|f| f.lag_frames).max().unwrap_or(0);
-            ReplReport {
-                role: "leader",
-                epoch: self.epoch(),
-                wal_last_synced_seq: wal_synced,
-                applied_seq: None,
-                replication_lag_frames: max_lag,
-                followers,
-                sealed: self.write_sealed(),
-                lease_ms: self.lease_ms(),
-                fence_events: self.fence_events(),
-            }
+                fence_events: self.fence_events,
+                divergence_ops: self.divergence,
+            };
+        }
+        let mut followers: Vec<FollowerLag> = self
+            .followers
+            .iter()
+            .map(|(peer, p)| FollowerLag {
+                peer: peer.clone(),
+                acked_seq: p.acked,
+                lag_frames: ship_frontier.saturating_sub(p.acked),
+                unsent_bytes: p.unsent,
+            })
+            .collect();
+        followers.sort_by(|a, b| a.peer.cmp(&b.peer));
+        let max_lag = followers.iter().map(|f| f.lag_frames).max().unwrap_or(0);
+        ReplReport {
+            role: "leader",
+            epoch: self.epoch,
+            wal_last_synced_seq: wal_synced,
+            applied_seq: None,
+            replication_lag_frames: max_lag,
+            followers,
+            sealed: self.write_sealed(),
+            lease_ms: self.lease_ms(),
+            fence_events: self.fence_events,
+            divergence_ops: self.divergence,
         }
     }
 }
@@ -384,9 +335,17 @@ impl ReplHub {
 mod tests {
     use super::*;
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn later(n: u64) -> Instant {
+        Instant::now() + ms(n)
+    }
+
     #[test]
     fn promotion_flips_role_and_bumps_epoch() {
-        let hub = ReplHub::follower("127.0.0.1:7000");
+        let mut hub = ReplHub::follower("127.0.0.1:7000");
         assert!(hub.is_follower());
         assert_eq!(hub.epoch(), 1);
         assert_eq!(hub.leader_addr(), "127.0.0.1:7000");
@@ -397,49 +356,49 @@ mod tests {
 
     #[test]
     fn promoting_a_leader_is_a_true_no_op() {
-        let hub = ReplHub::leader();
+        let mut hub = ReplHub::leader();
         assert_eq!(hub.epoch(), 1);
         assert_eq!(hub.promote(), 1, "a leader's epoch must not bump");
         assert_eq!(hub.epoch(), 1);
         assert!(!hub.is_follower());
         // A real promotion still bumps exactly once.
-        let hub = ReplHub::follower("x");
+        let mut hub = ReplHub::follower("x");
         assert_eq!(hub.promote(), 2);
         assert_eq!(hub.promote(), 2, "second promote is a no-op");
     }
 
     #[test]
     fn lease_seal_state_machine() {
-        let hub = ReplHub::leader();
+        let mut hub = ReplHub::leader();
         // No lease configured: never seals.
-        assert!(!hub.seal_check(10_000_000));
-        hub.set_lease(std::time::Duration::from_millis(100));
+        assert!(!hub.seal_check(later(10_000)));
+        hub.set_lease(ms(100));
         // Lease armed only by the first ack.
-        assert!(!hub.seal_check(10_000_000), "unarmed lease never seals");
+        assert!(!hub.seal_check(later(10_000)), "unarmed lease never seals");
         hub.note_follower_ack("f:1", 3);
-        let t0 = hub.last_ack_ms.load(Ordering::Relaxed);
-        assert!(!hub.seal_check(t0 + 100), "within the lease");
-        assert!(hub.seal_check(t0 + 101), "past the lease");
+        let t0 = hub.last_ack.unwrap();
+        assert!(!hub.seal_check(t0 + ms(100)), "within the lease");
+        assert!(hub.seal_check(t0 + ms(101)), "past the lease");
         assert!(hub.is_sealed());
         // Contact returning (healed partition, no promotion) un-seals.
         hub.note_follower_ack("f:1", 4);
-        let t1 = hub.last_ack_ms.load(Ordering::Relaxed);
-        assert!(!hub.seal_check(t1 + 1));
+        let t1 = hub.last_ack.unwrap();
+        assert!(!hub.seal_check(t1 + ms(1)));
         assert!(!hub.is_sealed());
     }
 
     #[test]
     fn followers_and_unleased_leaders_never_seal() {
-        let hub = ReplHub::follower("x");
-        hub.set_lease(std::time::Duration::from_millis(1));
+        let mut hub = ReplHub::follower("x");
+        hub.set_lease(ms(1));
         hub.note_follower_ack("f:1", 1);
-        assert!(!hub.seal_check(u64::MAX - 2), "followers have no lease");
+        assert!(!hub.seal_check(later(1_000_000)), "followers have no lease");
     }
 
     #[test]
     fn fencing_is_permanent_and_epoch_guarded() {
-        let hub = ReplHub::leader();
-        hub.set_lease(std::time::Duration::from_millis(50));
+        let mut hub = ReplHub::leader();
+        hub.set_lease(ms(50));
         // A stale fence (epoch not above ours) is refused.
         assert!(!hub.fence(1, "new:1", 0));
         assert!(!hub.is_fenced());
@@ -454,7 +413,7 @@ mod tests {
         // Fenced wins over fresh contact: no un-seal, no promotion.
         hub.note_follower_ack("f:1", 9);
         assert!(hub.is_sealed());
-        assert!(hub.seal_check(hub.now_ms()));
+        assert!(hub.seal_check(Instant::now()));
         // Duplicate fence at the same epoch is ignored.
         assert!(!hub.fence(3, "other:2", 1));
         assert_eq!(hub.fence_events(), 1);
@@ -463,7 +422,7 @@ mod tests {
 
     #[test]
     fn observe_epoch_tracks_without_role_change() {
-        let hub = ReplHub::follower("x");
+        let mut hub = ReplHub::follower("x");
         hub.observe_epoch(5);
         assert_eq!(hub.epoch(), 5);
         assert!(hub.is_follower());
@@ -473,7 +432,7 @@ mod tests {
 
     #[test]
     fn progress_gauges_are_monotonic() {
-        let hub = ReplHub::follower("x");
+        let mut hub = ReplHub::follower("x");
         hub.set_applied(5);
         hub.set_applied(3); // stale write must not regress
         assert_eq!(hub.applied_seq(), 5);
@@ -488,7 +447,7 @@ mod tests {
 
     #[test]
     fn leader_report_takes_max_follower_lag() {
-        let hub = ReplHub::leader();
+        let mut hub = ReplHub::leader();
         hub.note_follower("a:1", 10);
         hub.note_follower("b:2", 7);
         hub.note_follower("a:1", 9); // stale ack must not regress
@@ -498,6 +457,11 @@ mod tests {
         assert_eq!(r.followers.len(), 2);
         assert_eq!(r.followers[0].peer, "a:1");
         assert_eq!(r.followers[0].lag_frames, 2);
+        hub.note_unsent("a:1", 300);
+        hub.note_unsent("gone:3", 9); // not connected: ignored
+        let r = hub.report(12, 12);
+        assert_eq!(r.followers.len(), 2);
+        assert_eq!(r.followers[0].unsent_bytes, 300);
         hub.drop_follower("b:2");
         assert_eq!(hub.report(12, 12).replication_lag_frames, 2);
     }

@@ -352,6 +352,32 @@ impl ReplMsg {
     }
 }
 
+/// Cuts the next whole message off the front of `buf[*at..]`, the
+/// receive buffer of a non-blocking connection, and advances `at` past
+/// it. `Ok(None)` until the message's last byte has arrived; the errors
+/// are [`read_msg`]'s `InvalidData` cases.
+pub fn take_msg(buf: &[u8], at: &mut usize) -> io::Result<Option<ReplMsg>> {
+    let rest = &buf[*at..];
+    let Some(len4) = rest.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(len4.try_into().expect("4 bytes")) as usize;
+    if len == 0 || len > MAX_BODY {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("replication message length {len} out of range"),
+        ));
+    }
+    let Some(frame) = rest.get(4..4 + len) else {
+        return Ok(None);
+    };
+    let msg = ReplMsg::decode(frame).ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, "malformed replication message")
+    })?;
+    *at += 4 + len;
+    Ok(Some(msg))
+}
+
 /// Writes one message to `w` (no flush; TCP streams here are
 /// `TCP_NODELAY`).
 pub fn write_msg(w: &mut impl Write, msg: &ReplMsg) -> io::Result<()> {
@@ -440,6 +466,31 @@ mod tests {
             applied_seq: 40,
             addr: String::new(),
         });
+    }
+
+    #[test]
+    fn take_msg_waits_for_the_last_byte_then_cuts_one_message() {
+        let a = ReplMsg::Ack {
+            epoch: 2,
+            applied_seq: 9,
+        };
+        let b = ReplMsg::GetChunk { index: 4 };
+        let mut wire = a.encode();
+        wire.extend_from_slice(&b.encode());
+        // Every strict prefix of the first message is incomplete.
+        let first = a.encode().len();
+        for cut in 0..first {
+            let mut at = 0;
+            assert_eq!(take_msg(&wire[..cut], &mut at).unwrap(), None, "{cut}");
+            assert_eq!(at, 0);
+        }
+        let mut at = 0;
+        assert_eq!(take_msg(&wire, &mut at).unwrap(), Some(a));
+        assert_eq!(take_msg(&wire, &mut at).unwrap(), Some(b));
+        assert_eq!((take_msg(&wire, &mut at).unwrap(), at), (None, wire.len()));
+        // An out-of-range length is an error, not a wait.
+        let big = (MAX_BODY as u32 + 1).to_le_bytes();
+        assert!(take_msg(&big, &mut 0).is_err());
     }
 
     #[test]

@@ -1,336 +1,341 @@
-//! The leader side of replication: a listener plus one session thread
-//! per connected follower.
+//! The leader side of replication: one session per connected follower,
+//! run on the server's reactor.
 //!
-//! Each session is a tiny state machine over one TCP connection. The
-//! read timeout doubles as the pacing clock: every cycle the session
-//! first drains whatever the follower sent (`Hello`, `Ack`,
-//! `GetChunk`), then ships WAL frames between the follower's cursor
-//! and the durable frontier, opening a chunked snapshot transfer when
-//! the follower is behind the compacted WAL base, and finally emits a
-//! heartbeat when the link has been quiet.
+//! A `ShipSession` is a state machine over one non-blocking
+//! connection; it owns no socket. The reactor hands it every whole
+//! message the follower sent (`Hello`, `Ack`, `GetChunk`, `Fence`) in
+//! `ShipSession::on_msg`, and at the end of every pass — and at the
+//! session's heartbeat deadline — lets it ship in `ShipSession::pump`:
+//! the WAL frames between the follower's cursor and the durable
+//! frontier, a chunked snapshot transfer when the follower is behind the
+//! compacted WAL base, and a heartbeat when the link has been quiet.
+//! Both write into the connection's output buffer, which the reactor
+//! drains as fast as the socket takes it.
 //!
-//! The shipper never touches the group-commit internals: it re-reads
-//! the WAL *file* with [`FrameIter`] and trusts
-//! [`AdmissionService::ship_frontier`] for what is safe to publish.
-//! Transient file races with a concurrent compaction (the file being
-//! swapped under us, a half-written snapshot) are simply skipped —
-//! the next cycle sees a consistent pair. During a snapshot transfer
-//! the whole image is pinned in memory, so a compaction replacing
-//! `snapshot.bin` mid-transfer cannot tear the bytes being served.
+//! **A slow follower costs the leader at most [`MAX_UNSENT`] bytes.** A
+//! session queues frames only while its unsent output is under that
+//! cap, and the reactor reads a follower's next request only while its
+//! reply would fit (`ShipSession::takes_requests`). A follower that
+//! stops reading therefore stalls its own stream and nothing else: the
+//! frames it has not been sent stay in the WAL file, and its cursor
+//! resumes from there when its socket drains.
+//!
+//! The shipper never touches the group-commit internals: it reads the
+//! WAL *file* with [`FrameIter`] and trusts
+//! [`AdmissionService::ship_frontier`] for what is safe to publish. It
+//! remembers where in the file its follower's next frame starts, and
+//! reads from there no more bytes than the cap has room for, so a pass
+//! costs what it ships, not the length of the log. A frame it cannot
+//! parse yet (the interval flusher is still writing it) waits for the
+//! next pass. During a
+//! snapshot transfer the whole image is pinned in memory, so a
+//! compaction replacing `snapshot.bin` mid-transfer cannot tear the
+//! bytes being served.
 
 use super::catchup::chunk_reply;
-use super::proto::{read_msg, write_msg, ReplMsg, DEFAULT_CHUNK};
+use super::proto::{ReplMsg, DEFAULT_CHUNK};
 use crate::service::AdmissionService;
 use crate::snapshot::{parse_snapshot, SNAPSHOT_FILE};
 use crate::wal::{FrameIter, WAL_FILE};
-use std::fs;
-use std::io::{self, ErrorKind};
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::fs::{self, File};
+use std::io::{self, ErrorKind, Read, Seek, SeekFrom};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Knobs for the leader's replication listener.
+/// Most bytes a ship session holds queued for a follower whose socket
+/// has not taken them. A fixed bound, not a knob: it is what one slow
+/// follower may cost the leader in memory.
+pub const MAX_UNSENT: usize = 256 * 1024;
+
+/// Room a reply needs beyond its payload: the length prefix, the tag
+/// and the fixed fields of the largest message.
+const HEADROOM: usize = 64;
+
+/// Bytes of the WAL header: magic and base sequence.
+const WAL_HEADER: usize = crate::wal::WAL_HEADER_BYTES as usize;
+
+/// Knobs for the leader's ship sessions.
 #[derive(Clone, Debug)]
 pub struct ShipperConfig {
-    /// The leader's durability directory (WAL + snapshot live here).
-    pub dir: PathBuf,
     /// Snapshot-transfer chunk size, bytes.
     pub chunk_size: u32,
-    /// Per-cycle read timeout; also the shipping poll interval.
-    pub poll: Duration,
     /// Heartbeat interval on a quiet link.
     pub heartbeat: Duration,
 }
 
-impl ShipperConfig {
-    /// Defaults for `dir`: 64 KiB chunks, 25 ms poll, 250 ms
-    /// heartbeat.
-    pub fn new(dir: PathBuf) -> ShipperConfig {
+impl Default for ShipperConfig {
+    /// 64 KiB chunks, 250 ms heartbeat.
+    fn default() -> ShipperConfig {
         ShipperConfig {
-            dir,
             chunk_size: DEFAULT_CHUNK,
-            poll: Duration::from_millis(25),
             heartbeat: Duration::from_millis(250),
         }
     }
 }
 
-/// The running replication listener. Dropping it without [`Shipper::stop`]
-/// detaches the threads (they exit with the process); `stop` joins
-/// them.
+/// Whether `len` more bytes may be queued behind `unsent` ones. An empty
+/// queue takes any one message, so a message larger than the cap still
+/// goes out, alone.
+fn fits(unsent: usize, len: usize) -> bool {
+    unsent == 0 || unsent + len <= MAX_UNSENT
+}
+
+/// What the reactor does with a session after a message.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// Keep serving the follower.
+    Open,
+    /// Send what is queued, then close.
+    Close,
+}
+
+/// One follower's session, leader side.
 #[derive(Debug)]
-pub struct Shipper {
-    stop: Arc<AtomicBool>,
-    addr: std::net::SocketAddr,
-    accept: Option<thread::JoinHandle<()>>,
+pub(crate) struct ShipSession {
+    peer: String,
+    /// Where this follower is: `None` until its Hello arrives.
+    cursor: Option<u64>,
+    /// The snapshot image being transferred. Frame shipping pauses
+    /// until the follower re-Hellos at the snapshot sequence.
+    xfer: Option<Vec<u8>>,
+    /// How far into the WAL file this session has read: the file's
+    /// base sequence, and the byte offset where the frame after the
+    /// given sequence starts. Stale once the base moves (a compaction)
+    /// or the cursor is rewound behind it (a re-Hello).
+    tail: Option<(u64, u64, u64)>,
+    /// Last time anything went out; the heartbeat clock.
+    last_beat: Instant,
 }
 
-impl Shipper {
-    /// Starts accepting followers on `listener`. The service must have
-    /// a [`crate::repl::ReplHub`] attached and local durability (the
-    /// WAL file is what gets shipped).
-    pub fn spawn(
-        listener: TcpListener,
-        service: Arc<AdmissionService>,
-        cfg: ShipperConfig,
-    ) -> io::Result<Shipper> {
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept = thread::Builder::new()
-            .name("repl-ship".to_string())
-            .spawn(move || accept_loop(listener, service, cfg, accept_stop))?;
-        Ok(Shipper {
-            stop,
-            addr,
-            accept: Some(accept),
-        })
-    }
-
-    /// The bound replication address (useful with port 0).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, closes every session, and joins the threads.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+impl ShipSession {
+    /// A session for the follower at `peer`, connected at `now`.
+    pub(crate) fn new(peer: String, now: Instant) -> ShipSession {
+        ShipSession {
+            peer,
+            cursor: None,
+            xfer: None,
+            tail: None,
+            last_beat: now,
         }
     }
-}
 
-fn accept_loop(
-    listener: TcpListener,
-    service: Arc<AdmissionService>,
-    cfg: ShipperConfig,
-    stop: Arc<AtomicBool>,
-) {
-    let mut sessions: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let service = Arc::clone(&service);
-                let cfg = cfg.clone();
-                let stop = Arc::clone(&stop);
-                let spawned = thread::Builder::new()
-                    .name(format!("repl-ship-{peer}"))
-                    .spawn(move || {
-                        let peer = peer.to_string();
-                        let _ = session(stream, &peer, &service, &cfg, &stop);
-                        if let Some(hub) = service.repl_hub() {
-                            hub.drop_follower(&peer);
-                        }
-                    });
-                if let Ok(h) = spawned {
-                    sessions.push(h);
-                }
-                sessions.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
-        }
+    /// The follower's address (its key in the hub's progress table).
+    pub(crate) fn peer(&self) -> &str {
+        &self.peer
     }
-    for h in sessions {
-        let _ = h.join();
+
+    /// Whether the reply to the follower's next request would fit behind
+    /// `unsent` queued bytes. The reactor reads on only while it would.
+    pub(crate) fn takes_requests(cfg: &ShipperConfig, unsent: usize) -> bool {
+        fits(unsent, cfg.chunk_size as usize + HEADROOM)
     }
-}
 
-/// One follower session. Returns when the peer disconnects, the
-/// shipper stops, or the protocol is violated.
-fn session(
-    stream: TcpStream,
-    peer: &str,
-    service: &AdmissionService,
-    cfg: &ShipperConfig,
-    stop: &AtomicBool,
-) -> io::Result<()> {
-    let hub = service.repl_hub().ok_or_else(|| {
-        io::Error::new(ErrorKind::InvalidInput, "shipper without a replication hub")
-    })?;
-    let mut stream = stream;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.poll))?;
+    /// When the link needs a heartbeat if nothing else goes out.
+    pub(crate) fn deadline(&self, cfg: &ShipperConfig) -> Instant {
+        self.last_beat + cfg.heartbeat
+    }
 
-    // Where this follower is: `None` until its Hello arrives. During a
-    // snapshot transfer the image is pinned here and frame shipping
-    // pauses until the follower re-Hellos at the snapshot sequence.
-    let mut cursor: Option<u64> = None;
-    let mut xfer: Option<Vec<u8>> = None;
-    let mut last_beat = Instant::now();
-
-    while !stop.load(Ordering::Relaxed) {
-        // Drain everything the follower sent this cycle.
-        loop {
-            match read_msg(&mut stream) {
-                Ok(ReplMsg::Hello { epoch, applied_seq }) => {
-                    if epoch > hub.epoch() {
-                        // A follower promoted past us: this leader is
-                        // deposed. Fence permanently (demote, audit
-                        // the divergent suffix) and drop the session.
-                        service.fence(epoch, applied_seq, "");
-                        return Err(io::Error::other(format!("superseded by epoch {epoch}")));
-                    }
-                    let frontier = service.ship_frontier().unwrap_or(0);
-                    write_msg(
-                        &mut stream,
-                        &ReplMsg::Welcome {
-                            epoch: hub.epoch(),
-                            base_seq: service.wal_base_seq().unwrap_or(0),
-                            synced_seq: frontier,
-                            lease_ms: hub.lease_ms(),
-                        },
-                    )?;
-                    cursor = Some(applied_seq);
-                    xfer = None;
-                    hub.note_follower(peer, applied_seq);
-                }
-                Ok(ReplMsg::Ack { epoch, applied_seq }) => {
-                    if epoch > hub.epoch() {
-                        service.fence(epoch, applied_seq, "");
-                        return Err(io::Error::other(format!("superseded by epoch {epoch}")));
-                    }
-                    // An ack is round-trip evidence: it feeds the
-                    // leader's write lease as well as the lag gauges.
-                    hub.note_follower_ack(peer, applied_seq);
-                }
-                Ok(ReplMsg::Fence {
+    /// Handles one message from the follower, queueing any reply in
+    /// `out`. `Err` is a protocol violation; the reactor drops the
+    /// connection.
+    pub(crate) fn on_msg(
+        &mut self,
+        msg: ReplMsg,
+        service: &AdmissionService,
+        cfg: &ShipperConfig,
+        out: &mut Vec<u8>,
+    ) -> io::Result<Flow> {
+        let (epoch, lease_ms) = {
+            let hub = service.repl_hub().ok_or_else(|| {
+                io::Error::new(ErrorKind::InvalidInput, "shipper without a replication hub")
+            })?;
+            (hub.epoch(), hub.lease_ms())
+        };
+        match msg {
+            ReplMsg::Hello {
+                epoch: peer_epoch,
+                applied_seq,
+            }
+            | ReplMsg::Ack {
+                epoch: peer_epoch,
+                applied_seq,
+            } if peer_epoch > epoch => {
+                // A follower promoted past us: this leader is deposed.
+                // Fence permanently (demote, audit the divergent
+                // suffix) and drop the session.
+                service.fence(peer_epoch, applied_seq, "");
+                Ok(Flow::Close)
+            }
+            ReplMsg::Hello { applied_seq, .. } => {
+                let welcome = ReplMsg::Welcome {
                     epoch,
-                    applied_seq,
-                    addr,
-                }) => {
-                    // A promoted follower is fencing us explicitly.
-                    // Confirm delivery before dropping the session so
-                    // the promoted node's fence loop can stop retrying.
-                    service.fence(epoch, applied_seq, &addr);
-                    let _ = write_msg(
-                        &mut stream,
-                        &ReplMsg::Heartbeat {
-                            epoch: hub.epoch(),
-                            synced_seq: service.ship_frontier().unwrap_or(0),
-                        },
-                    );
-                    return Err(io::Error::other(format!("fenced by epoch {epoch}")));
+                    base_seq: service.wal_base_seq().unwrap_or(0),
+                    synced_seq: service.ship_frontier().unwrap_or(0),
+                    lease_ms,
+                };
+                out.extend_from_slice(&welcome.encode());
+                self.cursor = Some(applied_seq);
+                self.xfer = None;
+                if let Some(mut hub) = service.repl_hub() {
+                    hub.note_follower(&self.peer, applied_seq);
                 }
-                Ok(ReplMsg::GetChunk { index }) => {
-                    let image = xfer.as_deref().ok_or_else(|| {
-                        io::Error::new(ErrorKind::InvalidData, "GetChunk without a transfer")
-                    })?;
-                    let reply = chunk_reply(image, cfg.chunk_size, index).ok_or_else(|| {
-                        io::Error::new(
-                            ErrorKind::InvalidData,
-                            format!("GetChunk {index} out of range"),
-                        )
-                    })?;
-                    write_msg(&mut stream, &reply)?;
+                Ok(Flow::Open)
+            }
+            ReplMsg::Ack { applied_seq, .. } => {
+                // An ack is round-trip evidence: it feeds the leader's
+                // write lease as well as the lag gauges.
+                if let Some(mut hub) = service.repl_hub() {
+                    hub.note_follower_ack(&self.peer, applied_seq);
                 }
-                Ok(other) => {
-                    return Err(io::Error::new(
+                Ok(Flow::Open)
+            }
+            ReplMsg::Fence {
+                epoch: peer_epoch,
+                applied_seq,
+                addr,
+            } => {
+                // A promoted follower is fencing us explicitly. Confirm
+                // delivery before dropping the session so the promoted
+                // node's fence delivery can stop retrying.
+                service.fence(peer_epoch, applied_seq, &addr);
+                let confirm = ReplMsg::Heartbeat {
+                    epoch: service.repl_hub().map_or(peer_epoch, |h| h.epoch()),
+                    synced_seq: service.ship_frontier().unwrap_or(0),
+                };
+                out.extend_from_slice(&confirm.encode());
+                Ok(Flow::Close)
+            }
+            ReplMsg::GetChunk { index } => {
+                let image = self.xfer.as_deref().ok_or_else(|| {
+                    io::Error::new(ErrorKind::InvalidData, "GetChunk without a transfer")
+                })?;
+                let reply = chunk_reply(image, cfg.chunk_size, index).ok_or_else(|| {
+                    io::Error::new(
                         ErrorKind::InvalidData,
-                        format!("unexpected {other:?} from a follower"),
-                    ))
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    break;
-                }
-                Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(()),
-                Err(e) => return Err(e),
+                        format!("GetChunk {index} out of range"),
+                    )
+                })?;
+                out.extend_from_slice(&reply.encode());
+                Ok(Flow::Open)
             }
-        }
-
-        // Ship WAL frames up to the durable frontier.
-        let frontier = service.ship_frontier().unwrap_or(0);
-        if let (Some(cur), None) = (cursor, &xfer) {
-            if frontier > cur {
-                // A compaction can swap the file between the read and
-                // the parse; treat any inconsistency as "try again
-                // next cycle" rather than a session error.
-                if let Some(advanced) =
-                    ship_cycle(&mut stream, cfg, hub.epoch(), cur, frontier, &mut xfer)?
-                {
-                    cursor = Some(advanced);
-                    last_beat = Instant::now();
-                }
-            }
-        }
-
-        if last_beat.elapsed() >= cfg.heartbeat {
-            write_msg(
-                &mut stream,
-                &ReplMsg::Heartbeat {
-                    epoch: hub.epoch(),
-                    synced_seq: frontier,
-                },
-            )?;
-            last_beat = Instant::now();
+            other => Err(io::Error::new(
+                ErrorKind::InvalidData,
+                format!("unexpected {other:?} from a follower"),
+            )),
         }
     }
-    Ok(())
-}
 
-/// One shipping pass: streams the frames in `(cur, frontier]`, or
-/// opens a snapshot transfer when the WAL base has moved past `cur`.
-/// Returns the advanced cursor, or `None` when a transient file race
-/// (mid-compaction) made this cycle unreadable. IO errors on the
-/// *socket* still propagate — only local file inconsistency is
-/// retried.
-fn ship_cycle(
-    stream: &mut TcpStream,
-    cfg: &ShipperConfig,
-    epoch: u64,
-    cur: u64,
-    frontier: u64,
-    xfer: &mut Option<Vec<u8>>,
-) -> io::Result<Option<u64>> {
-    let Ok(wal_bytes) = fs::read(cfg.dir.join(WAL_FILE)) else {
-        return Ok(None);
-    };
-    let Ok(frames) = FrameIter::new(&wal_bytes) else {
-        return Ok(None);
-    };
-    if frames.base_seq() > cur {
-        // The follower predates the compacted WAL: only a snapshot
-        // can bring it forward. Pin the image and offer the transfer;
-        // frames resume after the follower installs it and re-Hellos.
-        let Ok(image) = fs::read(cfg.dir.join(SNAPSHOT_FILE)) else {
-            return Ok(None);
+    /// Ships what the follower may have now: WAL frames up to the
+    /// durable frontier while they fit under [`MAX_UNSENT`], then a
+    /// heartbeat if the link has been quiet for the configured interval.
+    pub(crate) fn pump(
+        &mut self,
+        service: &AdmissionService,
+        cfg: &ShipperConfig,
+        out: &mut Vec<u8>,
+        now: Instant,
+    ) {
+        let Some(epoch) = service.repl_hub().map(|h| h.epoch()) else {
+            return;
         };
-        let Ok(data) = parse_snapshot(&image) else {
-            return Ok(None);
-        };
-        write_msg(
-            stream,
-            &ReplMsg::SnapStart {
+        let frontier = service.ship_frontier().unwrap_or(0);
+        if let (Some(cur), None, Some(dir)) = (self.cursor, &self.xfer, service.wal_dir()) {
+            if frontier > cur && fits(out.len(), HEADROOM) {
+                if let Some(advanced) = self.ship(dir, cfg, epoch, cur, frontier, out) {
+                    self.cursor = Some(advanced);
+                    self.last_beat = now;
+                }
+            }
+        }
+        if now >= self.deadline(cfg) {
+            // A follower that is not reading gets no heartbeat: the
+            // queue it has not drained says as much. The clock restarts
+            // either way, so the deadline never sits in the past.
+            if fits(out.len(), HEADROOM) {
+                let beat = ReplMsg::Heartbeat {
+                    epoch,
+                    synced_seq: frontier,
+                };
+                out.extend_from_slice(&beat.encode());
+            }
+            self.last_beat = now;
+        }
+    }
+
+    /// Queues the frames in `(cur, frontier]` that fit, or opens a
+    /// snapshot transfer when the WAL base has moved past `cur`. Returns
+    /// the advanced cursor, or `None` when nothing went out (a frame the
+    /// flusher is mid-way through writing is retried next pass).
+    fn ship(
+        &mut self,
+        dir: &Path,
+        cfg: &ShipperConfig,
+        epoch: u64,
+        cur: u64,
+        frontier: u64,
+        out: &mut Vec<u8>,
+    ) -> Option<u64> {
+        let mut file = File::open(dir.join(WAL_FILE)).ok()?;
+        let mut header = [0u8; WAL_HEADER];
+        file.read_exact(&mut header).ok()?;
+        let base = FrameIter::new(&header).ok()?.base_seq();
+        if base > cur {
+            // The follower predates the compacted WAL: only a snapshot
+            // can bring it forward. Pin the image and offer the
+            // transfer; frames resume after the follower installs it
+            // and re-Hellos.
+            let image = fs::read(dir.join(SNAPSHOT_FILE)).ok()?;
+            let data = parse_snapshot(&image).ok()?;
+            let start = ReplMsg::SnapStart {
                 snap_seq: data.seq,
                 total_len: image.len() as u64,
                 crc: crate::wal::crc32(&image),
                 chunk_size: cfg.chunk_size,
-            },
-        )?;
-        *xfer = Some(image);
-        return Ok(Some(cur));
-    }
-    let mut advanced = cur;
-    for frame in frames {
-        if frame.seq > cur && frame.seq <= frontier {
-            write_msg(
-                stream,
-                &ReplMsg::Frame {
+            };
+            out.extend_from_slice(&start.encode());
+            self.xfer = Some(image);
+            return Some(cur);
+        }
+        // Resume at the remembered frame boundary; anything else (a
+        // new session, a rewound cursor, a compacted file) scans from
+        // the first record.
+        let (start, seq_before) = match self.tail {
+            Some((b, at, seq)) if b == base && seq <= cur => (at, seq),
+            _ => (WAL_HEADER as u64, base),
+        };
+        // A frame's wire form is larger than its WAL form, so what fits
+        // under the cap is at most this many file bytes. (The largest
+        // WAL record is a quarter of the cap, so an empty queue always
+        // has room for the next one.)
+        let room = MAX_UNSENT.saturating_sub(out.len());
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(start)).ok()?;
+        file.take(room as u64).read_to_end(&mut bytes).ok()?;
+        let mut advanced = cur;
+        let (mut end, mut last) = (start, seq_before);
+        for frame in FrameIter::tail(&bytes, seq_before) {
+            if frame.seq > frontier {
+                break;
+            }
+            if frame.seq > cur {
+                let msg = ReplMsg::Frame {
                     seq: frame.seq,
                     epoch,
                     crc: frame.crc,
                     payload: frame.payload.to_vec(),
-                },
-            )?;
-            advanced = frame.seq;
+                }
+                .encode();
+                if !fits(out.len(), msg.len()) {
+                    break;
+                }
+                out.extend_from_slice(&msg);
+                advanced = frame.seq;
+            }
+            (end, last) = (start + frame.end(), frame.seq);
         }
+        if end > start {
+            self.tail = Some((base, end, last));
+        }
+        (advanced > cur).then_some(advanced)
     }
-    Ok(if advanced > cur { Some(advanced) } else { None })
 }

@@ -1,24 +1,26 @@
-//! The thread-safe admission service: stable ids, verifier-gated
-//! admission, and snapshot/stats reads over the incremental
-//! [`AdmissionController`].
+//! The admission service: stable ids, verifier-gated admission, and
+//! snapshot/stats reads over the incremental [`AdmissionController`].
 //!
-//! ## Locking discipline
+//! ## One owner
 //!
-//! One `RwLock` guards the controller and the id table. Reads
-//! (`QUERY`, `SNAPSHOT`, the read half of `STATS`) take the shared
-//! lock and only ever touch *cached* bounds — they never run the
-//! analysis. Every write — a client's `ADMIT`/`REMOVE` or a frame the
-//! leader replicated — goes through the one private `write`, which
-//! takes the exclusive lock for the whole decision, **including the
-//! candidate lint**, so every admission decision is made against
-//! exactly the set it will join. The exclusive section is kept minimal:
-//! the candidate is routed *before* the lock (routing is deterministic
-//! and set-independent), the lint reads only the candidate's channel
-//! occupants off the controller's index and borrows their `(spec,
-//! path)` parts instead of scanning, cloning or re-routing the admitted
-//! set, and the journal holds `Arc<AcceptedOp>` entries so
-//! [`AdmissionService::ops`] clones pointers, not specs, under the
-//! shared lock. Metrics are plain atomics outside the lock.
+//! Like the paper's host processor, the service decides one request at
+//! a time. It is owned by one thread — the server's reactor, which
+//! serves client requests, ship sessions and the follower link in
+//! sequence — and it is `Send` but not `Sync`, so the compiler refuses
+//! to share it between threads. The controller and id table sit in a
+//! `RefCell`, the replication hub in another; neither is a lock. Reads
+//! (`QUERY`, `SNAPSHOT`, the read half of `STATS`) only ever touch
+//! *cached* bounds — they never run the analysis. Every write — a
+//! client's `ADMIT`/`REMOVE` or a frame the leader replicated — goes
+//! through the one private `write`, which decides **including the
+//! candidate lint** against exactly the set the candidate will join.
+//! The lint reads only the candidate's channel occupants off the
+//! controller's index and borrows their `(spec, path)` parts instead of
+//! scanning, cloning or re-routing the admitted set, and the journal
+//! holds `Arc<AcceptedOp>` entries so [`AdmissionService::ops`] clones
+//! pointers, not specs. The one piece another thread touches is the
+//! group-commit WAL, which the interval flusher syncs through its own
+//! `Arc<GroupWal>`.
 //!
 //! ## The write path
 //!
@@ -28,10 +30,9 @@
 //! frame is ticketed by its sequence number (at or below the local one
 //! is a no-op, a gap an error), carries its handle and is not
 //! re-linted. Either way the one backend, the serial controller,
-//! decides under the service lock: it mutates, and rolls back if the
-//! WAL refuses the record. The steps run once, in this order: service
-//! lock, ticket check, lint, decision, WAL append, bookkeeping,
-//! snapshot cadence, unlock, metrics. The durability wait belongs to
+//! decides: it mutates, and rolls back if the WAL refuses the record.
+//! The steps run once, in this order: ticket check, lint, decision, WAL
+//! append, bookkeeping, snapshot cadence, metrics. The durability wait belongs to
 //! the caller: `write` returns the acknowledgement with the WAL ticket
 //! it waits on, and [`AdmissionService::settle`] waits.
 //!
@@ -40,8 +41,8 @@
 //! The controller's invariant (every cached bound satisfies
 //! `U_i <= D_i`, and cached bounds equal a fresh offline
 //! `determine_feasibility` over the admitted set) is preserved because
-//! writes are serialized: the service only ever interleaves *reads*
-//! between them. [`AdmissionService::audit`] re-derives every bound
+//! writes are serial: one thread owns the service and runs each write
+//! to completion before the next request. [`AdmissionService::audit`] re-derives every bound
 //! offline and compares bit-for-bit; the accepted-operation log
 //! ([`AdmissionService::ops`], [`replay`]) lets a test replay the
 //! exact serialized write history.
@@ -50,18 +51,23 @@
 //!
 //! With a [`Durability`] attached (the `--wal-dir` path), every
 //! accepted operation is buffered into the group-commit WAL
-//! ([`crate::group_commit::GroupWal`]) under the write lock. Under
+//! ([`crate::group_commit::GroupWal`]) as it is decided. Under
 //! `--fsync always` it is **acknowledged only after its batch is
-//! durable**, and the wait runs after the write lock is released: the
+//! durable**, and the wait runs after the decision: the
 //! reactor holds the acknowledgement until the end of its pass, where
 //! one fsync covers every write the pass produced
 //! ([`AdmissionService::dispatch_queued`]); a blocking caller waits at
 //! once ([`AdmissionService::dispatch_line`],
 //! [`AdmissionService::handle`]). A WAL device failure fails every ticket in the in-flight batch
 //! (none of them is acknowledged; the file is rolled back to the last
-//! durable point) and flips the service into **degraded read-only
-//! mode**: reads keep working, writes answer `code:"degraded"` until an
-//! operator restarts onto a healthy device. The ops of a failed batch
+//! durable point) and breaks the log, which is what puts the service in
+//! **degraded read-only mode** ([`AdmissionService::is_degraded`] reads
+//! the log's flag): reads keep working, writes answer `code:"degraded"`
+//! until an operator restarts onto a healthy device. The flag is set by
+//! whoever hit the error — a write's append, the reactor's group sync,
+//! the interval flusher's sync, or a failed snapshot reset. That last
+//! one degrades the service at once, before the next write tries the
+//! log. The ops of a failed batch
 //! stay applied in memory but unacknowledged until that restart —
 //! recovery then serves exactly the durable (= acknowledged) prefix.
 //! (`STATS` counts them under `admitted`/`removed`, which count state
@@ -72,14 +78,12 @@
 //! double-admitting.
 
 use crate::group_commit::GroupWal;
-use crate::lock_order::{classes, TrackedRwLock, TrackedRwLockReadGuard};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestKind};
 use crate::protocol::{
     parse_request, render_response, RejectReason, Request, Response, SnapshotStream, StatsReport,
 };
 use crate::repl::ReplHub;
 use crate::snapshot::{write_snapshot, DedupEntry, SnapshotData};
-use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Instant;
 use crate::wal::FsyncPolicy;
 use rtwc_core::{
@@ -87,8 +91,9 @@ use rtwc_core::{
     StreamSpec,
 };
 use rtwc_verifier::{lint_candidate_indexed, Diagnostic};
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path as FsPath, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use wormnet_topology::{Mesh, Path, Routing, Topology, XyRouting};
@@ -130,6 +135,15 @@ pub struct Durability {
     pub wal: GroupWal,
     /// Snapshot + compact the WAL every this many records (0 = never).
     pub snapshot_every: u64,
+}
+
+/// [`Durability`] as the service keeps it: the WAL is shared with the
+/// interval flusher thread, which holds nothing else of the service.
+#[derive(Debug)]
+struct Durable {
+    dir: PathBuf,
+    wal: Arc<GroupWal>,
+    snapshot_every: u64,
 }
 
 /// A request line served by [`AdmissionService::dispatch_queued`].
@@ -196,7 +210,7 @@ impl NotApplied {
     }
 }
 
-/// The state behind the service lock. Recovery builds one (through
+/// The service's state. Recovery builds one (through
 /// [`Inner::apply_accepted`]) and hands it to the service.
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
@@ -380,23 +394,29 @@ impl Inner {
     }
 }
 
-/// The shared admission-control service behind `rtwc serve`.
+/// The admission-control service behind `rtwc serve`.
+///
+/// One thread owns it (see the module docs): it is `Send`, so a server
+/// can be built on one thread and run on another, but not `Sync`, so no
+/// two threads can ever call it at once:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>(_: &T) {}
+/// let svc = rtwc_server::AdmissionService::new(wormnet_topology::Mesh::mesh2d(4, 4));
+/// shared(&svc);
+/// ```
 #[derive(Debug)]
 pub struct AdmissionService {
     mesh: Mesh,
-    inner: TrackedRwLock<Inner>,
-    /// The group-commit WAL lives outside the `RwLock`: appends are
-    /// ticketed under the write lock, but the durability wait happens
-    /// after it is released.
-    durability: Option<Durability>,
+    inner: RefCell<Inner>,
+    /// The group-commit WAL. Appends are ticketed as writes are
+    /// decided; the durability wait happens after.
+    durability: Option<Durable>,
     metrics: Metrics,
-    /// Set on the first WAL device error; writes are refused from then
-    /// on (reads keep working) until an operator restarts the service.
-    degraded: AtomicBool,
     /// Replication state, when this node participates in replication.
-    /// Set once at startup ([`AdmissionService::attach_repl`]); absent
+    /// Attached at startup ([`AdmissionService::attach_repl`]); absent
     /// on a standalone node, whose request paths stay untouched.
-    repl: std::sync::OnceLock<Arc<ReplHub>>,
+    repl: Option<RefCell<ReplHub>>,
 }
 
 impl AdmissionService {
@@ -419,24 +439,32 @@ impl AdmissionService {
     fn build(mesh: Mesh, inner: Inner, durability: Option<Durability>) -> Self {
         AdmissionService {
             mesh,
-            inner: TrackedRwLock::new(&classes::SERVICE_INNER, inner),
-            durability,
+            inner: RefCell::new(inner),
+            durability: durability.map(|d| Durable {
+                dir: d.dir,
+                wal: Arc::new(d.wal),
+                snapshot_every: d.snapshot_every,
+            }),
             metrics: Metrics::new(),
-            degraded: AtomicBool::new(false),
-            repl: std::sync::OnceLock::new(),
+            repl: None,
         }
     }
 
-    /// Attaches the replication hub (leader or follower role). Call
-    /// once at startup, before serving requests; a second call is
-    /// ignored.
-    pub fn attach_repl(&self, hub: Arc<ReplHub>) {
-        let _ = self.repl.set(hub);
+    /// Attaches the replication hub (leader or follower role), replacing
+    /// any hub attached before. Call at startup, before serving.
+    pub fn attach_repl(&mut self, hub: ReplHub) {
+        self.repl = Some(RefCell::new(hub));
     }
 
-    /// The attached replication hub, if any.
-    pub fn repl_hub(&self) -> Option<&Arc<ReplHub>> {
-        self.repl.get()
+    /// The attached replication hub, if any, borrowed for update. Drop
+    /// the guard before calling back into the service.
+    pub fn repl_hub(&self) -> Option<RefMut<'_, ReplHub>> {
+        self.repl.as_ref().map(RefCell::borrow_mut)
+    }
+
+    /// A node without a hub is a standalone leader.
+    pub fn is_follower(&self) -> bool {
+        self.repl_hub().is_some_and(|h| h.is_follower())
     }
 
     /// The gate in front of every client write: a follower redirects to
@@ -446,7 +474,7 @@ impl AdmissionService {
     /// un-sealed leader, or on a redirect once fenced); a degraded node
     /// is read-only.
     fn write_gate(&self) -> Option<Response> {
-        if let Some(hub) = self.repl.get() {
+        if let Some(mut hub) = self.repl_hub() {
             if hub.is_follower() {
                 return Some(Response::error(
                     "not_leader",
@@ -476,16 +504,18 @@ impl AdmissionService {
     /// known) as the redirect target. Returns `false` for a stale
     /// fence.
     pub fn fence(&self, epoch: u64, common_seq: u64, new_leader: &str) -> bool {
-        let Some(hub) = self.repl.get() else {
+        let Some(fenced_epoch) = self.repl_hub().map(|h| h.epoch()) else {
             return false;
         };
-        let fenced_epoch = hub.epoch();
         // Land buffered writes first so the audited suffix is exactly
         // what the local WAL will show an operator who inspects it.
         self.flush();
         let local_seq = self.seq();
         let divergent = local_seq.saturating_sub(common_seq);
-        if !hub.fence(epoch, new_leader, divergent) {
+        let fenced = self
+            .repl_hub()
+            .is_some_and(|mut h| h.fence(epoch, new_leader, divergent));
+        if !fenced {
             return false;
         }
         let artifact = rtwc_verifier::DivergenceArtifact {
@@ -504,10 +534,10 @@ impl AdmissionService {
         true
     }
 
-    /// True once a WAL device error has flipped the service into
-    /// read-only degraded mode.
+    /// True once a WAL device error has broken the log: the service is
+    /// read-only until an operator restarts it.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
+        self.durability.as_ref().is_some_and(|d| d.wal.is_broken())
     }
 
     /// Total accepted operations in this service's history (including
@@ -533,25 +563,21 @@ impl AdmissionService {
         self.durability.as_ref().map(|d| d.wal.stats())
     }
 
-    /// `Some(interval)` when the attached WAL runs the `interval` fsync
-    /// policy — the server spawns a background flusher thread at this
-    /// cadence so the periodic fsync never lands on a request thread.
-    pub fn wal_flush_interval(&self) -> Option<Duration> {
-        match self.durability.as_ref()?.wal.policy() {
-            FsyncPolicy::Interval(every) => Some(every),
+    /// The WAL and its cadence when it runs the `interval` fsync
+    /// policy: the server hands them to a flusher thread, so the
+    /// periodic fsync never lands on the reactor. A sync error there
+    /// breaks the log, which degrades the service.
+    pub fn interval_wal(&self) -> Option<(Arc<GroupWal>, Duration)> {
+        let d = self.durability.as_ref()?;
+        match d.wal.policy() {
+            FsyncPolicy::Interval(every) => Some((Arc::clone(&d.wal), every)),
             FsyncPolicy::Always | FsyncPolicy::Never => None,
         }
     }
 
-    /// Background interval-fsync hook: flushes and syncs the WAL buffer
-    /// once the policy's interval has elapsed. A device error degrades
-    /// the service to read-only, exactly as a failed group sync would.
-    pub fn sync_wal_if_due(&self) {
-        if let Some(d) = self.durability.as_ref() {
-            if d.wal.sync_if_due().is_err() {
-                self.degraded.store(true, Ordering::SeqCst);
-            }
-        }
+    /// The durability directory (WAL and snapshot), if any.
+    pub fn wal_dir(&self) -> Option<&FsPath> {
+        self.durability.as_ref().map(|d| d.dir.as_path())
     }
 
     /// The mesh the service routes on.
@@ -572,8 +598,7 @@ impl AdmissionService {
     /// The accepted-operation log, in serialization order: the whole
     /// history while it is at most [`JOURNAL_CAP`] operations long, the
     /// most recent `JOURNAL_CAP` after that. O(log length) pointer
-    /// clones under the shared lock — the op payloads themselves are
-    /// never copied.
+    /// clones — the op payloads themselves are never copied.
     pub fn ops(&self) -> Vec<Arc<AcceptedOp>> {
         self.read().log.iter().cloned().collect()
     }
@@ -583,8 +608,8 @@ impl AdmissionService {
         self.read().streams().map(|(h, _, b)| (h, b)).collect()
     }
 
-    fn read(&self) -> TrackedRwLockReadGuard<'_, Inner> {
-        self.inner.read()
+    fn read(&self) -> Ref<'_, Inner> {
+        self.inner.borrow()
     }
 
     /// Parses and serves one request line, timing it into the metrics.
@@ -706,13 +731,14 @@ impl AdmissionService {
     /// hub, or when the audit finds a divergence — a node that cannot
     /// vouch for its state must not take writes.
     pub fn promote(&self) -> Response {
-        let Some(hub) = self.repl.get() else {
+        let Some((follower, fenced)) = self.repl_hub().map(|h| (h.is_follower(), h.is_fenced()))
+        else {
             return Response::error("no_replication", "replication is not configured");
         };
-        if !hub.is_follower() {
+        if !follower {
             return Response::error("already_leader", "this node is already the leader");
         }
-        if hub.is_fenced() {
+        if fenced {
             return Response::error(
                 "fenced",
                 "a higher epoch fenced this node; it must rejoin as a follower, not promote",
@@ -728,11 +754,11 @@ impl AdmissionService {
             }
         };
         // Land anything the replication stream buffered before the
-        // role flips; a failure here degrades (the flag is set by the
-        // usual paths) but the durable prefix is still a valid leader
+        // role flips; a failure here breaks the log (so the node is
+        // degraded) but the durable prefix is still a valid leader
         // start.
         self.flush();
-        let epoch = hub.promote();
+        let epoch = self.repl_hub().map_or(0, |mut h| h.promote());
         Response::Promoted {
             epoch,
             streams: self.admitted_count() as u64,
@@ -760,7 +786,7 @@ impl AdmissionService {
     pub fn wal_synced_seq(&self) -> u64 {
         match self.durability.as_ref() {
             Some(d) => d.wal.frontiers().synced,
-            None => self.repl.get().map(|h| h.applied_seq()).unwrap_or_default(),
+            None => self.repl_hub().map(|h| h.applied_seq()).unwrap_or_default(),
         }
     }
 
@@ -782,11 +808,11 @@ impl AdmissionService {
     /// error is reported, so the session tears down, reconnects and
     /// re-requests from the last good sequence.
     pub fn apply_replicated(&self, seq: u64, req_id: u64, op: &AcceptedOp) -> Result<(), String> {
-        let hub = self
-            .repl
-            .get()
+        let follower = self
+            .repl_hub()
+            .map(|h| h.is_follower())
             .ok_or_else(|| "replication is not configured".to_string())?;
-        if !hub.is_follower() {
+        if !follower {
             return Err("not a follower (promoted mid-stream?)".to_string());
         }
         let path = route_of(&self.mesh, op)?;
@@ -804,15 +830,18 @@ impl AdmissionService {
                 None => Ok(()),
                 Some(refusal) => Err(NotApplied::Refused(refusal)),
             });
-        match written {
-            Ok(()) => hub.set_applied(seq),
-            Err(NotApplied::Behind(cur)) => hub.set_applied(cur),
+        let applied = match written {
+            Ok(()) => seq,
+            Err(NotApplied::Behind(cur)) => cur,
             Err(NotApplied::Replayed(refusal) | NotApplied::Refused(refusal)) => {
                 return Err(format!(
                     "replicated frame {seq} not applied: {}",
                     render_response(&refusal)
                 ))
             }
+        };
+        if let Some(mut hub) = self.repl_hub() {
+            hub.set_applied(applied);
         }
         Ok(())
     }
@@ -866,8 +895,8 @@ impl AdmissionService {
         };
         let deadline = deadline.unwrap_or(period);
         let spec = StreamSpec::new(source, dest, priority, period, length, deadline);
-        // Route before taking any lock: the deterministic route depends
-        // only on the endpoints, never on the admitted set. A candidate
+        // The deterministic route depends only on the endpoints, never
+        // on the admitted set. A candidate
         // the routing cannot connect is rejected by W004 in the lint
         // without this path ever being used.
         let path = XyRouting.route(&self.mesh, source, dest).ok();
@@ -903,7 +932,7 @@ impl AdmissionService {
             Origin::Client { req_id } => (true, req_id),
             Origin::Leader { req_id, .. } => (false, req_id),
         };
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
 
         self.already_applied(&inner, origin, &op)?;
         if let Origin::Leader { seq, .. } = origin {
@@ -918,8 +947,8 @@ impl AdmissionService {
 
         let (accepted, path, warnings) = match op {
             Op::Admit { spec, path, handle } => {
-                // The lint runs under the same exclusive lock as the
-                // admission itself. A frame the leader accepted is not
+                // The lint sees exactly the set the admission decides
+                // against. A frame the leader accepted is not
                 // re-linted.
                 let warnings = if client {
                     self.lint(&inner, &spec, path.as_ref())?
@@ -973,7 +1002,7 @@ impl AdmissionService {
                 Response::Removed { id: *handle }
             }
         };
-        // The durability wait is the caller's, outside every lock.
+        // The durability wait is the caller's.
         Ok((ack, ticket))
     }
 
@@ -1004,8 +1033,8 @@ impl AdmissionService {
         }
     }
 
-    /// [`Self::seq`] with the service lock already held (`seq` would
-    /// re-lock `inner` on a non-durable service).
+    /// [`Self::seq`] with `inner` already borrowed for the write (`seq`
+    /// would borrow it again on a non-durable service).
     fn seq_under(&self, inner: &Inner) -> u64 {
         match &self.durability {
             Some(d) => d.wal.seq(),
@@ -1096,9 +1125,10 @@ impl AdmissionService {
     /// returning the ticket its acknowledgement must wait on — only
     /// under `--fsync always` does an acknowledgement promise
     /// durability. `Err(response)` is the refusal to send instead of an
-    /// acknowledgement. No fsync runs on this path — the write lock is
-    /// held here; group syncs run in `await_durable` after the lock
-    /// drops and interval syncs on the server's flusher thread.
+    /// acknowledgement (the failed append broke the log, so the service
+    /// is degraded from here on). No fsync runs on this path: group
+    /// syncs run in `await_durable` once the reactor's pass ends, and
+    /// interval syncs on the server's flusher thread.
     #[allow(clippy::result_large_err)] // the Err is the refusal sent on the wire
     fn persist(&self, req_id: u64, op: &AcceptedOp) -> Result<Option<u64>, Response> {
         let Some(d) = self.durability.as_ref() else {
@@ -1106,13 +1136,10 @@ impl AdmissionService {
         };
         match d.wal.append(req_id, op) {
             Ok(ticket) => Ok((d.wal.policy() == FsyncPolicy::Always).then_some(ticket)),
-            Err(e) => {
-                self.degraded.store(true, Ordering::SeqCst);
-                Err(Response::error(
-                    "wal",
-                    format!("not applied: WAL write failed ({e}); service is now read-only"),
-                ))
-            }
+            Err(e) => Err(Response::error(
+                "wal",
+                format!("not applied: WAL write failed ({e}); service is now read-only"),
+            )),
         }
     }
 
@@ -1120,20 +1147,18 @@ impl AdmissionService {
     /// ticket; `interval`/`never` writes get none, their syncs run on
     /// the server's background flusher). `Some(response)` is
     /// the refusal to send instead of an acknowledgement: the whole
-    /// batch was rolled back off the log and the service is degraded —
+    /// batch was rolled back off the log, which is broken now, so the
+    /// service is degraded —
     /// the op stays applied in memory, unacknowledged, until restart.
     fn await_durable(&self, ticket: Option<u64>) -> Option<Response> {
         let ticket = ticket?;
         let d = self.durability.as_ref()?;
         match d.wal.wait_durable(ticket) {
             Ok(()) => None,
-            Err(e) => {
-                self.degraded.store(true, Ordering::SeqCst);
-                Some(Response::error(
-                    "wal",
-                    format!("not acknowledged: WAL sync failed ({e}); service is now read-only"),
-                ))
-            }
+            Err(e) => Some(Response::error(
+                "wal",
+                format!("not acknowledged: WAL sync failed ({e}); service is now read-only"),
+            )),
         }
     }
 
@@ -1164,9 +1189,11 @@ impl AdmissionService {
     }
 
     /// Writes a snapshot and compacts the WAL once it has grown past
-    /// the configured record count. Failures are deliberately
-    /// non-fatal: the WAL still holds every record, so recovery loses
-    /// nothing — compaction is just deferred to the next trigger.
+    /// the configured record count. A failed snapshot write is
+    /// deliberately non-fatal: the WAL still holds every record, so
+    /// recovery loses nothing — compaction is just deferred to the next
+    /// trigger. A failed WAL reset breaks the log, which degrades the
+    /// service at once.
     fn maybe_snapshot(&self, inner: &mut Inner) {
         let due = match self.durability.as_ref() {
             Some(d) => d.snapshot_every > 0 && d.wal.records_since_reset() >= d.snapshot_every,
@@ -1193,8 +1220,8 @@ impl AdmissionService {
         };
         if write_snapshot(&d.dir, &data).is_ok() {
             // The fsynced snapshot covers every op ticketed so far
-            // (they were all applied under this write lock before their
-            // durability waits), so a successful reset releases every
+            // (they were all applied before their durability waits), so
+            // a successful reset releases every
             // outstanding ticket. A failed reset leaves WAL records the
             // snapshot already covers; recovery skips them by sequence
             // number.
@@ -1249,10 +1276,9 @@ impl AdmissionService {
     fn stats(&self) -> Response {
         let m = self.metrics.snapshot();
         let (streams, recomputations) = self.read().ctl.stats();
-        let repl = self.repl.get().map(|hub| {
-            let synced = self.wal_synced_seq();
-            hub.report(synced, self.ship_frontier().unwrap_or(synced))
-        });
+        let synced = self.wal_synced_seq();
+        let frontier = self.ship_frontier().unwrap_or(synced);
+        let repl = self.repl_hub().map(|mut hub| hub.report(synced, frontier));
         Response::Stats(Box::new(StatsReport {
             counts: m.counts,
             admitted: m.admitted,
@@ -1600,8 +1626,8 @@ mod tests {
 
     #[test]
     fn follower_redirects_writes_and_serves_reads() {
-        let svc = service();
-        svc.attach_repl(Arc::new(ReplHub::follower("10.0.0.1:7000")));
+        let mut svc = service();
+        svc.attach_repl(ReplHub::follower("10.0.0.1:7000"));
         let r = admit_line(&svc, "ADMIT 0,0 5,0 2 50 4");
         let Response::Error { code, message } = r else {
             panic!("{r:?}");
@@ -1635,8 +1661,8 @@ mod tests {
 
     #[test]
     fn promotion_flips_a_follower_into_a_serving_leader() {
-        let svc = service();
-        svc.attach_repl(Arc::new(ReplHub::follower("old:1")));
+        let mut svc = service();
+        svc.attach_repl(ReplHub::follower("old:1"));
         let r = admit_line(&svc, "PROMOTE");
         let Response::Promoted {
             epoch,
@@ -1667,9 +1693,9 @@ mod tests {
 
     #[test]
     fn replicated_frames_apply_exactly_once_by_seq() {
-        let svc = service();
-        let hub = Arc::new(ReplHub::follower("leader:1"));
-        svc.attach_repl(Arc::clone(&hub));
+        let mut svc = service();
+        svc.attach_repl(ReplHub::follower("leader:1"));
+        let applied = |svc: &AdmissionService| svc.repl_hub().unwrap().applied_seq();
         let mesh = Mesh::mesh2d(10, 10);
         let spec = StreamSpec::new(
             mesh.node_at(&[0, 0]).unwrap(),
@@ -1685,7 +1711,7 @@ mod tests {
         };
         svc.apply_replicated(1, 11, &admit).unwrap();
         assert_eq!(svc.admitted_count(), 1);
-        assert_eq!(hub.applied_seq(), 1);
+        assert_eq!(applied(&svc), 1);
 
         // Duplicate delivery (same seq): idempotent no-op.
         svc.apply_replicated(1, 11, &admit).unwrap();
@@ -1712,7 +1738,7 @@ mod tests {
         svc.apply_replicated(3, 12, &AcceptedOp::Remove { handle: 0 })
             .unwrap();
         assert_eq!(svc.admitted_count(), 1);
-        assert_eq!(hub.applied_seq(), 3);
+        assert_eq!(applied(&svc), 3);
 
         // Exactly-once across failover: after promotion, a client
         // retrying the replicated request ids gets the original
@@ -1822,7 +1848,7 @@ mod tests {
 
         for from in CELLS {
             let cell = format!("{from:?}");
-            let svc = service();
+            let mut svc = service();
             match from {
                 From::Client => {
                     for (line, want) in PARITY_WORKLOAD.iter().zip(&answers) {
@@ -1830,15 +1856,15 @@ mod tests {
                     }
                 }
                 From::Leader => {
-                    let hub = Arc::new(ReplHub::follower("leader:1"));
-                    svc.attach_repl(Arc::clone(&hub));
+                    svc.attach_repl(ReplHub::follower("leader:1"));
                     for (i, (req_id, op)) in frames.iter().enumerate() {
                         let seq = i as u64 + 1;
                         svc.apply_replicated(seq, *req_id, op).unwrap();
                         // Duplicate delivery (leader rewound): a no-op.
                         svc.apply_replicated(seq, *req_id, op).unwrap();
                     }
-                    assert_eq!(hub.applied_seq(), frames.len() as u64, "{cell}");
+                    let applied = svc.repl_hub().unwrap().applied_seq();
+                    assert_eq!(applied, frames.len() as u64, "{cell}");
                     // A sequence gap is refused.
                     let err = svc
                         .apply_replicated(99, 0, &AcceptedOp::Remove { handle: 0 })
@@ -1894,11 +1920,10 @@ mod tests {
             let fault = Arc::new(FaultState::default());
             let path = dir.join(crate::wal::WAL_FILE);
             let file = Box::new(FailpointFile::open(&path, plan, Arc::clone(&fault)).unwrap());
-            let svc =
+            let mut svc =
                 crate::chaos::durable_service(&mesh, &dir, FsyncPolicy::Never, 0, file).unwrap();
-            let hub = Arc::new(ReplHub::follower("leader:1"));
             if from == From::Leader {
-                svc.attach_repl(Arc::clone(&hub));
+                svc.attach_repl(ReplHub::follower("leader:1"));
             }
             // A client sends the line; a leader serves it on a reference
             // service and ships the frame it journals.
@@ -1923,11 +1948,12 @@ mod tests {
                 send(line).unwrap();
             }
             svc.flush();
-            // A sacrificial record takes the torn append: the log is
-            // broken from here on, and nobody has noticed yet.
+            // A sacrificial record takes the torn append: the flush
+            // that lands it breaks the log, and a broken log is a
+            // degraded service from that instant on.
             send("ADMIT 0,4 5,4 1 50 4").unwrap();
             svc.flush();
-            assert!(fault.fired() && !svc.is_degraded(), "{cell}");
+            assert!(fault.fired() && svc.is_degraded(), "{cell}");
 
             let trace = |svc: &AdmissionService| {
                 let mut dedup: Vec<u64> = svc.read().dedup.keys().copied().collect();
@@ -1937,7 +1963,7 @@ mod tests {
                     svc.admitted_count(),
                     svc.bounds_by_handle(),
                     dedup,
-                    hub.applied_seq(),
+                    svc.repl_hub().map(|h| h.applied_seq()),
                 )
             };
             let before = trace(&svc);
@@ -1970,15 +1996,16 @@ mod tests {
 
     #[test]
     fn sealed_leader_sheds_writes_until_contact_returns() {
-        let svc = service();
-        let hub = Arc::new(ReplHub::leader());
+        let mut svc = service();
+        let mut hub = ReplHub::leader();
         hub.set_lease(Duration::from_millis(40));
-        svc.attach_repl(Arc::clone(&hub));
+        svc.attach_repl(hub);
+        let ack = |svc: &AdmissionService| svc.repl_hub().unwrap().note_follower_ack("f:1", 1);
         // Unarmed lease (no follower ever acked): writes flow.
         let r = admit_line(&svc, "ADMIT 0,0 5,0 2 50 4");
         assert!(matches!(r, Response::Admitted { .. }), "{r:?}");
         // A follower acks, then goes silent past the lease.
-        hub.note_follower_ack("f:1", 1);
+        ack(&svc);
         std::thread::sleep(Duration::from_millis(60));
         let r = admit_line(&svc, "ADMIT 0,1 5,1 2 50 4");
         assert!(matches!(r, Response::Error { code: "sealed", .. }), "{r:?}");
@@ -1986,16 +2013,15 @@ mod tests {
         let r = admit_line(&svc, "QUERY 0");
         assert!(matches!(r, Response::Query { .. }), "{r:?}");
         // Contact returns (partition healed, nobody promoted): unseal.
-        hub.note_follower_ack("f:1", 1);
+        ack(&svc);
         let r = admit_line(&svc, "ADMIT 0,1 5,1 2 50 4");
         assert!(matches!(r, Response::Admitted { .. }), "{r:?}");
     }
 
     #[test]
     fn fenced_node_demotes_audits_and_refuses_promotion() {
-        let svc = service();
-        let hub = Arc::new(ReplHub::leader());
-        svc.attach_repl(Arc::clone(&hub));
+        let mut svc = service();
+        svc.attach_repl(ReplHub::leader());
         admit_line(&svc, "ADMIT 0,0 5,0 2 50 4");
         admit_line(&svc, "ADMIT 0,1 5,1 2 50 4");
         assert_eq!(svc.seq(), 2);
@@ -2003,11 +2029,14 @@ mod tests {
         // A peer promoted to epoch 2 having applied only seq 1: one
         // divergent op.
         assert!(svc.fence(2, 1, "winner:9"));
-        assert!(hub.is_fenced());
-        assert!(hub.is_follower());
-        assert_eq!(hub.epoch(), 2);
-        assert_eq!(hub.divergence_ops(), 1);
-        assert_eq!(hub.leader_addr(), "winner:9");
+        {
+            let hub = svc.repl_hub().unwrap();
+            assert!(hub.is_fenced());
+            assert!(hub.is_follower());
+            assert_eq!(hub.epoch(), 2);
+            assert_eq!(hub.divergence_ops(), 1);
+            assert_eq!(hub.leader_addr(), "winner:9");
+        }
 
         // Writes now redirect to the winner...
         let r = admit_line(&svc, "ADMIT 0,2 5,2 2 50 4");
@@ -2026,6 +2055,61 @@ mod tests {
         assert!(matches!(r, Response::Error { code: "fenced", .. }), "{r:?}");
         // A stale fence is ignored.
         assert!(!svc.fence(2, 0, "other:1"));
-        assert_eq!(hub.fence_events(), 1);
+        assert_eq!(svc.repl_hub().unwrap().fence_events(), 1);
+    }
+
+    #[test]
+    fn the_service_moves_between_threads() {
+        // The other half of the `compile_fail` doctest on
+        // `AdmissionService`: built on one thread, run on another.
+        fn movable<T: Send>(_: &T) {}
+        movable(&service());
+    }
+
+    #[test]
+    fn failed_interval_sync_degrades_writes_and_keeps_reads() {
+        use crate::faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState};
+        let dir = scratch_dir("interval-degrade");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Sync #1 is the WAL header; the flusher's first sync fails.
+        let plan = FaultPlan {
+            fail_sync_from: Some(2),
+            ..FaultPlan::default()
+        };
+        let fault = Arc::new(FaultState::default());
+        let file =
+            FailpointFile::open(&dir.join(crate::wal::WAL_FILE), plan, Arc::clone(&fault)).unwrap();
+        let policy = FsyncPolicy::Interval(Duration::from_millis(1));
+        let svc =
+            crate::chaos::durable_service(&Mesh::mesh2d(10, 10), &dir, policy, 0, Box::new(file))
+                .unwrap();
+        let r = admit_line(&svc, "ADMIT 0,0 5,0 2 50 4");
+        assert!(matches!(r, Response::Admitted { .. }), "{r:?}");
+        assert!(!svc.is_degraded());
+        // The flusher thread holds only the WAL; its failed sync breaks
+        // the log, and nothing else needs telling.
+        let (wal, every) = svc.interval_wal().expect("interval policy");
+        let flusher = std::thread::spawn(move || {
+            std::thread::sleep(every * 2);
+            wal.sync_if_due()
+        });
+        assert!(flusher.join().unwrap().is_err(), "the injected sync fails");
+        assert!(fault.fired());
+        assert!(svc.is_degraded(), "a broken log degrades the service");
+        let r = admit_line(&svc, "ADMIT 0,1 5,1 2 50 4");
+        assert!(
+            matches!(
+                r,
+                Response::Error {
+                    code: "degraded",
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
+        let r = admit_line(&svc, "QUERY 0");
+        assert!(matches!(r, Response::Query { id: 0, .. }), "{r:?}");
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

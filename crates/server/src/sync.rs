@@ -1,9 +1,11 @@
 //! Swappable concurrency primitives: `std::sync`/`std::thread`/`std::time`
 //! in real builds, [`loom`] model-checked equivalents under `--cfg loom`.
 //!
-//! Every lock, condvar, atomic, and thread spawn on the server's hot
-//! concurrent paths (`group_commit`, `service`, `dispatch`) goes through
-//! this module instead of `std` directly. In a normal build the re-exports
+//! Every lock, condvar, atomic, and thread spawn on the one structure
+//! two threads share — the group-commit WAL (`group_commit`), which the
+//! reactor appends to and the interval flusher syncs — goes through this
+//! module instead of `std` directly, as does the clock of the
+//! single-threaded paths (`service`, `dispatch`). In a normal build the re-exports
 //! are zero-cost aliases of the `std` types — nothing changes. Under
 //! `RUSTFLAGS="--cfg loom"` the same code compiles against the `loom`
 //! model checker, whose scheduler exhaustively explores thread
@@ -23,13 +25,9 @@ pub use loom::thread;
 pub use std::thread;
 
 #[cfg(loom)]
-pub use loom::sync::{
-    atomic, Arc, Condvar, LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+pub use loom::sync::{atomic, Arc, Condvar, LockResult, Mutex, MutexGuard};
 #[cfg(not(loom))]
-pub use std::sync::{
-    atomic, Arc, Condvar, LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+pub use std::sync::{atomic, Arc, Condvar, LockResult, Mutex, MutexGuard};
 
 #[cfg(not(loom))]
 pub use std::time::Instant;

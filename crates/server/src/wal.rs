@@ -236,6 +236,18 @@ impl<'a> FrameIter<'a> {
         })
     }
 
+    /// Iterates the frames of `bytes`, a stretch of a WAL file read
+    /// from a frame boundary, numbering the first one `seq_before + 1`.
+    /// Offsets are relative to `bytes`.
+    pub fn tail(bytes: &'a [u8], seq_before: u64) -> FrameIter<'a> {
+        FrameIter {
+            bytes,
+            at: 0,
+            base_seq: seq_before,
+            yielded: 0,
+        }
+    }
+
     /// The snapshot sequence number the file continues from.
     pub fn base_seq(&self) -> u64 {
         self.base_seq

@@ -1,15 +1,14 @@
 //! Concurrent admission soundness: N client threads fire interleaved
 //! `ADMIT` / `REMOVE` / `QUERY` traffic at one server, and the final
 //! admitted set must be **bit-identical** to a serial replay of the
-//! accepted operations — admission decisions are serializable even
-//! though queries run concurrently under the shared lock.
+//! accepted operations — the one reactor thread that owns the service
+//! serves every connection's requests in some serial order.
 
 use rtwc_core::{DelayBound, StreamId, StreamSpec};
 use rtwc_server::faultfs::RealFile;
 use rtwc_server::service::AcceptedOp;
 use rtwc_server::wal::WAL_FILE;
 use rtwc_server::{replay, AdmissionService, Client, FsyncPolicy, GroupWal, Server, Wal};
-use std::sync::Arc;
 use std::thread;
 use wormnet_topology::{Mesh, NodeId};
 
@@ -46,8 +45,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 fn concurrent_clients_serialize_to_an_identical_replay() {
     const CLIENTS: usize = 8;
     const OPS: usize = 120;
-    let service = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
-    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let service = AdmissionService::new(Mesh::mesh2d(10, 10));
+    let server = Server::bind(service, "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle().unwrap();
     let server_thread = thread::spawn(move || server.run());
@@ -105,6 +104,10 @@ fn concurrent_clients_serialize_to_an_identical_replay() {
     for w in workers {
         w.join().unwrap();
     }
+    let stats = Client::connect(&addr).unwrap().send("STATS").unwrap();
+    handle.shutdown();
+    // The server hands its service back at shutdown.
+    let service = server_thread.join().unwrap().unwrap();
 
     // Serial replay of the accepted-op journal must reproduce the live
     // bounds bit for bit, in the same (dense) order.
@@ -130,7 +133,6 @@ fn concurrent_clients_serialize_to_an_identical_replay() {
     // histogram and, served off the reactor's queue, records a queue
     // wait too; each recorded wait is a slice of some total, so the
     // tail of the total histogram dominates both splits.
-    let stats = Client::connect(&addr).unwrap().send("STATS").unwrap();
     let total = extract_block_u64(&stats, "latency_us", "count").unwrap();
     let queued = extract_block_u64(&stats, "queue_us", "count").unwrap();
     assert!(
@@ -150,9 +152,6 @@ fn concurrent_clients_serialize_to_an_identical_replay() {
         extract_block_u64(&stats, "service_us", "max").unwrap() <= max_total,
         "{stats}"
     );
-
-    handle.shutdown();
-    server_thread.join().unwrap().unwrap();
 }
 
 /// A [`GroupWal`] wrapped around a *reopened* log must serve the full

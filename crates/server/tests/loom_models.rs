@@ -1,37 +1,40 @@
 //! Bounded-exhaustive concurrency models of the reactor core, run under
 //! `RUSTFLAGS="--cfg loom" cargo test -p rtwc-server --test loom_models`.
 //!
-//! Each model drives the *real* production types — [`GroupWal`] over an
-//! in-memory [`MemFile`] and [`AdmissionService`]'s one write path —
-//! through every interleaving the checker's preemption budget allows,
-//! asserting the invariants DESIGN.md's "Concurrency verification"
-//! section inventories:
+//! Each model drives the *real* production type — [`GroupWal`] over an
+//! in-memory [`MemFile`], the one structure two threads share (the
+//! reactor appends and syncs, the interval flusher syncs) — through
+//! every interleaving the checker's preemption budget allows, asserting
+//! the invariants DESIGN.md's "Concurrency verification" section
+//! inventories:
 //!
 //! - **durable-before-ack**: at the moment `wait_durable` acks a
 //!   ticket under `--fsync always`, a crash (the synced prefix of the
 //!   device) already preserves that ticket's record;
 //! - **whole-batch rollback**: a failed group sync acks nothing and
-//!   leaves zero unacknowledged records for recovery to find;
-//! - **linearizability**: concurrent admissions on the one write path
-//!   produce a journal whose serial replay reproduces the live bounds
-//!   bit-for-bit.
+//!   leaves zero unacknowledged records for recovery to find.
+//!
+//! There is no model of concurrent admissions: the
+//! [`rtwc_server::AdmissionService`] is not `Sync`, so two threads
+//! cannot call its write path at once (a `compile_fail` doctest on the
+//! type keeps it that way), and one thread runs each write to
+//! completion.
 //!
 //! Alongside each model sits a `seeded_*` test: a minimal replica of
-//! the protocol with the guard deliberately removed (ack before sync,
-//! a write derived from a stale read),
+//! the protocol with the guard deliberately removed (ack before sync),
 //! wrapped in `catch_unwind` to prove the checker actually finds the
 //! interleaving that breaks it — the models are load-bearing, not
 //! vacuous.
 #![cfg(loom)]
 
-use rtwc_core::{StreamId, StreamSpec};
+use rtwc_core::StreamSpec;
 use rtwc_server::faultfs::MemFile;
 use rtwc_server::group_commit::GroupWal;
-use rtwc_server::service::{replay, AcceptedOp, AdmissionService};
+use rtwc_server::service::AcceptedOp;
 use rtwc_server::sync::{thread, Arc, Mutex};
 use rtwc_server::wal::{FsyncPolicy, Wal};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use wormnet_topology::{Mesh, NodeId};
+use wormnet_topology::NodeId;
 
 /// Runs `f` under the model checker expecting some interleaving to
 /// fail; true when the checker found one.
@@ -167,74 +170,4 @@ fn group_commit_failed_sync_acks_nothing() {
         assert_eq!(recovered_records(observer.synced_bytes()), 0);
         assert_eq!(recovered_records(observer.bytes()), 0);
     });
-}
-
-// ---------------------------------------------------------------------
-// Model 3: concurrent admits on the one write path linearize to journal
-// order — its serial replay reproduces the live state bit-for-bit.
-// ---------------------------------------------------------------------
-
-#[test]
-fn concurrent_admits_linearize_to_journal_order() {
-    loom::model(|| {
-        let svc = Arc::new(AdmissionService::new(Mesh::mesh2d(8, 8)));
-        // Same row: the two admissions share links, so whichever takes
-        // the write lock second is analyzed against the first. Both
-        // streams are feasible together in either order.
-        let lines = [((0, 0), (5, 0), 2), ((1, 0), (6, 0), 1)];
-        let handles: Vec<_> = lines
-            .into_iter()
-            .map(|(src, dst, priority)| {
-                let svc = Arc::clone(&svc);
-                thread::spawn(move || {
-                    let r = svc.admit(0, src, dst, priority, 200, 4, None);
-                    assert!(
-                        matches!(r, rtwc_server::protocol::Response::Admitted { .. }),
-                        "feasible pair must admit in every schedule: {r:?}"
-                    );
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // The commit-point audit: cached bounds equal a fresh offline
-        // analysis, and the journal replays to the same bounds.
-        svc.audit().expect("cached bounds match offline analysis");
-        let replayed = replay(svc.mesh(), &svc.ops()).expect("journal replays serially");
-        for (i, (_, live)) in svc.bounds_by_handle().into_iter().enumerate() {
-            assert_eq!(
-                replayed.bound(StreamId(i as u32)).value(),
-                Some(live),
-                "replay diverged from live state at dense id {i}"
-            );
-        }
-    });
-}
-
-#[test]
-fn seeded_write_from_a_stale_read_is_caught() {
-    // The write path with the decision moved out of the exclusive
-    // section: read a value under one lock hold, then blindly install
-    // the derived result under another. The classic lost update — two
-    // increments, final value 1 — exists in some interleaving.
-    assert!(fails(|| {
-        let cell = Arc::new(Mutex::new(0u64));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                thread::spawn(move || {
-                    // "Decide": derive the new state from a snapshot.
-                    let derived = *cell.lock().unwrap() + 1;
-                    // BUG: "apply" under a second lock hold, without
-                    // checking the snapshot is still current.
-                    *cell.lock().unwrap() = derived;
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*cell.lock().unwrap(), 2, "lost update");
-    }));
 }

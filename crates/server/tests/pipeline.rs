@@ -14,7 +14,6 @@ use rtwc_core::{DelayBound, StreamId};
 use rtwc_server::{replay, AdmissionService, Client, Server};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::thread;
 use wormnet_topology::Mesh;
 
@@ -37,17 +36,16 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 fn spawn_server() -> (
-    Arc<AdmissionService>,
     String,
     rtwc_server::ShutdownHandle,
-    thread::JoinHandle<std::io::Result<()>>,
+    thread::JoinHandle<std::io::Result<AdmissionService>>,
 ) {
-    let service = Arc::new(AdmissionService::new(Mesh::mesh2d(10, 10)));
-    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let service = AdmissionService::new(Mesh::mesh2d(10, 10));
+    let server = Server::bind(service, "127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle().unwrap();
     let join = thread::spawn(move || server.run());
-    (service, addr, handle, join)
+    (addr, handle, join)
 }
 
 /// K requests in ONE TCP segment, zero reads in between: exactly K
@@ -56,7 +54,7 @@ fn spawn_server() -> (
 /// order rather than just count.
 #[test]
 fn one_segment_of_k_requests_yields_k_ordered_responses() {
-    let (_service, addr, handle, join) = spawn_server();
+    let (addr, handle, join) = spawn_server();
     let mut stream = TcpStream::connect(&addr).unwrap();
     stream.set_nodelay(true).unwrap();
     // Admits on distinct rows admit independently; the trailing QUERY
@@ -102,7 +100,7 @@ fn one_segment_of_k_requests_yields_k_ordered_responses() {
 /// keep their place in the response order.
 #[test]
 fn error_responses_keep_their_place_in_the_pipeline() {
-    let (_service, addr, handle, join) = spawn_server();
+    let (addr, handle, join) = spawn_server();
     let mut stream = TcpStream::connect(&addr).unwrap();
     let big = "x".repeat(rtwc_server::MAX_LINE_BYTES + 8);
     let segment = format!("STATS\nFROB 1\n{big}\nSTATS\n");
@@ -189,7 +187,7 @@ proptest! {
         bursts in 2usize..5,
         window in 2usize..7,
     ) {
-        let (service, addr, handle, join) = spawn_server();
+        let (addr, handle, join) = spawn_server();
         let conns = 3usize;
         let drivers: Vec<_> = (0..conns)
             .map(|i| {
@@ -201,6 +199,8 @@ proptest! {
         for d in drivers {
             d.join().unwrap();
         }
+        handle.shutdown();
+        let service = join.join().unwrap().unwrap();
 
         let live = service.bounds_by_handle();
         let replayed = replay(service.mesh(), &service.ops()).unwrap();
@@ -215,8 +215,5 @@ proptest! {
         }
         let audited = service.audit().expect("offline audit");
         prop_assert_eq!(audited, live.len());
-
-        handle.shutdown();
-        join.join().unwrap().unwrap();
     }
 }
