@@ -404,7 +404,6 @@ pub fn run_bench_repl_command(
     std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
     Ok(format!(
         "{} clients x {} ops (pipeline {}): {:.0} ops/s with one follower streaming\n\
-         no-follower control: {:.0} ops/s on this machine (overhead {:.1}%)\n\
          replication lag: max {} frame(s), drained to {} in {:.0}ms (applied seq {})\n\
          failover: promoted to epoch {} in {:.0}ms (grace {}ms); post-failover write {}\n\
          {} stream(s) audited on the promoted follower; wrote {}\n",
@@ -412,8 +411,6 @@ pub fn run_bench_repl_command(
         o.leader.ops_per_client,
         o.leader.pipeline,
         o.leader.throughput,
-        o.baseline_throughput,
-        o.overhead_pct,
         o.max_lag_frames,
         o.final_lag_frames,
         o.drain_ms,

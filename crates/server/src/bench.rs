@@ -612,12 +612,6 @@ pub fn render_sweep_json(s: &WalSweep) -> String {
 pub struct ReplBenchOutcome {
     /// The leader-side load phase (one follower streaming throughout).
     pub leader: BenchOutcome,
-    /// Throughput of the control phase: the same durable workload with
-    /// no follower attached, run first on the same machine.
-    pub baseline_throughput: f64,
-    /// Leader throughput loss versus the control phase, in percent
-    /// (negative when the replicated run was faster, i.e. noise).
-    pub overhead_pct: f64,
     /// Largest `ship frontier - follower applied` seen during the load.
     pub max_lag_frames: u64,
     /// Remaining lag when the drain finished (0 = fully caught up).
@@ -785,14 +779,12 @@ fn run_partition_phase(dir: &Path, grace: Duration) -> io::Result<PartitionBench
     })
 }
 
-/// Runs the replication bench: first a control phase (the same durable
-/// workload with no follower, for a same-machine overhead comparison),
-/// then a durable leader under the configured load with one
-/// warm-standby follower streaming the WAL, then a clean drain, then
-/// leader teardown and a timed auto-promotion.
+/// Runs the replication bench: a durable leader under the configured
+/// load with one warm-standby follower streaming the WAL, then a clean
+/// drain, then leader teardown and a timed auto-promotion.
 ///
-/// `cfg.wal_dir` is ignored — the control, leader, and follower each
-/// get a fresh directory under `dir`. The follower promotes itself
+/// `cfg.wal_dir` is ignored — the leader and follower each get a fresh
+/// directory under `dir`. The follower promotes itself
 /// once `grace` has passed since its last leader contact, so the
 /// measured failover time sits near `grace` (slightly under when the
 /// link was already quiet at teardown, over by the promotion and write
@@ -802,10 +794,9 @@ pub fn run_bench_repl(
     dir: &Path,
     grace: Duration,
 ) -> io::Result<ReplBenchOutcome> {
-    let baseline_dir = dir.join("baseline");
     let leader_dir = dir.join("leader");
     let follower_dir = dir.join("follower");
-    for d in [&baseline_dir, &leader_dir, &follower_dir] {
+    for d in [&leader_dir, &follower_dir] {
         let _ = std::fs::remove_dir_all(d);
         std::fs::create_dir_all(d)?;
     }
@@ -816,19 +807,9 @@ pub fn run_bench_repl(
     // restart-to-catch-up contract mid-bench (the follower wedges at
     // its last applied frame instead of draining). Snapshot churn is
     // benched by the service bench; here the WAL tail must stay
-    // shippable end to end. The control runs with the same policy so
-    // the overhead comparison stays apples to apples.
+    // shippable end to end.
     let mut cfg = cfg.clone();
     cfg.snapshot_every = 0;
-
-    // Control phase: the committed BENCH_service.json numbers were
-    // measured on other hardware, so the overhead comparison only
-    // means something against a no-follower run from the same minute.
-    let baseline_throughput = {
-        let mut base_cfg = cfg.clone();
-        base_cfg.wal_dir = Some(baseline_dir);
-        run_bench(&base_cfg)?.throughput
-    };
 
     let mut leader_cfg = cfg.clone();
     leader_cfg.wal_dir = Some(leader_dir);
@@ -952,15 +933,8 @@ pub fn run_bench_repl(
         group_commit,
         server_stats,
     );
-    let overhead_pct = if baseline_throughput > 0.0 {
-        (baseline_throughput - leader.throughput) / baseline_throughput * 100.0
-    } else {
-        0.0
-    };
     Ok(ReplBenchOutcome {
         leader,
-        baseline_throughput,
-        overhead_pct,
         max_lag_frames: max_lag,
         final_lag_frames: final_lag,
         drain_ms,
@@ -988,9 +962,7 @@ pub fn render_repl_json(o: &ReplBenchOutcome) -> String {
         .trim_end()
         .to_string();
     out.push_str(&format!(
-        ",\n  \"replication\": {{\"baseline_throughput_ops_per_s\": {:.1}, \"overhead_pct\": {:.1}, \"max_lag_frames\": {}, \"final_lag_frames\": {}, \"drain_ms\": {:.1}, \"follower_applied_seq\": {}}},\n",
-        o.baseline_throughput,
-        o.overhead_pct,
+        ",\n  \"replication\": {{\"max_lag_frames\": {}, \"final_lag_frames\": {}, \"drain_ms\": {:.1}, \"follower_applied_seq\": {}}},\n",
         o.max_lag_frames,
         o.final_lag_frames,
         o.drain_ms,
@@ -1191,7 +1163,6 @@ mod tests {
         };
         let o = run_bench_repl(&cfg, &dir, Duration::from_millis(150)).unwrap();
         assert_eq!(o.leader.total_ops, 60, "{o:?}");
-        assert!(o.baseline_throughput > 0.0, "{o:?}");
         assert_eq!(o.final_lag_frames, 0, "{o:?}");
         assert!(o.follower_applied_seq > 0, "{o:?}");
         // The grace clock runs from the follower's last leader contact,
@@ -1214,7 +1185,6 @@ mod tests {
         assert!(json.contains("\"bench\": \"repl\""), "{json}");
         assert!(json.contains("\"failover_ms\""), "{json}");
         assert!(json.contains("\"max_lag_frames\""), "{json}");
-        assert!(json.contains("\"baseline_throughput_ops_per_s\""), "{json}");
         assert!(json.contains("\"partition\""), "{json}");
         assert!(json.contains("\"seal_ms\""), "{json}");
         std::fs::remove_dir_all(&dir).ok();

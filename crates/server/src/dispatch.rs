@@ -19,8 +19,8 @@
 
 use crate::protocol::{render_response, Response, MAX_LINE_BYTES};
 use crate::service::AdmissionService;
-use crate::sync::Instant;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// One entry in a session's response-order queue.
 enum Pending {

@@ -48,13 +48,18 @@ pub trait WalFile: Send + Sync + fmt::Debug {
     fn append(&mut self, buf: &[u8]) -> io::Result<()>;
     /// Flushes file data to stable storage (`fdatasync`-equivalent).
     fn sync(&mut self) -> io::Result<()>;
-    /// Truncates the file to `len` bytes and re-seeks to the new end.
+    /// Truncates the file to `len` bytes.
     fn truncate(&mut self, len: u64) -> io::Result<()>;
     /// Current file length in bytes.
     fn len(&mut self) -> io::Result<u64>;
+    /// A second handle onto the same file — what the `--fsync interval`
+    /// flusher syncs through while the reactor keeps writing through
+    /// this one. Fault injection carries over to the clone.
+    fn try_clone(&self) -> io::Result<Box<dyn WalFile>>;
 }
 
-/// A real file on disk, opened read+append-at-end.
+/// A real file on disk, opened for reading and appending (`O_APPEND`:
+/// every write lands at the end, so an append is one `write(2)`).
 pub struct RealFile {
     file: File,
 }
@@ -66,13 +71,12 @@ impl fmt::Debug for RealFile {
 }
 
 impl RealFile {
-    /// Opens (creating if absent) `path` for read + write.
+    /// Opens (creating if absent) `path` for read + append.
     pub fn open(path: &Path) -> io::Result<RealFile> {
         let file = OpenOptions::new()
             .read(true)
-            .write(true)
+            .append(true)
             .create(true)
-            .truncate(false)
             .open(path)?;
         Ok(RealFile { file })
     }
@@ -87,7 +91,6 @@ impl WalFile for RealFile {
     }
 
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::End(0))?;
         self.file.write_all(buf)
     }
 
@@ -96,13 +99,17 @@ impl WalFile for RealFile {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.file.set_len(len)?;
-        self.file.seek(SeekFrom::End(0))?;
-        Ok(())
+        self.file.set_len(len)
     }
 
     fn len(&mut self) -> io::Result<u64> {
         Ok(self.file.metadata()?.len())
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
+        Ok(Box::new(RealFile {
+            file: self.file.try_clone()?,
+        }))
     }
 }
 
@@ -115,10 +122,10 @@ impl WalFile for RealFile {
 /// [`MemFile::from_bytes`] at any point.
 ///
 /// The interior mutex is a plain `std` one even under `--cfg loom`:
-/// every access happens under the WAL's own (loom-instrumented) file
-/// lock or after the threads joined, so it is never contended at a
-/// model schedule point — it exists only to make the cheap `Clone`
-/// sharing possible.
+/// each call takes and releases it without reaching a model schedule
+/// point, so under the model checker (which runs one thread at a time)
+/// it is never contended, and every call is atomic — as one `write(2)`
+/// or one `fdatasync` is to the other handle of a real file.
 #[derive(Clone, Debug, Default)]
 pub struct MemFile {
     state: Arc<std::sync::Mutex<MemState>>,
@@ -216,6 +223,10 @@ impl WalFile for MemFile {
     fn len(&mut self) -> io::Result<u64> {
         Ok(self.lock().data.len() as u64)
     }
+
+    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
+        Ok(Box::new(self.clone()))
+    }
 }
 
 /// What to inject, keyed by 1-based call counts. `None` fields never
@@ -233,8 +244,8 @@ pub struct FaultPlan {
     pub fail_sync_from: Option<u64>,
     /// Stretch every sync by this long (a slow device). Not a failure:
     /// the latency failpoint lets the chaos harness force concurrent
-    /// writers to pile up behind the group-commit leader so a
-    /// mid-batch crash is actually mid-*batch*.
+    /// writers to pile up behind one group sync so a mid-batch crash is
+    /// actually mid-*batch*.
     pub sync_delay: Option<std::time::Duration>,
 }
 
@@ -333,6 +344,16 @@ impl WalFile for FailpointFile {
 
     fn len(&mut self) -> io::Result<u64> {
         self.inner.len()
+    }
+
+    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
+        Ok(Box::new(FailpointFile {
+            inner: RealFile {
+                file: self.inner.file.try_clone()?,
+            },
+            plan: self.plan,
+            state: Arc::clone(&self.state),
+        }))
     }
 }
 

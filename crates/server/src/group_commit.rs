@@ -1,57 +1,55 @@
-//! Group commit: amortizing the WAL's fsync cost over batches of
-//! accepted operations.
+//! Group commit: the WAL as the reactor owns it, with one `write(2)` per
+//! batch of records and, under `--fsync always`, one `fdatasync` per
+//! reactor pass (group commit as in `DeWitt` et al., SIGMOD 1984).
 //!
-//! The per-op durability path of PR 3 paid one `fdatasync` per accepted
-//! operation under `--fsync always` — correct, but the fsync dominates
-//! the admission latency and serializes the whole write path behind the
-//! device. [`GroupWal`] keeps the *durable-before-ack* contract while
-//! paying one fsync per **batch**:
+//! [`GroupWal`] has one owner, the thread that owns the service:
 //!
-//! 1. [`GroupWal::append`] encodes nothing and touches no file — it
-//!    buffers the op under a small metadata mutex and returns a
-//!    monotonically increasing *ticket*. Appends therefore never block
-//!    behind an in-flight fsync.
-//! 2. [`GroupWal::wait_durable`] blocks the acknowledging thread until
-//!    its ticket is covered. The first waiter to find no sync in flight
-//!    becomes the **leader**: it drains the buffer, writes every
-//!    record, issues one `fdatasync`, and wakes every waiter whose
-//!    ticket the sync covered. Ops that arrive while the leader is
-//!    inside the fsync accumulate into the next batch — under
-//!    concurrency the batch size grows with load, which is exactly the
-//!    amortization.
-//! 3. Under `--fsync interval` the flush + sync runs on the server's
-//!    background flusher thread via [`GroupWal::sync_if_due`] — the
-//!    reactor never pays the fsync latency; under `--fsync never` the
-//!    buffer is flushed (without sync) on size or at shutdown.
+//! 1. [`GroupWal::append`] frames the record into an owned byte buffer
+//!    and returns its sequence number. No system call runs.
+//! 2. [`GroupWal::write`] hands the buffer to the file in one `write(2)`.
+//!    The reactor calls it before it flushes any client connection's
+//!    output and at the end of every pass, before replication reads the
+//!    file, so no acknowledgement leaves before its record is in the
+//!    file, under any policy: a killed process loses no acknowledged op.
+//! 3. Under `--fsync always` an acknowledgement also waits for a sync.
+//!    [`GroupWal::sync_to`] writes and then syncs once for every record
+//!    appended so far; the reactor calls it when it releases the first
+//!    held acknowledgement of a pass, and the rest find their records
+//!    covered. A blocking caller is a pass of one line.
+//! 4. Under `--fsync interval` the sync runs on the server's flusher
+//!    thread, through a [`WalFlusher`]: a second handle onto the same
+//!    file ([`crate::faultfs::WalFile::try_clone`]) and the atomics the
+//!    two threads share — the written and synced sequence numbers, the
+//!    broken flag and the sync counters. The flusher reads the written
+//!    sequence, syncs, and only then publishes it as synced, so a
+//!    published synced sequence is always on the device. Nothing else
+//!    crosses threads: no lock, no condvar. Under `--fsync never`
+//!    nothing syncs but shutdown and snapshots.
 //!
 //! ## Failure semantics
 //!
-//! A failed batch write or sync **rolls the file back to the last
-//! durable point** — the whole in-flight batch disappears, every
-//! pending ticket fails, and the log is marked broken (the service
-//! degrades to read-only). This preserves the recovery invariant: under
-//! `always`, the file never holds a record whose op was not (or will
-//! not be) acknowledged, so recovery lands exactly on the acknowledged
-//! prefix. The price of asynchronous acknowledgement is that a failed
-//! batch cannot be rolled out of the in-memory controller: the ops stay
-//! visible (unacknowledged) until the operator restarts — recovery then
-//! serves the durable prefix.
+//! A failed write or sync breaks the log (the service degrades to
+//! read-only). Under `always` it also **rolls the file back to the last
+//! synced point**: every record after it belongs to an acknowledgement
+//! still held, which becomes the `wal` refusal. So under `always` the
+//! file never holds a record whose op was not acknowledged, and
+//! recovery lands exactly on the acknowledged prefix. The ops stay
+//! applied in memory (unacknowledged) until the operator restarts.
+//! Under `interval`/`never` the acknowledgements of a failed write have
+//! already been rendered and are sent; those policies promise a write,
+//! not a device.
 //!
-//! A snapshot reset ([`GroupWal::reset`]) makes every outstanding
-//! ticket durable at once: the snapshot itself is fsynced and covers
-//! every buffered op, so the buffer is discarded, the log restarts
-//! empty, and all waiters are released.
+//! A snapshot reset ([`GroupWal::reset`]) covers every appended record
+//! at once: the snapshot itself is synced, so the buffer is discarded
+//! and the log restarts empty at the snapshot's sequence.
 
-use crate::lock_order::{classes, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
+use crate::faultfs::WalFile;
 use crate::service::AcceptedOp;
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::Instant;
-use crate::wal::{FsyncPolicy, Wal};
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::Arc;
+use crate::wal::{encode_record, FsyncPolicy, Wal};
 use std::io;
-
-/// Buffered records that trigger a size-based flush under
-/// [`FsyncPolicy::Never`] (no waiter ever drains the buffer otherwise).
-const NEVER_FLUSH_THRESHOLD: usize = 512;
+use std::time::Duration;
 
 /// Power-of-two batch-size histogram buckets.
 const BATCH_BUCKETS: usize = 16;
@@ -78,14 +76,6 @@ impl GroupCommitStats {
             self.ops_synced as f64 / self.syncs as f64
         }
     }
-
-    fn record(&mut self, batch: u64) {
-        self.syncs += 1;
-        self.ops_synced += batch;
-        self.max_batch = self.max_batch.max(batch);
-        let b = (63 - batch.max(1).leading_zeros() as usize).min(BATCH_BUCKETS - 1);
-        self.batch_hist[b] += 1;
-    }
 }
 
 fn broken_err() -> io::Error {
@@ -104,309 +94,246 @@ pub struct WalFrontiers {
     pub flushed: u64,
 }
 
-/// Ticketing / batching state, held only for microseconds at a time —
-/// never across file I/O.
+/// What the reactor and the interval flusher share: sequence numbers,
+/// the broken flag and the sync counters, all atomics. Only the
+/// flusher and [`GroupWal`]'s own syncs advance `synced`, each with a
+/// `fetch_max`, so two syncs never count one record twice.
 #[derive(Debug)]
-struct Meta {
-    /// Ops appended this process run (ticket counter).
-    written_seq: u64,
-    /// Tickets covered by a group fsync or a snapshot reset.
-    durable_seq: u64,
-    /// Tickets whose records reached the file (>= `durable_seq` except
-    /// under `never`/`interval` between syncs).
-    flushed_seq: u64,
-    /// `written_seq` at the last [`GroupWal::reset`] (or open).
-    reset_mark: u64,
-    /// Operations in the history before any append of this process run:
-    /// the log's own `base_seq` (snapshot-covered ops) **plus** the
-    /// records already in the file at open. Updated to the snapshot
-    /// sequence on [`GroupWal::reset`].
-    base_seq: u64,
-    /// Buffered `(req_id, op)` records awaiting the next flush.
-    pending: Vec<(u64, AcceptedOp)>,
-    /// A leader is writing/syncing outside the metadata lock.
-    leading: bool,
-    broken: bool,
-    /// `(end_offset, records)` of the last durable point — the batch
-    /// rollback target.
-    durable_end: u64,
-    durable_records: u64,
-    last_sync: Instant,
-    stats: GroupCommitStats,
+struct Shared {
+    /// Highest sequence whose record is in the file.
+    written: AtomicU64,
+    /// Highest sequence whose record a sync (or reset) made durable.
+    synced: AtomicU64,
+    broken: AtomicBool,
+    syncs: AtomicU64,
+    ops_synced: AtomicU64,
+    max_batch: AtomicU64,
+    batch_hist: [AtomicU64; BATCH_BUCKETS],
 }
 
-/// A [`Wal`] behind a group-commit front: lock-cheap buffered appends,
-/// leader-elected batched fsyncs, whole-batch rollback on error.
+impl Shared {
+    /// Publishes `seq` as synced; counts the batch it newly covers.
+    fn publish_synced(&self, seq: u64) {
+        let before = self.synced.fetch_max(seq, Ordering::AcqRel);
+        if seq > before {
+            let batch = seq - before;
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            self.ops_synced.fetch_add(batch, Ordering::Relaxed);
+            self.max_batch.fetch_max(batch, Ordering::Relaxed);
+            let b = (63 - batch.leading_zeros() as usize).min(BATCH_BUCKETS - 1);
+            self.batch_hist[b].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn is_broken(&self) -> bool {
+        self.broken.load(Ordering::Acquire)
+    }
+
+    fn set_broken(&self) {
+        self.broken.store(true, Ordering::Release);
+    }
+}
+
+/// The write-ahead log as its one owner sees it: records framed into a
+/// buffer, written with one `write(2)` per batch, synced per the
+/// policy, rolled back whole under `always` when a sync fails.
 #[derive(Debug)]
 pub struct GroupWal {
-    meta: TrackedMutex<Meta>,
-    cond: TrackedCondvar,
-    file: TrackedMutex<Wal>,
-    policy: FsyncPolicy,
-    /// `Meta::broken`, readable without the metadata lock: the service
-    /// asks on every write whether it is degraded.
-    broken: AtomicBool,
+    wal: Wal,
+    /// Framed records appended since the last write.
+    buf: Vec<u8>,
+    /// Records in `buf`.
+    buffered: u64,
+    /// Sequence number of the last appended op.
+    seq: u64,
+    /// `seq` at the last reset (or open): the snapshot cadence counts
+    /// from here.
+    mark: u64,
+    /// The file's `(end_offset, records)` at the last sync: what a
+    /// failed write or sync rolls back to under `always`.
+    synced_at: (u64, u64),
+    shared: Arc<Shared>,
 }
 
 impl GroupWal {
-    /// Wraps an open log. The wal's policy decides when syncs run.
+    /// Wraps an open log. The wal's policy decides when syncs run. A
+    /// reopened log's records count as written and synced.
     pub fn new(wal: Wal) -> GroupWal {
-        let policy = wal.policy();
-        let meta = Meta {
-            written_seq: 0,
-            durable_seq: 0,
-            flushed_seq: 0,
-            reset_mark: 0,
-            // `Wal::seq()` is already `base_seq + records`: a reopened
-            // log's records are part of the history, so they count.
-            base_seq: wal.seq(),
-            pending: Vec::new(),
-            leading: false,
-            broken: false,
-            durable_end: wal.end_offset(),
-            durable_records: wal.records(),
-            last_sync: Instant::now(),
-            stats: GroupCommitStats::default(),
+        let seq = wal.seq();
+        let shared = Shared {
+            written: AtomicU64::new(seq),
+            synced: AtomicU64::new(seq),
+            broken: AtomicBool::new(false),
+            syncs: AtomicU64::new(0),
+            ops_synced: AtomicU64::new(0),
+            max_batch: AtomicU64::new(0),
+            batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
         };
         GroupWal {
-            meta: TrackedMutex::new(&classes::WAL_META, meta),
-            cond: TrackedCondvar::new(),
-            file: TrackedMutex::new(&classes::WAL_FILE, wal),
-            policy,
-            broken: AtomicBool::new(false),
+            synced_at: (wal.end_offset(), wal.records()),
+            wal,
+            buf: Vec::new(),
+            buffered: 0,
+            seq,
+            mark: seq,
+            shared: Arc::new(shared),
         }
     }
 
     /// The active fsync policy.
     pub fn policy(&self) -> FsyncPolicy {
-        self.policy
+        self.wal.policy()
     }
 
-    /// True once a batch write/sync failed; the log refuses appends and
+    /// True once a write or sync failed; the log refuses appends and
     /// the service should degrade to read-only.
     pub fn is_broken(&self) -> bool {
-        self.broken.load(Ordering::Acquire)
+        self.shared.is_broken()
     }
 
-    /// Ops appended since the last snapshot reset (buffered or filed) —
-    /// the snapshot-cadence counter.
+    /// Ops appended since the last snapshot reset (or open) — the
+    /// snapshot-cadence counter.
     pub fn records_since_reset(&self) -> u64 {
-        let m = self.meta.lock();
-        m.written_seq - m.reset_mark
+        self.seq - self.mark
     }
 
-    /// The operation sequence number the next append will get
-    /// (`base_seq` + ops since reset).
+    /// The sequence number of the last appended op: the service's
+    /// history length.
     pub fn seq(&self) -> u64 {
-        let m = self.meta.lock();
-        m.base_seq + (m.written_seq - m.reset_mark)
+        self.seq
     }
 
     /// A copy of the batching statistics.
     pub fn stats(&self) -> GroupCommitStats {
-        self.meta.lock().stats
+        let s = &self.shared;
+        GroupCommitStats {
+            syncs: s.syncs.load(Ordering::Relaxed),
+            ops_synced: s.ops_synced.load(Ordering::Relaxed),
+            max_batch: s.max_batch.load(Ordering::Relaxed),
+            batch_hist: std::array::from_fn(|i| s.batch_hist[i].load(Ordering::Relaxed)),
+        }
     }
 
     /// The current replication frontiers as global operation sequence
     /// numbers (same numbering as [`GroupWal::seq`]). The WAL shipper
     /// must never stream a record past the safe frontier for the
-    /// policy: under `always` a flushed-but-unsynced batch can still be
+    /// policy: under `always` a written-but-unsynced batch can still be
     /// rolled back whole, so only `synced` is safe; under
-    /// `interval`/`never` flushed records are never rolled back and
+    /// `interval`/`never` written records are never rolled back and
     /// `flushed` is the frontier.
     pub fn frontiers(&self) -> WalFrontiers {
-        let m = self.meta.lock();
         WalFrontiers {
-            synced: m.base_seq + (m.durable_seq - m.reset_mark),
-            flushed: m.base_seq + (m.flushed_seq - m.reset_mark),
+            synced: self.shared.synced.load(Ordering::Acquire),
+            flushed: self.shared.written.load(Ordering::Acquire),
         }
     }
 
-    /// Buffers one accepted operation and returns its ticket for
-    /// [`GroupWal::wait_durable`]. No fsync ever runs on this path —
-    /// the service appends while it decides a write, and a sync there
-    /// would stall every connection behind it. Under `never` a full
-    /// buffer is written out (page cache only, no sync).
-    pub fn append(&self, req_id: u64, op: &AcceptedOp) -> io::Result<u64> {
-        let mut m = self.meta.lock();
-        if m.broken {
+    /// Frames one accepted operation into the buffer and returns its
+    /// sequence number. No system call runs here; [`GroupWal::write`]
+    /// lands the buffer.
+    pub fn append(&mut self, req_id: u64, op: &AcceptedOp) -> io::Result<u64> {
+        if self.is_broken() {
             return Err(broken_err());
         }
-        m.written_seq += 1;
-        let ticket = m.written_seq;
-        m.pending.push((req_id, op.clone()));
-        if self.policy == FsyncPolicy::Never
-            && m.pending.len() >= NEVER_FLUSH_THRESHOLD
-            && !m.leading
-        {
-            self.lead(m, false)?;
-        }
-        Ok(ticket)
+        encode_record(&mut self.buf, req_id, op);
+        self.buffered += 1;
+        self.seq += 1;
+        Ok(self.seq)
     }
 
-    /// Blocks until `ticket` is durable — covered by a group fsync or a
-    /// snapshot reset. The caller acknowledges only after this returns.
-    /// Under `interval`/`never`, durability is not part of the ack
-    /// contract and this returns immediately (the interval cadence is
-    /// driven by [`GroupWal::sync_if_due`] from a background thread).
-    pub fn wait_durable(&self, ticket: u64) -> io::Result<()> {
-        if self.policy != FsyncPolicy::Always {
+    /// Writes the buffered records with one `write(2)`; a no-op when
+    /// nothing is buffered. Never syncs.
+    pub fn write(&mut self) -> io::Result<()> {
+        if self.buffered == 0 {
             return Ok(());
         }
-        let mut m = self.meta.lock();
-        loop {
-            if m.durable_seq >= ticket {
-                return Ok(());
-            }
-            if m.broken {
-                return Err(broken_err());
-            }
-            if m.leading {
-                m = self.cond.wait(m);
-            } else {
-                self.lead(m, true)?;
-                m = self.meta.lock();
-            }
-        }
-    }
-
-    /// Runs the `interval` policy's flush + fsync if the interval has
-    /// elapsed and un-synced records are outstanding; returns whether a
-    /// sync ran. Called from the server's background flusher thread so
-    /// no request thread ever pays the fsync latency (an fsync landing
-    /// on a request's critical path is exactly the p99 tail group
-    /// commit exists to remove). No-op under `always` (waiters drive
-    /// the syncs) and `never` (size/shutdown flushes only).
-    pub fn sync_if_due(&self) -> io::Result<bool> {
-        let FsyncPolicy::Interval(every) = self.policy else {
-            return Ok(false);
-        };
-        let m = self.meta.lock();
-        if m.broken || m.leading || m.durable_seq >= m.written_seq || m.last_sync.elapsed() < every
-        {
-            return Ok(false);
-        }
-        self.lead(m, true).map(|()| true)
-    }
-
-    /// Writes every buffered record to the file; syncs except under
-    /// `never`. The clean-shutdown path.
-    pub fn flush(&self) -> io::Result<()> {
-        let mut m = self.meta.lock();
-        while m.leading {
-            m = self.cond.wait(m);
-        }
-        if m.broken {
+        if self.is_broken() {
             return Err(broken_err());
         }
-        let need_sync = self.policy != FsyncPolicy::Never;
-        if m.pending.is_empty() && (!need_sync || m.durable_seq >= m.written_seq) {
+        if let Err(e) = self.wal.write_records(&self.buf, self.buffered) {
+            return Err(self.fail(e));
+        }
+        self.buf.clear();
+        self.buffered = 0;
+        self.shared.written.store(self.seq, Ordering::Release);
+        Ok(())
+    }
+
+    /// Makes the op with sequence `seq` durable: a no-op when a sync
+    /// already covered it, otherwise one write and one sync for every
+    /// record appended so far. An error means `seq` was not made
+    /// durable — under `always`, nothing after the last synced point is
+    /// left in the file.
+    pub fn sync_to(&mut self, seq: u64) -> io::Result<()> {
+        if self.shared.synced.load(Ordering::Acquire) >= seq {
             return Ok(());
         }
-        self.lead(m, need_sync)
+        self.write()?;
+        if self.is_broken() {
+            return Err(broken_err());
+        }
+        if let Err(e) = self.wal.sync_now() {
+            return Err(self.fail(e));
+        }
+        self.synced_at = (self.wal.end_offset(), self.wal.records());
+        self.shared.publish_synced(self.seq);
+        Ok(())
+    }
+
+    /// Writes every buffered record, and syncs except under `never`.
+    /// The clean-shutdown path.
+    pub fn flush(&mut self) -> io::Result<()> {
+        match self.policy() {
+            FsyncPolicy::Never => self.write(),
+            FsyncPolicy::Always | FsyncPolicy::Interval(_) => self.sync_to(self.seq),
+        }
     }
 
     /// Restarts the log after a snapshot at sequence `base_seq`. The
-    /// fsynced snapshot covers every op appended so far, so the pending
-    /// buffer is discarded, every outstanding ticket becomes durable,
-    /// and all waiters are released.
-    pub fn reset(&self, base_seq: u64) -> io::Result<()> {
-        let mut m = self.meta.lock();
-        while m.leading {
-            m = self.cond.wait(m);
-        }
-        if m.broken {
+    /// synced snapshot covers every op appended so far, so the buffer
+    /// is discarded and every op counts as synced.
+    pub fn reset(&mut self, base_seq: u64) -> io::Result<()> {
+        if self.is_broken() {
             return Err(broken_err());
         }
-        m.pending.clear();
-        m.leading = true;
-        drop(m);
-        let res = {
-            let mut wal = self.file.lock();
-            wal.reset(base_seq)
-                .map(|()| (wal.end_offset(), wal.records()))
-        };
-        let mut m = self.meta.lock();
-        m.leading = false;
-        let out = match res {
-            Ok((end, records)) => {
-                m.durable_seq = m.written_seq;
-                m.flushed_seq = m.written_seq;
-                m.reset_mark = m.written_seq;
-                m.base_seq = base_seq;
-                m.durable_end = end;
-                m.durable_records = records;
-                m.last_sync = Instant::now();
-                Ok(())
-            }
-            Err(e) => {
-                m.broken = true;
-                self.broken.store(true, Ordering::Release);
-                Err(e)
-            }
-        };
-        drop(m);
-        self.cond.notify_all();
-        out
+        if let Err(e) = self.wal.reset(base_seq) {
+            self.shared.set_broken();
+            return Err(e);
+        }
+        self.buf.clear();
+        self.buffered = 0;
+        self.seq = base_seq;
+        self.mark = base_seq;
+        self.synced_at = (self.wal.end_offset(), 0);
+        self.shared.written.store(base_seq, Ordering::Release);
+        self.shared.synced.fetch_max(base_seq, Ordering::AcqRel);
+        Ok(())
     }
 
-    /// The leader path: drain the buffer, write the batch, optionally
-    /// sync, publish the new durable point, wake everyone. Called with
-    /// the metadata lock held; file I/O runs without it so appends keep
-    /// flowing while the device works.
-    fn lead(&self, mut m: TrackedMutexGuard<'_, Meta>, need_sync: bool) -> io::Result<()> {
-        m.leading = true;
-        let batch: Vec<(u64, AcceptedOp)> = std::mem::take(&mut m.pending);
-        let target = m.written_seq;
-        let (rollback_end, rollback_records) = (m.durable_end, m.durable_records);
-        drop(m);
-
-        let mut res: io::Result<()> = Ok(());
-        let (end, records) = {
-            let mut wal = self.file.lock();
-            for (req_id, op) in &batch {
-                if let Err(e) = wal.append_raw(*req_id, op) {
-                    res = Err(e);
-                    break;
-                }
-            }
-            if need_sync {
-                if res.is_ok() {
-                    if let Err(e) = wal.sync_now() {
-                        res = Err(e);
-                    }
-                }
-                if res.is_err() {
-                    // Whole-batch rollback: none of these tickets was
-                    // (or will be) acknowledged, so none of their
-                    // records may survive into recovery.
-                    let _ = wal.truncate_to(rollback_end, rollback_records);
-                }
-            }
-            (wal.end_offset(), wal.records())
+    /// The `--fsync interval` flusher: a second handle onto the file
+    /// and the shared frontiers, for a thread that syncs every
+    /// interval. `None` under the other policies.
+    pub fn flusher(&self) -> io::Result<Option<WalFlusher>> {
+        let FsyncPolicy::Interval(every) = self.policy() else {
+            return Ok(None);
         };
+        Ok(Some(WalFlusher {
+            file: self.wal.try_clone_file()?,
+            shared: Arc::clone(&self.shared),
+            every,
+        }))
+    }
 
-        let mut m = self.meta.lock();
-        m.leading = false;
-        if res.is_ok() {
-            m.flushed_seq = m.flushed_seq.max(target);
-            if need_sync {
-                let covered = target.saturating_sub(m.durable_seq);
-                m.durable_seq = m.durable_seq.max(target);
-                m.durable_end = end;
-                m.durable_records = records;
-                m.last_sync = Instant::now();
-                if covered > 0 {
-                    m.stats.record(covered);
-                }
-            }
-        } else {
-            m.broken = true;
-            self.broken.store(true, Ordering::Release);
+    /// Breaks the log after a failed write or sync; under `always`
+    /// first truncates it to the last synced point, so no record whose
+    /// acknowledgement is still held survives into recovery.
+    fn fail(&mut self, e: io::Error) -> io::Error {
+        if self.policy() == FsyncPolicy::Always {
+            let (end, records) = self.synced_at;
+            let _ = self.wal.truncate_to(end, records);
         }
-        drop(m);
-        self.cond.notify_all();
-        res
+        self.shared.set_broken();
+        e
     }
 }
 
@@ -418,19 +345,53 @@ impl Drop for GroupWal {
     }
 }
 
-#[cfg(test)]
+/// The `--fsync interval` flusher's side of the log ([`GroupWal::flusher`]):
+/// it owns a second handle onto the file and only ever syncs it.
+#[derive(Debug)]
+pub struct WalFlusher {
+    file: Box<dyn WalFile>,
+    shared: Arc<Shared>,
+    every: Duration,
+}
+
+impl WalFlusher {
+    /// The policy's sync interval.
+    pub fn every(&self) -> Duration {
+        self.every
+    }
+
+    /// Syncs if records were written since the last sync; returns
+    /// whether a sync ran. It reads the written sequence *before* the
+    /// sync, so what it publishes as synced is on the device. A failed
+    /// sync breaks the log, which degrades the service.
+    pub fn sync(&mut self) -> io::Result<bool> {
+        if self.shared.is_broken() {
+            return Err(broken_err());
+        }
+        let written = self.shared.written.load(Ordering::Acquire);
+        if written <= self.shared.synced.load(Ordering::Acquire) {
+            return Ok(false);
+        }
+        if let Err(e) = self.file.sync() {
+            self.shared.set_broken();
+            return Err(e);
+        }
+        self.shared.publish_synced(written);
+        Ok(true)
+    }
+}
+
+#[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use crate::faultfs::{FailpointFile, FaultPlan, FaultState, RealFile};
     use crate::wal::{Wal, WAL_FILE};
     use rtwc_core::StreamSpec;
     use std::sync::Arc;
-    use std::time::Duration;
     use wormnet_topology::NodeId;
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rtwc-gc-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::scratch_dir(&format!("gc-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(WAL_FILE)
     }
@@ -454,6 +415,10 @@ mod tests {
         GroupWal::new(wal)
     }
 
+    fn frontier(synced: u64, flushed: u64) -> WalFrontiers {
+        WalFrontiers { synced, flushed }
+    }
+
     fn reopen_records(path: &std::path::Path) -> usize {
         let (_, opened) =
             Wal::open(Box::new(RealFile::open(path).unwrap()), FsyncPolicy::Never).unwrap();
@@ -461,44 +426,58 @@ mod tests {
     }
 
     #[test]
-    fn always_append_wait_lands_records() {
+    fn always_append_sync_lands_records() {
         let path = tmp("always");
-        let gc = open(&path, FsyncPolicy::Always);
+        let mut gc = open(&path, FsyncPolicy::Always);
         for i in 0..5u64 {
-            let t = gc.append(i, &admit(i)).unwrap();
-            gc.wait_durable(t).unwrap();
+            let seq = gc.append(i, &admit(i)).unwrap();
+            gc.sync_to(seq).unwrap();
         }
         assert_eq!(gc.records_since_reset(), 5);
         let stats = gc.stats();
-        assert_eq!(stats.ops_synced, 5);
-        assert!(stats.syncs >= 1 && stats.syncs <= 5);
+        assert_eq!((stats.syncs, stats.ops_synced, stats.max_batch), (5, 5, 1));
         drop(gc);
         assert_eq!(reopen_records(&path), 5);
     }
 
     #[test]
-    fn concurrent_waiters_batch_under_one_leader() {
+    fn one_sync_covers_every_record_appended_before_it() {
         let path = tmp("batch");
-        let gc = Arc::new(open(&path, FsyncPolicy::Always));
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                let gc = Arc::clone(&gc);
-                std::thread::spawn(move || {
-                    for i in 0..25u64 {
-                        let ticket = gc.append(t * 100 + i, &admit(t * 100 + i)).unwrap();
-                        gc.wait_durable(ticket).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for th in threads {
-            th.join().unwrap();
+        let mut gc = open(&path, FsyncPolicy::Always);
+        let seqs: Vec<u64> = (0..4).map(|i| gc.append(i, &admit(i)).unwrap()).collect();
+        // A connection's output is flushed: its records are written,
+        // not yet synced.
+        gc.write().unwrap();
+        assert_eq!(gc.frontiers(), frontier(0, 4));
+        for &seq in &seqs {
+            gc.sync_to(seq).unwrap();
         }
         let stats = gc.stats();
-        assert_eq!(stats.ops_synced, 100, "{stats:?}");
-        assert!(stats.max_batch >= 1, "{stats:?}");
+        assert_eq!((stats.syncs, stats.ops_synced, stats.max_batch), (1, 4, 4));
+        assert_eq!(stats.batch_hist[2], 1, "{stats:?}");
         drop(gc);
-        assert_eq!(reopen_records(&path), 100);
+        assert_eq!(reopen_records(&path), 4);
+    }
+
+    #[test]
+    fn written_records_are_in_the_file_before_any_sync() {
+        for policy in [
+            FsyncPolicy::Always,
+            FsyncPolicy::Interval(Duration::from_mins(1)),
+            FsyncPolicy::Never,
+        ] {
+            let path = tmp("written");
+            let mut gc = open(&path, policy);
+            for i in 0..3u64 {
+                gc.append(i, &admit(i)).unwrap();
+            }
+            assert_eq!(reopen_records(&path), 0, "appends make no system call");
+            gc.write().unwrap();
+            // What a kill -9 now would leave: the page cache holds all.
+            assert_eq!(reopen_records(&path), 3, "{policy:?}");
+            assert_eq!(gc.stats().syncs, 0, "{policy:?}");
+            std::mem::forget(gc); // no shutdown flush
+        }
     }
 
     #[test]
@@ -506,92 +485,107 @@ mod tests {
         let path = tmp("syncfail");
         let state = Arc::new(FaultState::default());
         let plan = FaultPlan {
-            // Sync #1 is the header; the first group sync fails.
-            fail_sync_from: Some(2),
+            // Sync #1 is the header, #2 the first group sync; #3 fails.
+            fail_sync_from: Some(3),
             ..FaultPlan::default()
         };
         let file = Box::new(FailpointFile::open(&path, plan, Arc::clone(&state)).unwrap());
         let (wal, _) = Wal::open(file, FsyncPolicy::Always).unwrap();
-        let gc = GroupWal::new(wal);
-        let t = gc.append(1, &admit(0)).unwrap();
-        let err = gc.wait_durable(t).unwrap_err();
+        let mut gc = GroupWal::new(wal);
+        let first = gc.append(1, &admit(0)).unwrap();
+        gc.sync_to(first).unwrap();
+        // A batch of two, one written by an earlier connection flush.
+        gc.append(2, &admit(1)).unwrap();
+        gc.write().unwrap();
+        let last = gc.append(3, &admit(2)).unwrap();
+        let err = gc.sync_to(last).unwrap_err();
         assert!(err.to_string().contains("fsync"), "{err}");
         assert!(gc.is_broken());
+        assert!(gc.sync_to(last - 1).is_err(), "no record of the batch acks");
+        assert!(gc.sync_to(first).is_ok(), "the synced record stays acked");
         assert!(
-            gc.append(2, &admit(1)).is_err(),
+            gc.append(4, &admit(3)).is_err(),
             "broken log refuses appends"
         );
+        assert_eq!(gc.frontiers().synced, first);
         drop(gc);
-        // The batch was rolled back: recovery sees zero records.
-        assert_eq!(reopen_records(&path), 0);
+        // The batch was rolled back: recovery sees the synced record.
+        assert_eq!(reopen_records(&path), 1);
         assert!(state.fired());
     }
 
     #[test]
-    fn never_policy_flushes_on_drop() {
+    fn never_policy_writes_without_syncing() {
         let path = tmp("never");
-        let gc = open(&path, FsyncPolicy::Never);
+        let mut gc = open(&path, FsyncPolicy::Never);
         for i in 0..7u64 {
-            let t = gc.append(i, &admit(i)).unwrap();
-            gc.wait_durable(t).unwrap(); // returns immediately
+            gc.append(i, &admit(i)).unwrap();
         }
+        gc.flush().unwrap();
         assert_eq!(gc.stats().syncs, 0, "never policy must not sync");
-        drop(gc); // flush lands the buffered records
+        assert_eq!(gc.frontiers().flushed, 7);
+        drop(gc);
         assert_eq!(reopen_records(&path), 7);
     }
 
     #[test]
-    fn interval_policy_syncs_opportunistically() {
+    fn interval_flusher_syncs_what_was_written() {
         let path = tmp("interval");
-        let gc = open(&path, FsyncPolicy::Interval(Duration::from_millis(1)));
-        let t0 = gc.append(1, &admit(0)).unwrap();
-        gc.wait_durable(t0).unwrap(); // immediate: durability not in the ack contract
-        std::thread::sleep(Duration::from_millis(5));
+        let mut gc = open(&path, FsyncPolicy::Interval(Duration::from_millis(1)));
+        let mut flusher = gc.flusher().unwrap().expect("interval policy");
+        assert_eq!(flusher.every(), Duration::from_millis(1));
+        gc.append(1, &admit(0)).unwrap();
+        assert!(!flusher.sync().unwrap(), "nothing written yet");
+        gc.write().unwrap();
         gc.append(2, &admit(1)).unwrap();
-        assert!(gc.sync_if_due().unwrap(), "elapsed interval must sync");
-        assert!(
-            !gc.sync_if_due().unwrap(),
-            "nothing outstanding after the sync"
-        );
-        assert!(gc.stats().syncs >= 1, "{:?}", gc.stats());
+        assert!(flusher.sync().unwrap(), "a written record is due");
+        assert_eq!(gc.frontiers(), frontier(1, 1));
+        assert!(!flusher.sync().unwrap(), "nothing new written");
+        gc.flush().unwrap();
+        assert_eq!(gc.frontiers().synced, 2);
+        let stats = gc.stats();
+        assert_eq!((stats.syncs, stats.ops_synced), (2, 2), "{stats:?}");
         drop(gc);
         assert_eq!(reopen_records(&path), 2);
+        assert!(open(&path, FsyncPolicy::Always)
+            .flusher()
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn frontiers_track_sync_flush_and_reset() {
         let path = tmp("frontiers");
-        let gc = open(&path, FsyncPolicy::Always);
+        let mut gc = open(&path, FsyncPolicy::Always);
         assert_eq!(gc.frontiers(), WalFrontiers::default());
-        let t = gc.append(1, &admit(0)).unwrap();
+        let seq = gc.append(1, &admit(0)).unwrap();
         // Buffered only: neither frontier moved yet.
-        assert_eq!(gc.frontiers().synced, 0);
-        gc.wait_durable(t).unwrap();
-        let f = gc.frontiers();
-        assert_eq!(f.synced, 1);
-        assert_eq!(f.flushed, 1);
+        assert_eq!(gc.frontiers(), WalFrontiers::default());
+        gc.sync_to(seq).unwrap();
+        assert_eq!(gc.frontiers(), frontier(1, 1));
         gc.reset(3).unwrap();
-        let f = gc.frontiers();
-        assert_eq!((f.synced, f.flushed), (3, 3));
-        let t = gc.append(2, &admit(1)).unwrap();
-        gc.wait_durable(t).unwrap();
+        assert_eq!(gc.frontiers(), frontier(3, 3));
+        let seq = gc.append(2, &admit(1)).unwrap();
+        gc.sync_to(seq).unwrap();
         assert_eq!(gc.frontiers().synced, 4);
         drop(gc);
         // A reopened log counts its surviving records as synced.
         let gc = open(&path, FsyncPolicy::Always);
         assert_eq!(gc.frontiers().synced, 4);
+        assert_eq!((gc.seq(), gc.records_since_reset()), (4, 0));
     }
 
     #[test]
-    fn reset_covers_outstanding_tickets_and_restarts_the_log() {
+    fn reset_covers_buffered_records_and_restarts_the_log() {
         let path = tmp("reset");
-        let gc = open(&path, FsyncPolicy::Always);
-        let t = gc.append(1, &admit(0)).unwrap();
+        let mut gc = open(&path, FsyncPolicy::Always);
+        let seq = gc.append(1, &admit(0)).unwrap();
         // Snapshot taken: the op is covered without any WAL sync.
         gc.reset(1).unwrap();
-        gc.wait_durable(t).unwrap();
+        gc.sync_to(seq).unwrap();
         assert_eq!(gc.seq(), 1);
         assert_eq!(gc.records_since_reset(), 0);
+        assert_eq!(gc.stats().syncs, 0);
         drop(gc);
         assert_eq!(reopen_records(&path), 0);
     }

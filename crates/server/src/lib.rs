@@ -24,8 +24,9 @@
 //! - [`bench`] — the closed-loop multi-client load generator behind
 //!   `rtwc bench-serve`;
 //! - [`wal`] / [`group_commit`] / [`snapshot`] / [`recovery`] — the
-//!   durability layer: a length-and-CRC-framed write-ahead log, group
-//!   commit that acknowledges whole batches after one fsync, atomic
+//!   durability layer: a length-and-CRC-framed write-ahead log the
+//!   reactor owns and writes with one `write(2)` per batch (under
+//!   `--fsync always`, one fsync covers a pass's writes), atomic
 //!   snapshots with WAL compaction, and a startup recovery path that
 //!   replays and then *audits* the rebuilt state against a fresh
 //!   offline analysis;
@@ -42,12 +43,10 @@
 //!   in-process TCP proxy (partitions, one-way blackholes, latency,
 //!   severs, duplicate delivery) that the partition chaos classes and
 //!   `rtwc netchaos` drive with timed schedules;
-//! - [`sync`] / [`lock_order`] — the concurrency verification layer for
-//!   what crosses threads (the group-commit WAL the interval flusher
-//!   shares): a shim that swaps its locks, condvar and atomics for
-//!   `loom` model-checked equivalents under `--cfg loom`, and
-//!   debug-build lock-rank tracking that panics on out-of-order
-//!   acquisition (see DESIGN.md for the rank table).
+//! - [`sync`] — the one thing that crosses threads, the atomics the
+//!   reactor and the `--fsync interval` flusher share, behind a shim
+//!   that swaps them for `loom` model-checked equivalents under
+//!   `--cfg loom`.
 
 // `deny`, not `forbid`: the [`poll`] module is the one place allowed
 // to contain `unsafe` — the raw `epoll`/`close`/`socket`/`connect`
@@ -61,7 +60,6 @@ pub mod client;
 pub mod dispatch;
 pub mod faultfs;
 pub mod group_commit;
-pub mod lock_order;
 pub mod metrics;
 pub mod netchaos;
 pub mod poll;
@@ -81,8 +79,7 @@ pub use bench::{
 pub use chaos::{render_chaos_report, run_chaos, ChaosConfig, ChaosOutcome, ScenarioOutcome};
 pub use client::{Client, ClientConfig, ClientError};
 pub use faultfs::{scratch_dir, FailpointFile, FaultPlan, FaultState, MemFile, RealFile, WalFile};
-pub use group_commit::{GroupCommitStats, GroupWal};
-pub use lock_order::{LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
+pub use group_commit::{GroupCommitStats, GroupWal, WalFlusher};
 pub use metrics::{Metrics, MetricsSnapshot, RequestKind};
 pub use netchaos::{NetAction, NetChaos, NetChaosHandle, NetSchedule};
 pub use poll::{PollEvent, Poller};

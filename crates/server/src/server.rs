@@ -20,12 +20,20 @@
 //! per-connection buffers. Their heartbeats, reconnects, promotion grace
 //! and fence retries are deadlines that shorten the epoll timeout, so
 //! nothing sleeps and nothing else touches the service. The one other
-//! thread is the `--fsync interval` flusher, which holds only the
-//! group-commit WAL: the fsync stays off the reactor.
+//! thread is the `--fsync interval` flusher, which holds only a second
+//! handle onto the WAL's file and syncs it: the fsync stays off the
+//! reactor.
 //!
 //! **Pipelining with ordered responses.** A client may write N requests
 //! back to back without waiting; the N responses come back in request
 //! order, and an overlong line's `too_long` answer keeps its slot.
+//!
+//! **Written before acknowledged.** Before the reactor flushes a
+//! connection's output, the WAL records appended so far go to the file
+//! in one `write(2)`, and so does whatever is left at the end of every
+//! pass, before the ship sessions read the file. So under every policy
+//! no acknowledgement leaves before its record is in the file, and a
+//! `kill -9` loses no acknowledged op.
 //!
 //! **Group commit by pass.** Under `--fsync always` a write may not be
 //! acknowledged before its WAL record is durable. Its session holds the
@@ -279,19 +287,18 @@ impl Server {
     /// stops it, then hands the service back.
     pub fn run(self) -> io::Result<AdmissionService> {
         self.listener.set_nonblocking(true)?;
-        // Under `--fsync interval` the periodic flush + fsync runs on
-        // its own thread, which holds only the WAL: the reactor paying
-        // the fsync would put multi-ms device latency into every
-        // connection's requests.
-        let flusher = self.service.interval_wal().map(|(wal, every)| {
+        // Under `--fsync interval` the periodic fsync runs on its own
+        // thread, which holds only a second handle onto the WAL's file:
+        // the reactor paying the fsync would put multi-ms device latency
+        // into every connection's requests.
+        let flusher = self.service.interval_flusher()?.map(|mut wal| {
             let shutdown = Arc::clone(&self.shutdown);
-            let tick = (every / 4).max(Duration::from_millis(1));
             thread::spawn(move || {
                 while !shutdown.load(Ordering::SeqCst) {
-                    thread::sleep(tick);
+                    thread::park_timeout(wal.every());
                     // A failed sync breaks the log; the service reads
                     // that as degraded.
-                    let _ = wal.sync_if_due();
+                    let _ = wal.sync();
                 }
             })
         });
@@ -323,6 +330,7 @@ impl Server {
 
         reactor.shutdown.store(true, Ordering::SeqCst);
         if let Some(f) = flusher {
+            f.thread().unpark();
             let _ = f.join();
         }
         result.map(|()| reactor.service)
@@ -357,7 +365,9 @@ impl Reactor {
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 // Best-effort: push out whatever responses are already
-                // rendered (the SHUTDOWN ack among them), then stop.
+                // rendered (the SHUTDOWN ack among them), their WAL
+                // records first, then stop.
+                self.service.write_wal();
                 for conn in self.conns.values_mut() {
                     let _ = conn.flush();
                 }
@@ -380,6 +390,9 @@ impl Reactor {
                 }
             }
             self.commit_pass();
+            // What a connection closed mid-serve appended reaches the
+            // file before the ship sessions read it.
+            self.service.write_wal();
             self.repl_pass(now);
         }
     }
@@ -575,14 +588,17 @@ impl Reactor {
         }
     }
 
-    /// Flushes the connection, closes it when it is done, and re-arms
-    /// epoll interest to match (write interest only while output is
+    /// Writes the WAL records appended so far (no acknowledgement may
+    /// leave before its record is in the file), then flushes the
+    /// connection, closes it when it is done, and re-arms epoll
+    /// interest to match (write interest only while output is
     /// backlogged, read interest only until the peer's EOF, and not
     /// while a follower's queue has no room for the reply).
     fn settle(&mut self, token: u64, now: Instant) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
+        self.service.write_wal();
         if conn.flush().is_err() || conn.done() {
             self.close_conn(token, None, now);
             return;

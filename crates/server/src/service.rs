@@ -19,8 +19,8 @@
 //! scanning, cloning or re-routing the admitted set, and the journal
 //! holds `Arc<AcceptedOp>` entries so [`AdmissionService::ops`] clones
 //! pointers, not specs. The one piece another thread touches is the
-//! group-commit WAL, which the interval flusher syncs through its own
-//! `Arc<GroupWal>`.
+//! WAL's file, which the `--fsync interval` flusher syncs through a
+//! handle of its own ([`crate::group_commit::WalFlusher`]).
 //!
 //! ## The write path
 //!
@@ -50,17 +50,22 @@
 //! ## Durability
 //!
 //! With a [`Durability`] attached (the `--wal-dir` path), every
-//! accepted operation is buffered into the group-commit WAL
-//! ([`crate::group_commit::GroupWal`]) as it is decided. Under
-//! `--fsync always` it is **acknowledged only after its batch is
-//! durable**, and the wait runs after the decision: the
-//! reactor holds the acknowledgement until the end of its pass, where
-//! one fsync covers every write the pass produced
-//! ([`AdmissionService::dispatch_queued`]); a blocking caller waits at
+//! accepted operation is appended to the WAL
+//! ([`crate::group_commit::GroupWal`]) as it is decided, and the
+//! buffered records are written to the file with one `write(2)` before
+//! any acknowledgement leaves ([`AdmissionService::write_wal`], which
+//! the reactor calls before it flushes a connection), so under every
+//! policy a killed process has lost no acknowledged op. Under
+//! `--fsync always` an op is **acknowledged only after its batch is
+//! durable**, and the wait runs after the decision: the reactor holds
+//! the acknowledgement until the end of its pass, where one fsync
+//! covers every write the pass produced
+//! ([`AdmissionService::dispatch_queued`]); a blocking caller syncs at
 //! once ([`AdmissionService::dispatch_line`],
-//! [`AdmissionService::handle`]). A WAL device failure fails every ticket in the in-flight batch
-//! (none of them is acknowledged; the file is rolled back to the last
-//! durable point) and breaks the log, which is what puts the service in
+//! [`AdmissionService::handle`]). A WAL device failure fails every
+//! write of the unsynced batch (none of them is acknowledged; the file
+//! is rolled back to the last synced point) and breaks the log, which
+//! is what puts the service in
 //! **degraded read-only mode** ([`AdmissionService::is_degraded`] reads
 //! the log's flag): reads keep working, writes answer `code:"degraded"`
 //! until an operator restarts onto a healthy device. The flag is set by
@@ -77,14 +82,13 @@
 //! lost acknowledgement returns the original outcome instead of
 //! double-admitting.
 
-use crate::group_commit::GroupWal;
+use crate::group_commit::{GroupWal, WalFlusher};
 use crate::metrics::{Metrics, MetricsSnapshot, RequestKind};
 use crate::protocol::{
     parse_request, render_response, RejectReason, Request, Response, SnapshotStream, StatsReport,
 };
 use crate::repl::ReplHub;
 use crate::snapshot::{write_snapshot, DedupEntry, SnapshotData};
-use crate::sync::Instant;
 use crate::wal::FsyncPolicy;
 use rtwc_core::{
     determine_feasibility, AdmissionController, AdmissionError, DelayBound, StreamId, StreamSet,
@@ -95,7 +99,7 @@ use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path as FsPath, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 use wormnet_topology::{Mesh, Path, Routing, Topology, XyRouting};
 
 /// Most request ids remembered for idempotent replay. Oldest entries
@@ -137,12 +141,13 @@ pub struct Durability {
     pub snapshot_every: u64,
 }
 
-/// [`Durability`] as the service keeps it: the WAL is shared with the
-/// interval flusher thread, which holds nothing else of the service.
+/// [`Durability`] as the service keeps it. The WAL is the service's
+/// own; the interval flusher gets only a second handle onto its file
+/// ([`AdmissionService::interval_flusher`]).
 #[derive(Debug)]
 struct Durable {
     dir: PathBuf,
-    wal: Arc<GroupWal>,
+    wal: RefCell<GroupWal>,
     snapshot_every: u64,
 }
 
@@ -409,8 +414,8 @@ impl Inner {
 pub struct AdmissionService {
     mesh: Mesh,
     inner: RefCell<Inner>,
-    /// The group-commit WAL. Appends are ticketed as writes are
-    /// decided; the durability wait happens after.
+    /// The WAL. Records are appended as writes are decided; the write
+    /// to the file and the durability wait happen after.
     durability: Option<Durable>,
     metrics: Metrics,
     /// Replication state, when this node participates in replication.
@@ -442,7 +447,7 @@ impl AdmissionService {
             inner: RefCell::new(inner),
             durability: durability.map(|d| Durable {
                 dir: d.dir,
-                wal: Arc::new(d.wal),
+                wal: RefCell::new(d.wal),
                 snapshot_every: d.snapshot_every,
             }),
             metrics: Metrics::new(),
@@ -537,42 +542,54 @@ impl AdmissionService {
     /// True once a WAL device error has broken the log: the service is
     /// read-only until an operator restarts it.
     pub fn is_degraded(&self) -> bool {
-        self.durability.as_ref().is_some_and(|d| d.wal.is_broken())
+        self.wal().is_some_and(|w| w.is_broken())
     }
 
     /// Total accepted operations in this service's history (including
     /// those recovered from disk). Falls back to the journal's count for
     /// a non-durable service.
     pub fn seq(&self) -> u64 {
-        match &self.durability {
-            Some(d) => d.wal.seq(),
+        match self.wal() {
+            Some(w) => w.seq(),
             None => self.read().journaled,
         }
     }
 
-    /// Lands and syncs every buffered WAL record regardless of policy —
-    /// the clean-shutdown path for `--fsync interval`/`never`.
+    /// The WAL, borrowed for the call at hand.
+    fn wal(&self) -> Option<RefMut<'_, GroupWal>> {
+        self.durability.as_ref().map(|d| d.wal.borrow_mut())
+    }
+
+    /// Writes the WAL records appended since the last write to the
+    /// file, with one `write(2)`. The reactor calls it before it
+    /// flushes any connection's output, so no acknowledgement leaves
+    /// before its record is in the file. A failed write breaks the
+    /// log, which degrades the service.
+    pub fn write_wal(&self) {
+        if let Some(mut w) = self.wal() {
+            let _ = w.write();
+        }
+    }
+
+    /// Writes every buffered WAL record, and syncs unless the policy is
+    /// `never` — the clean-shutdown path.
     pub fn flush(&self) {
-        if let Some(d) = &self.durability {
-            let _ = d.wal.flush();
+        if let Some(mut w) = self.wal() {
+            let _ = w.flush();
         }
     }
 
     /// Group-commit batching statistics, when a WAL is attached.
     pub fn group_commit_stats(&self) -> Option<crate::group_commit::GroupCommitStats> {
-        self.durability.as_ref().map(|d| d.wal.stats())
+        self.wal().map(|w| w.stats())
     }
 
-    /// The WAL and its cadence when it runs the `interval` fsync
-    /// policy: the server hands them to a flusher thread, so the
-    /// periodic fsync never lands on the reactor. A sync error there
-    /// breaks the log, which degrades the service.
-    pub fn interval_wal(&self) -> Option<(Arc<GroupWal>, Duration)> {
-        let d = self.durability.as_ref()?;
-        match d.wal.policy() {
-            FsyncPolicy::Interval(every) => Some((Arc::clone(&d.wal), every)),
-            FsyncPolicy::Always | FsyncPolicy::Never => None,
-        }
+    /// Under the `interval` fsync policy, the handle the server's
+    /// flusher thread syncs the WAL through, so the periodic fsync
+    /// never lands on the reactor. A sync error there breaks the log,
+    /// which degrades the service.
+    pub fn interval_flusher(&self) -> std::io::Result<Option<WalFlusher>> {
+        self.wal().map_or(Ok(None), |w| w.flusher())
     }
 
     /// The durability directory (WAL and snapshot), if any.
@@ -672,12 +689,14 @@ impl AdmissionService {
         }
     }
 
-    /// The answer to send for a write served with `ticket`: `ack` once
-    /// the ticket is durable — the first call after new appends runs the
-    /// one group sync that covers all of them — or, if that sync failed,
-    /// the `wal` refusal, counted as an error. `ack` itself without a
+    /// The answer to send for a write served with `ticket`, once the
+    /// WAL records appended so far are written: `ack` once the ticket
+    /// is durable — the first call after new appends runs the one group
+    /// sync that covers all of them — or, if that sync failed, the
+    /// `wal` refusal, counted as an error. `ack` itself without a
     /// ticket.
     pub fn settle(&self, ack: Response, ticket: Option<u64>) -> Response {
+        self.write_wal();
         match self.await_durable(ticket) {
             None => ack,
             Some(refusal) => {
@@ -773,9 +792,9 @@ impl AdmissionService {
     /// everything flushed to the file (publishes are never undone).
     /// `None` without local durability.
     pub fn ship_frontier(&self) -> Option<u64> {
-        let d = self.durability.as_ref()?;
-        let f = d.wal.frontiers();
-        Some(match d.wal.policy() {
+        let w = self.wal()?;
+        let f = w.frontiers();
+        Some(match w.policy() {
             FsyncPolicy::Always => f.synced,
             FsyncPolicy::Interval(_) | FsyncPolicy::Never => f.flushed,
         })
@@ -784,8 +803,8 @@ impl AdmissionService {
     /// The local WAL's sync frontier (for STATS), falling back to the
     /// replicated applied sequence on a node without local durability.
     pub fn wal_synced_seq(&self) -> u64 {
-        match self.durability.as_ref() {
-            Some(d) => d.wal.frontiers().synced,
+        match self.wal() {
+            Some(w) => w.frontiers().synced,
             None => self.repl_hub().map(|h| h.applied_seq()).unwrap_or_default(),
         }
     }
@@ -794,9 +813,7 @@ impl AdmissionService {
     /// only reachable through a snapshot transfer. `None` without
     /// local durability.
     pub fn wal_base_seq(&self) -> Option<u64> {
-        self.durability
-            .as_ref()
-            .map(|d| d.wal.seq() - d.wal.records_since_reset())
+        self.wal().map(|w| w.seq() - w.records_since_reset())
     }
 
     /// Applies one replicated WAL frame on a follower, through
@@ -1036,8 +1053,8 @@ impl AdmissionService {
     /// [`Self::seq`] with `inner` already borrowed for the write (`seq`
     /// would borrow it again on a non-durable service).
     fn seq_under(&self, inner: &Inner) -> u64 {
-        match &self.durability {
-            Some(d) => d.wal.seq(),
+        match self.wal() {
+            Some(w) => w.seq(),
             None => inner.journaled,
         }
     }
@@ -1121,21 +1138,22 @@ impl AdmissionService {
         }
     }
 
-    /// Buffers `op` into the group-commit WAL, if one is attached,
-    /// returning the ticket its acknowledgement must wait on — only
-    /// under `--fsync always` does an acknowledgement promise
-    /// durability. `Err(response)` is the refusal to send instead of an
-    /// acknowledgement (the failed append broke the log, so the service
-    /// is degraded from here on). No fsync runs on this path: group
+    /// Appends `op` to the WAL's buffer, if a WAL is attached,
+    /// returning the ticket (its sequence number) its acknowledgement
+    /// must wait on — only under `--fsync always` does an
+    /// acknowledgement promise durability. `Err(response)` is the
+    /// refusal to send instead of an acknowledgement (the log is
+    /// broken, so the service is degraded). No system call runs on this
+    /// path: the record reaches the file at [`Self::write_wal`], group
     /// syncs run in `await_durable` once the reactor's pass ends, and
     /// interval syncs on the server's flusher thread.
     #[allow(clippy::result_large_err)] // the Err is the refusal sent on the wire
     fn persist(&self, req_id: u64, op: &AcceptedOp) -> Result<Option<u64>, Response> {
-        let Some(d) = self.durability.as_ref() else {
+        let Some(mut wal) = self.wal() else {
             return Ok(None);
         };
-        match d.wal.append(req_id, op) {
-            Ok(ticket) => Ok((d.wal.policy() == FsyncPolicy::Always).then_some(ticket)),
+        match wal.append(req_id, op) {
+            Ok(ticket) => Ok((wal.policy() == FsyncPolicy::Always).then_some(ticket)),
             Err(e) => Err(Response::error(
                 "wal",
                 format!("not applied: WAL write failed ({e}); service is now read-only"),
@@ -1143,17 +1161,17 @@ impl AdmissionService {
         }
     }
 
-    /// Blocks until `ticket`'s batch is durable (a no-op without a
-    /// ticket; `interval`/`never` writes get none, their syncs run on
-    /// the server's background flusher). `Some(response)` is
-    /// the refusal to send instead of an acknowledgement: the whole
+    /// Makes `ticket`'s record durable, syncing once for every record
+    /// appended so far unless a sync already covered it (a no-op
+    /// without a ticket; `interval`/`never` writes get none, their
+    /// syncs run on the server's background flusher). `Some(response)`
+    /// is the refusal to send instead of an acknowledgement: the whole
     /// batch was rolled back off the log, which is broken now, so the
-    /// service is degraded —
-    /// the op stays applied in memory, unacknowledged, until restart.
+    /// service is degraded — the op stays applied in memory,
+    /// unacknowledged, until restart.
     fn await_durable(&self, ticket: Option<u64>) -> Option<Response> {
         let ticket = ticket?;
-        let d = self.durability.as_ref()?;
-        match d.wal.wait_durable(ticket) {
+        match self.wal()?.sync_to(ticket) {
             Ok(()) => None,
             Err(e) => Some(Response::error(
                 "wal",
@@ -1195,10 +1213,9 @@ impl AdmissionService {
     /// trigger. A failed WAL reset breaks the log, which degrades the
     /// service at once.
     fn maybe_snapshot(&self, inner: &mut Inner) {
-        let due = match self.durability.as_ref() {
-            Some(d) => d.snapshot_every > 0 && d.wal.records_since_reset() >= d.snapshot_every,
-            None => false,
-        };
+        let due = self.durability.as_ref().is_some_and(|d| {
+            d.snapshot_every > 0 && d.wal.borrow().records_since_reset() >= d.snapshot_every
+        });
         if !due {
             return;
         }
@@ -1213,19 +1230,18 @@ impl AdmissionService {
             .collect();
         let d = self.durability.as_ref().expect("durability checked above");
         let data = SnapshotData {
-            seq: d.wal.seq(),
+            seq: d.wal.borrow().seq(),
             next_handle: inner.next_handle,
             streams,
             dedup,
         };
         if write_snapshot(&d.dir, &data).is_ok() {
-            // The fsynced snapshot covers every op ticketed so far
+            // The fsynced snapshot covers every op appended so far
             // (they were all applied before their durability waits), so
-            // a successful reset releases every
-            // outstanding ticket. A failed reset leaves WAL records the
-            // snapshot already covers; recovery skips them by sequence
-            // number.
-            let _ = d.wal.reset(data.seq);
+            // a successful reset makes every one of them durable. A
+            // failed reset leaves WAL records the snapshot already
+            // covers; recovery skips them by sequence number.
+            let _ = d.wal.borrow_mut().reset(data.seq);
         }
     }
 
@@ -1367,6 +1383,7 @@ pub fn replay(mesh: &Mesh, ops: &[Arc<AcceptedOp>]) -> Result<AdmissionControlle
 mod tests {
     use super::*;
     use rtwc_core::DelayBound;
+    use std::time::Duration;
 
     fn service() -> AdmissionService {
         AdmissionService::new(Mesh::mesh2d(10, 10))
@@ -1938,7 +1955,11 @@ mod tests {
                 let shipped = leader.ops().len();
                 admit_line(&leader, line);
                 let op = Arc::clone(&leader.ops()[shipped]);
-                svc.apply_replicated(svc.seq() + 1, req_id_of(line), &op)
+                let applied = svc.apply_replicated(svc.seq() + 1, req_id_of(line), &op);
+                // The reactor writes the frame's record before it acks
+                // the frame to the leader.
+                svc.write_wal();
+                applied
             };
             for line in [
                 "ADMIT 0,0 5,0 2 40 10",
@@ -2086,13 +2107,10 @@ mod tests {
         let r = admit_line(&svc, "ADMIT 0,0 5,0 2 50 4");
         assert!(matches!(r, Response::Admitted { .. }), "{r:?}");
         assert!(!svc.is_degraded());
-        // The flusher thread holds only the WAL; its failed sync breaks
-        // the log, and nothing else needs telling.
-        let (wal, every) = svc.interval_wal().expect("interval policy");
-        let flusher = std::thread::spawn(move || {
-            std::thread::sleep(every * 2);
-            wal.sync_if_due()
-        });
+        // The flusher thread holds only its handle onto the WAL's file;
+        // its failed sync breaks the log, and nothing else needs telling.
+        let mut flusher = svc.interval_flusher().unwrap().expect("interval policy");
+        let flusher = std::thread::spawn(move || flusher.sync());
         assert!(flusher.join().unwrap().is_err(), "the injected sync fails");
         assert!(fault.fired());
         assert!(svc.is_degraded(), "a broken log degrades the service");

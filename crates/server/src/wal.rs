@@ -17,12 +17,12 @@
 //!
 //! ## Crash discipline
 //!
-//! Records are appended with a single write and, under
-//! [`FsyncPolicy::Always`], synced before the operation is
-//! acknowledged. On any append or sync error the log **rolls the tail
-//! back** to the end of the last durable record, so an unacknowledged
-//! operation never survives into recovery; if even the rollback fails
-//! the log marks itself broken and the service degrades to read-only.
+//! Records go to the file with a single write; a failed write **rolls
+//! the tail back** to the end of the last intact record, and if even
+//! the rollback fails the log marks itself broken and the service
+//! degrades to read-only. `Wal` never syncs on its own: when records
+//! are synced, and what a failed sync rolls back, is the fsync
+//! policy's business, which [`crate::group_commit::GroupWal`] runs.
 //! [`Wal::open`] scans the whole file, verifies every CRC, and
 //! truncates a torn tail (a partial final record from a crash) — the
 //! surviving prefix is exactly the acknowledged history.
@@ -31,7 +31,7 @@ use crate::faultfs::WalFile;
 use crate::service::AcceptedOp;
 use rtwc_core::StreamSpec;
 use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// File-name of the log inside a `--wal-dir`.
 pub const WAL_FILE: &str = "wal.log";
@@ -45,13 +45,16 @@ const MAX_PAYLOAD: u32 = 1 << 16;
 const TAG_ADMIT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 
-/// When `fsync` runs relative to the acknowledgement.
+/// When `fsync` runs relative to the acknowledgement. Under every
+/// policy a record is written to the file before its acknowledgement
+/// leaves, so a killed process loses no acknowledged op; the policy
+/// decides what a power loss may take.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Sync every record before acking: no acked op is ever lost.
     Always,
-    /// Sync at most once per interval: bounded loss window, near
-    /// in-memory throughput.
+    /// Sync at most once per interval: a power loss takes at most the
+    /// last interval, at near in-memory throughput.
     Interval(Duration),
     /// Never sync explicitly: the OS page cache decides.
     Never,
@@ -126,19 +129,34 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Encodes a record payload (no framing).
 pub fn encode_payload(req_id: u64, op: &AcceptedOp) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 1 + 8 + StreamSpec::WIRE_BYTES);
+    payload_into(&mut out, req_id, op);
+    out
+}
+
+/// Appends one framed record (length, CRC, payload) to `out`.
+pub fn encode_record(out: &mut Vec<u8>, req_id: u64, op: &AcceptedOp) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    payload_into(out, req_id, op);
+    let len = (out.len() - start - 8) as u32;
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn payload_into(out: &mut Vec<u8>, req_id: u64, op: &AcceptedOp) {
     out.extend_from_slice(&req_id.to_le_bytes());
     match op {
         AcceptedOp::Admit { handle, spec } => {
             out.push(TAG_ADMIT);
             out.extend_from_slice(&handle.to_le_bytes());
-            spec.encode_to(&mut out);
+            spec.encode_to(out);
         }
         AcceptedOp::Remove { handle } => {
             out.push(TAG_REMOVE);
             out.extend_from_slice(&handle.to_le_bytes());
         }
     }
-    out
 }
 
 /// Decodes a record payload; `None` on any structural mismatch.
@@ -166,14 +184,6 @@ pub fn decode_payload(buf: &[u8]) -> Option<WalRecord> {
         _ => return None,
     };
     Some(WalRecord { req_id, op })
-}
-
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
 }
 
 /// One intact frame of a WAL file, borrowed from the raw bytes.
@@ -296,12 +306,13 @@ pub struct WalOpen {
 #[derive(Debug)]
 pub struct Wal {
     file: Box<dyn WalFile>,
+    /// The policy the log was opened under, for [`crate::GroupWal::new`]
+    /// to run; `Wal` itself never syncs unasked.
     policy: FsyncPolicy,
     base_seq: u64,
     records: u64,
     /// Byte offset one past the last intact record.
     end: u64,
-    last_sync: Instant,
     broken: bool,
 }
 
@@ -324,7 +335,6 @@ impl Wal {
                 base_seq: 0,
                 records: 0,
                 end: WAL_HEADER_BYTES,
-                last_sync: Instant::now(),
                 broken: false,
             };
             return Ok((
@@ -360,7 +370,6 @@ impl Wal {
             base_seq,
             records: records.len() as u64,
             end: at as u64,
-            last_sync: Instant::now(),
             broken: false,
         };
         Ok((
@@ -389,83 +398,50 @@ impl Wal {
         self.broken
     }
 
-    /// The active fsync policy.
+    /// The fsync policy the log was opened under.
     pub fn policy(&self) -> FsyncPolicy {
         self.policy
     }
 
-    /// Appends one accepted operation and applies the fsync policy.
-    ///
-    /// On success the record is in the file (and durable under
-    /// [`FsyncPolicy::Always`]). On *any* error the tail is rolled back
-    /// so the record is gone, and the error is returned — the caller
-    /// must not acknowledge the operation. A rollback failure poisons
-    /// the log ([`Wal::is_broken`]).
+    /// Appends one accepted operation with one write, without syncing.
+    /// On error the tail is rolled back so the record is gone, and the
+    /// error is returned — the caller must not acknowledge the
+    /// operation. A rollback failure poisons the log
+    /// ([`Wal::is_broken`]).
     pub fn append(&mut self, req_id: u64, op: &AcceptedOp) -> io::Result<()> {
+        let mut framed = Vec::with_capacity(8 + 17 + StreamSpec::WIRE_BYTES);
+        encode_record(&mut framed, req_id, op);
+        self.write_records(&framed, 1)
+    }
+
+    /// Writes `records` records already framed by [`encode_record`]
+    /// into `frames`, with one write and without syncing. Same rollback
+    /// contract as [`Wal::append`].
+    pub fn write_records(&mut self, frames: &[u8], records: u64) -> io::Result<()> {
         if self.broken {
             return Err(io::Error::other("WAL is broken (earlier device error)"));
         }
-        let framed = frame(&encode_payload(req_id, op));
-        if let Err(e) = self.file.append(&framed) {
-            self.rollback();
+        if let Err(e) = self.file.append(frames) {
+            if self.file.truncate(self.end).is_err() {
+                self.broken = true;
+            }
             return Err(e);
         }
-        let synced_end = self.end + framed.len() as u64;
-        match self.policy {
-            FsyncPolicy::Always => {
-                if let Err(e) = self.file.sync() {
-                    self.rollback();
-                    return Err(e);
-                }
-                self.last_sync = Instant::now();
-            }
-            FsyncPolicy::Interval(every) => {
-                if self.last_sync.elapsed() >= every {
-                    if let Err(e) = self.file.sync() {
-                        self.rollback();
-                        return Err(e);
-                    }
-                    self.last_sync = Instant::now();
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
-        self.end = synced_end;
-        self.records += 1;
+        self.end += frames.len() as u64;
+        self.records += records;
         Ok(())
     }
 
-    /// Appends one accepted operation **without** running the fsync
-    /// policy — the group-commit layer
-    /// ([`crate::group_commit::GroupWal`]) schedules syncs itself,
-    /// batching many records per fsync. Same rollback contract as
-    /// [`Wal::append`]: on error the tail is rolled back and the record
-    /// is gone from the file.
-    pub fn append_raw(&mut self, req_id: u64, op: &AcceptedOp) -> io::Result<()> {
-        if self.broken {
-            return Err(io::Error::other("WAL is broken (earlier device error)"));
-        }
-        let framed = frame(&encode_payload(req_id, op));
-        if let Err(e) = self.file.append(&framed) {
-            self.rollback();
-            return Err(e);
-        }
-        self.end += framed.len() as u64;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Byte offset one past the last intact record — the group-commit
-    /// layer's durability cursor.
+    /// Byte offset one past the last intact record.
     pub fn end_offset(&self) -> u64 {
         self.end
     }
 
     /// Rolls the log back to a previously observed
     /// `(end_offset, records)` point, discarding every record after it
-    /// — the group-commit layer's whole-batch rollback when a batched
-    /// fsync fails, so no unacknowledged record survives into recovery.
-    /// A truncate failure poisons the log.
+    /// — the `--fsync always` rollback when a group sync fails, so no
+    /// unacknowledged record survives into recovery. A truncate failure
+    /// poisons the log.
     pub fn truncate_to(&mut self, end: u64, records: u64) -> io::Result<()> {
         if let Err(e) = self.file.truncate(end) {
             self.broken = true;
@@ -476,23 +452,18 @@ impl Wal {
         Ok(())
     }
 
-    /// Syncs unconditionally, regardless of policy — the clean-shutdown
-    /// path for `interval`/`never`, where acknowledged records may
-    /// still sit in the page cache.
+    /// Syncs what has been written (`fdatasync`).
     pub fn sync_now(&mut self) -> io::Result<()> {
         if self.broken {
             return Err(io::Error::other("WAL is broken (earlier device error)"));
         }
-        self.file.sync()?;
-        self.last_sync = Instant::now();
-        Ok(())
+        self.file.sync()
     }
 
-    /// Best-effort tail rollback to the last known-good offset.
-    fn rollback(&mut self) {
-        if self.file.truncate(self.end).is_err() {
-            self.broken = true;
-        }
+    /// A second handle onto the log's file, for a thread that only
+    /// syncs ([`WalFile::try_clone`]).
+    pub fn try_clone_file(&self) -> io::Result<Box<dyn WalFile>> {
+        self.file.try_clone()
     }
 
     /// Restarts the log after a snapshot at sequence `base_seq`: the
@@ -510,7 +481,6 @@ impl Wal {
         self.base_seq = base_seq;
         self.records = 0;
         self.end = WAL_HEADER_BYTES;
-        self.last_sync = Instant::now();
         Ok(())
     }
 }

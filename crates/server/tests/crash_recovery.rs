@@ -6,9 +6,11 @@
 //! through the real durable service; each proptest case then truncates
 //! a copy of the log at an arbitrary offset and runs full recovery.
 //!
-//! Also here: the end-to-end idempotency guarantee — a duplicate
-//! `@REQID ADMIT` over TCP returns the original outcome and does not
-//! create a second stream.
+//! Also here: under every fsync policy, every op a running server has
+//! acknowledged is in the WAL file, so a `kill -9` loses none; and the
+//! end-to-end idempotency guarantee — a duplicate `@REQID ADMIT` over
+//! TCP returns the original outcome and does not create a second
+//! stream.
 
 use proptest::prelude::*;
 use rtwc_core::StreamId;
@@ -154,6 +156,69 @@ proptest! {
             prop_assert_eq!(got, expected, "cut at byte {} of {}", cut, bytes.len());
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// `kill -9` loses no acknowledged op, under any policy: a server acks
+/// a pipelined burst, and the WAL file as it stands — read while the
+/// server still runs, before any shutdown flush or further sync, which
+/// is what a killed process leaves in the page cache — recovers every
+/// acknowledged admission.
+#[test]
+fn a_killed_server_has_written_every_acked_op_under_every_policy() {
+    for label in ["always", "interval:5", "never"] {
+        let policy = FsyncPolicy::parse(label).unwrap();
+        let dir = tmpdir(&format!("kill9-{}", label.replace(':', "-")));
+        let (state, wal, _) = recover(&mesh(), &dir, policy).unwrap();
+        let service = AdmissionService::with_durability(
+            mesh(),
+            state,
+            Durability {
+                dir: dir.clone(),
+                wal: GroupWal::new(wal),
+                snapshot_every: 0,
+            },
+        );
+        let server = Server::bind(service, "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let stop = server.shutdown_handle().unwrap();
+        let join = thread::spawn(move || server.run());
+
+        let burst: Vec<String> = (0..60u32)
+            .map(|i| format!("ADMIT 0,{} {},{} 1 2000 2", i % 10, 1 + i / 10, i % 10))
+            .collect();
+        let replies = Client::connect(&addr)
+            .unwrap()
+            .send_pipelined(&burst)
+            .unwrap();
+        let mut acked: Vec<u64> = replies
+            .iter()
+            .filter(|r| r.contains("\"status\":\"admitted\""))
+            .map(|r| {
+                let at = r.find("\"id\":").unwrap() + 5;
+                let digits = r[at..].split(|c: char| !c.is_ascii_digit()).next();
+                digits.unwrap().parse().unwrap()
+            })
+            .collect();
+        assert!(acked.len() >= 50, "{label}: the burst admits: {replies:?}");
+
+        // The "crash": copy the file as it stands and recover the copy.
+        let crashed = tmpdir(&format!("kill9-{}-copy", label.replace(':', "-")));
+        std::fs::copy(dir.join("wal.log"), crashed.join("wal.log")).unwrap();
+        let (state, _, report) = recover(&mesh(), &crashed, FsyncPolicy::Always).unwrap();
+        acked.sort_unstable();
+        assert_eq!(
+            state.handles(),
+            acked,
+            "{label}: {} acked, {} recovered",
+            acked.len(),
+            report.wal_records
+        );
+
+        stop.shutdown();
+        join.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&crashed).ok();
     }
 }
 

@@ -1,39 +1,40 @@
-//! Bounded-exhaustive concurrency models of the reactor core, run under
-//! `RUSTFLAGS="--cfg loom" cargo test -p rtwc-server --test loom_models`.
+//! Bounded-exhaustive model of the one hand-off between threads, run
+//! under `RUSTFLAGS="--cfg loom" cargo test -p rtwc-server --test loom_models`.
 //!
-//! Each model drives the *real* production type — [`GroupWal`] over an
-//! in-memory [`MemFile`], the one structure two threads share (the
-//! reactor appends and syncs, the interval flusher syncs) — through
-//! every interleaving the checker's preemption budget allows, asserting
-//! the invariants DESIGN.md's "Concurrency verification" section
-//! inventories:
+//! The reactor owns the WAL ([`GroupWal`]); under `--fsync interval` the
+//! flusher thread owns a second handle onto its file ([`WalFlusher`])
+//! and shares a few atomics with the reactor: the written and synced
+//! sequence numbers, the broken flag and the sync counters. The model
+//! drives the *real* types over an in-memory [`MemFile`] through every
+//! interleaving the checker's preemption budget allows and asserts
+//! **synced-implies-durable**: once a synced sequence `k` is published,
+//! a crash (the synced prefix of the device) preserves record `k`. The
+//! replication shipper and `STATS` read that sequence, so it must never
+//! run ahead of the device.
 //!
-//! - **durable-before-ack**: at the moment `wait_durable` acks a
-//!   ticket under `--fsync always`, a crash (the synced prefix of the
-//!   device) already preserves that ticket's record;
-//! - **whole-batch rollback**: a failed group sync acks nothing and
-//!   leaves zero unacknowledged records for recovery to find.
+//! The `--fsync always` path has no model: its writes and syncs all run
+//! on the reactor, one thread, and its unit tests cover the rollback
+//! (`failed_group_sync_rolls_back_the_whole_batch`,
+//! `failed_pass_sync_refuses_every_held_write`). There is no model of
+//! concurrent admissions either: the [`rtwc_server::AdmissionService`]
+//! is not `Sync` (a `compile_fail` doctest on the type keeps it so).
 //!
-//! There is no model of concurrent admissions: the
-//! [`rtwc_server::AdmissionService`] is not `Sync`, so two threads
-//! cannot call its write path at once (a `compile_fail` doctest on the
-//! type keeps it that way), and one thread runs each write to
-//! completion.
-//!
-//! Alongside each model sits a `seeded_*` test: a minimal replica of
-//! the protocol with the guard deliberately removed (ack before sync),
-//! wrapped in `catch_unwind` to prove the checker actually finds the
-//! interleaving that breaks it — the models are load-bearing, not
-//! vacuous.
+//! Beside the model sits a `seeded_*` test: a minimal replica of the
+//! flusher with its order deliberately swapped (read the written
+//! sequence *after* the sync), wrapped in `catch_unwind` to prove the
+//! checker finds the interleaving that breaks it — the model is
+//! load-bearing, not vacuous.
 #![cfg(loom)]
 
 use rtwc_core::StreamSpec;
-use rtwc_server::faultfs::MemFile;
-use rtwc_server::group_commit::GroupWal;
+use rtwc_server::faultfs::{MemFile, WalFile};
+use rtwc_server::group_commit::{GroupWal, WalFlusher};
 use rtwc_server::service::AcceptedOp;
-use rtwc_server::sync::{thread, Arc, Mutex};
-use rtwc_server::wal::{FsyncPolicy, Wal};
+use rtwc_server::sync::atomic::{AtomicU64, Ordering};
+use rtwc_server::sync::{thread, Arc};
+use rtwc_server::wal::{encode_record, FsyncPolicy, Wal};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 use wormnet_topology::NodeId;
 
 /// Runs `f` under the model checker expecting some interleaving to
@@ -58,116 +59,92 @@ fn admit_op(handle: u64) -> AcceptedOp {
 
 /// Records recoverable from `bytes` — what a process that crashed with
 /// exactly these bytes durable would replay.
-fn recovered_records(bytes: Vec<u8>) -> usize {
+fn recovered_records(bytes: Vec<u8>) -> u64 {
     let (_, opened) = Wal::open(Box::new(MemFile::from_bytes(bytes)), FsyncPolicy::Never)
         .expect("synced prefix must always parse");
-    opened.records.len()
+    opened.records.len() as u64
 }
 
-fn group_wal_on(observer: &MemFile, policy: FsyncPolicy) -> GroupWal {
+/// Asserts synced-implies-durable for the synced sequence `synced`.
+fn assert_durable(observer: &MemFile, synced: u64) {
+    let durable = recovered_records(observer.synced_bytes());
+    assert!(
+        durable >= synced,
+        "synced seq {synced} published but only {durable} records durable"
+    );
+}
+
+fn interval_wal_on(observer: &MemFile) -> (GroupWal, WalFlusher) {
+    let policy = FsyncPolicy::Interval(Duration::from_millis(5));
     let (wal, _) = Wal::open(Box::new(observer.clone()), policy).expect("fresh mem wal");
-    GroupWal::new(wal)
+    let gc = GroupWal::new(wal);
+    let flusher = gc.flusher().expect("clone").expect("interval policy");
+    (gc, flusher)
 }
 
 // ---------------------------------------------------------------------
-// Model 1: group commit acks a ticket only once its record is durable.
+// The reactor appends and writes while the interval flusher syncs: a
+// published synced sequence is always on the device.
 // ---------------------------------------------------------------------
 
 #[test]
-fn group_commit_acked_implies_durable() {
+fn interval_flusher_publishes_only_synced_records() {
     loom::model(|| {
         let observer = MemFile::new();
-        let gc = Arc::new(group_wal_on(&observer, FsyncPolicy::Always));
-        let handles: Vec<_> = (0..2u64)
-            .map(|i| {
-                let gc = Arc::clone(&gc);
-                let observer = observer.clone();
-                thread::spawn(move || {
-                    let ticket = gc.append(0, &admit_op(i)).expect("healthy log accepts");
-                    gc.wait_durable(ticket).expect("healthy device syncs");
-                    // The ack moment: a crash right now must preserve
-                    // this ticket's record — durable-before-ack.
-                    let durable = recovered_records(observer.synced_bytes());
-                    assert!(
-                        durable as u64 >= ticket,
-                        "acked ticket {ticket} but only {durable} records durable"
-                    );
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+        let (mut gc, mut flusher) = interval_wal_on(&observer);
+        let syncer = thread::spawn(move || {
+            for _ in 0..2 {
+                flusher.sync().expect("healthy device syncs");
+            }
+        });
+        for i in 0..2u64 {
+            gc.append(0, &admit_op(i)).expect("healthy log accepts");
+            gc.write().expect("healthy log writes");
+            // What the shipper and STATS read: never past the device.
+            assert_durable(&observer, gc.frontiers().synced);
         }
+        syncer.join().unwrap();
+        let synced = gc.frontiers().synced;
+        assert_durable(&observer, synced);
+        let stats = gc.stats();
+        assert_eq!(stats.ops_synced, synced, "each synced record counted once");
+        // Shutdown syncs the rest through the reactor's own handle.
+        gc.flush().expect("healthy device syncs");
+        assert_eq!(gc.frontiers().synced, 2);
         assert_eq!(recovered_records(observer.synced_bytes()), 2);
     });
 }
 
 #[test]
-fn seeded_ack_before_sync_is_caught() {
-    // The same protocol with the guard removed: the appender "acks" its
-    // ticket without waiting for the syncer. Some interleaving acks a
-    // record the device has not made durable, and the checker finds it.
+fn seeded_flusher_reading_written_after_its_sync_is_caught() {
+    // The same hand-off with the flusher's order swapped: it syncs, and
+    // only then reads how far the reactor has written. A record written
+    // between the two is published as synced without being on the
+    // device, and the checker finds that interleaving.
     assert!(fails(|| {
-        #[derive(Default)]
-        struct Dev {
-            appended: u64,
-            synced: u64,
-        }
-        let dev = Arc::new(Mutex::new(Dev::default()));
-        let syncer = {
-            let dev = Arc::clone(&dev);
-            thread::spawn(move || {
-                let mut d = dev.lock().unwrap();
-                d.synced = d.appended;
-            })
-        };
-        let ticket = {
-            let mut d = dev.lock().unwrap();
-            d.appended += 1;
-            d.appended
-        };
-        // BUG: ack here, without waiting for the sync to cover us.
-        let d = dev.lock().unwrap();
-        assert!(d.synced >= ticket, "acked ticket {ticket} not durable");
-        drop(d);
-        syncer.join().unwrap();
-    }));
-}
-
-// ---------------------------------------------------------------------
-// Model 2: a failed group sync rolls back the whole batch — nothing is
-// acked and recovery finds zero unacknowledged records.
-// ---------------------------------------------------------------------
-
-#[test]
-fn group_commit_failed_sync_acks_nothing() {
-    loom::model(|| {
         let observer = MemFile::new();
-        // Sync #1 is the fresh log's header; every group sync fails.
-        observer.fail_sync_from(2);
-        let gc = Arc::new(group_wal_on(&observer, FsyncPolicy::Always));
-        let handles: Vec<_> = (0..2u64)
-            .map(|i| {
-                let gc = Arc::clone(&gc);
-                thread::spawn(move || {
-                    // The append may already be refused (another batch
-                    // broke the log first); an accepted one must then
-                    // fail its durability wait. No schedule acks.
-                    if let Ok(ticket) = gc.append(0, &admit_op(i)) {
-                        gc.wait_durable(ticket)
-                            .expect_err("no ticket survives a failed group sync");
-                    }
-                })
+        // A fresh log: its header is written and synced.
+        Wal::open(Box::new(observer.clone()), FsyncPolicy::Never).unwrap();
+        let written = Arc::new(AtomicU64::new(0));
+        let synced = Arc::new(AtomicU64::new(0));
+        let syncer = {
+            let mut file = observer.clone();
+            let (written, synced) = (Arc::clone(&written), Arc::clone(&synced));
+            thread::spawn(move || {
+                file.sync().unwrap();
+                // BUG: the written sequence must be read before the sync.
+                let w = written.load(Ordering::Acquire);
+                synced.fetch_max(w, Ordering::AcqRel);
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(gc.is_broken(), "a failed sync must break the log");
-        drop(gc);
-        // Whole-batch rollback: neither the durable prefix nor the raw
-        // file holds a record nobody was acked for.
-        assert_eq!(recovered_records(observer.synced_bytes()), 0);
-        assert_eq!(recovered_records(observer.bytes()), 0);
-    });
+        };
+        // The reactor writes one record, then publishes it as written.
+        let mut file = observer.clone();
+        let mut frame = Vec::new();
+        encode_record(&mut frame, 0, &admit_op(0));
+        file.append(&frame).unwrap();
+        written.store(1, Ordering::Release);
+        assert_durable(&observer, synced.load(Ordering::Acquire));
+        syncer.join().unwrap();
+        assert_durable(&observer, synced.load(Ordering::Acquire));
+    }));
 }
